@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -109,31 +110,47 @@ class RunSummary:
     artifacts: list = field(default_factory=list)
 
 
-def _positive(value, key, kind=float):
-    try:
-        out = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}' must be a {kind.__name__}, got {value!r}") from None
+def _number(value, key, integral=False):
+    """A finite JSON number (an int when integral); booleans and strings are rejected."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = math.isfinite(value) and (value.is_integer() or not integral)
+    elif ok and not integral:
+        ok = abs(value) <= sys.float_info.max
+    if not ok:
+        kind = "an integer" if integral else "a finite number"
+        raise ConfigError(f"key '{key}' must be {kind}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _positive(value, key, integral=False):
+    out = _number(value, key, integral)
     if out <= 0:
         raise ConfigError(f"key '{key}' must be positive, got {out}")
     return out
 
 
+def _seed(value):
+    seed = _number(value, "seed", integral=True)
+    if seed < 0:
+        raise ConfigError(f"key 'seed' must be non-negative, got {seed}")
+    return seed
+
+
 def _parse_target(raw, key="target"):
     if isinstance(raw, str):
         name = raw.strip().lower()
-        if name in {"bell", "plus"} or name == "cluster" or name.startswith("cluster-"):
+        size = name[len("cluster-"):] if name.startswith("cluster-") else ""
+        if name in {"bell", "plus", "cluster"} or (size.isdecimal() and int(size) > 0):
             return name
         raise ConfigError(f"key '{key}': unknown preset {raw!r}")
     if isinstance(raw, list):
         amps = []
         for i, entry in enumerate(raw):
-            if isinstance(entry, (int, float)):
-                amps.append(complex(entry))
-            elif isinstance(entry, list) and len(entry) == 2:
-                amps.append(complex(entry[0], entry[1]))
-            else:
+            pair = entry if isinstance(entry, list) else [entry, 0]
+            if len(pair) != 2:
                 raise ConfigError(f"key '{key}[{i}]': expected number or [re, im] pair")
+            amps.append(complex(_number(pair[0], f"{key}[{i}]"), _number(pair[1], f"{key}[{i}]")))
         amps = np.array(amps, dtype=complex)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-6:
@@ -159,7 +176,7 @@ def parse_config(path) -> ScenarioConfig:
     scenario = data.get("scenario")
     if scenario is None:
         raise ConfigError("missing required key 'scenario'")
-    if scenario not in _SCENARIO_KEYS:
+    if not isinstance(scenario, str) or scenario not in _SCENARIO_KEYS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; expected one of {sorted(_SCENARIO_KEYS)}"
         )
@@ -173,11 +190,11 @@ def parse_config(path) -> ScenarioConfig:
 
     cfg = ScenarioConfig(scenario=scenario)
     if "seed" in data:
-        cfg.seed = int(data["seed"])
+        cfg.seed = _seed(data["seed"])
     if "output_path" in data:
         cfg.output_path = str(data["output_path"])
     if "n_qubits" in data:
-        cfg.n_qubits = int(_positive(data["n_qubits"], "n_qubits", int))
+        cfg.n_qubits = _positive(data["n_qubits"], "n_qubits", integral=True)
     if "gamma" in data:
         raw = data["gamma"]
         if isinstance(raw, list):
@@ -193,22 +210,21 @@ def parse_config(path) -> ScenarioConfig:
     elif scenario == "qsd":
         cfg.dt = 1e-3
     if "n_traj" in data:
-        cfg.n_traj = int(_positive(data["n_traj"], "n_traj", int))
+        cfg.n_traj = _positive(data["n_traj"], "n_traj", integral=True)
     if "target" in data:
         cfg.target = _parse_target(data["target"])
     if "pauli_word" in data:
         try:
-            PauliString(str(data["pauli_word"]))
+            word = PauliString(str(data["pauli_word"]))
         except ValueError as exc:
             raise ConfigError(f"key 'pauli_word': {exc}") from None
-        cfg.pauli_word = str(data["pauli_word"])
+        if word.weight == 0:
+            raise ConfigError("key 'pauli_word' needs at least one non-identity letter")
+        cfg.pauli_word = word.letters
     if "theta" in data:
-        try:
-            cfg.theta = float(data["theta"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"key 'theta' must be a number, got {data['theta']!r}") from None
+        cfg.theta = _number(data["theta"], "theta")
     if "bath_dim" in data:
-        cfg.bath_dim = int(_positive(data["bath_dim"], "bath_dim", int))
+        cfg.bath_dim = _positive(data["bath_dim"], "bath_dim", integral=True)
         if cfg.bath_dim < 2:
             raise ConfigError("key 'bath_dim' must be at least 2")
     if "graph" in data:
@@ -216,6 +232,8 @@ def parse_config(path) -> ScenarioConfig:
             cfg.graph = GraphSpec.from_obj(data["graph"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"key 'graph': {exc}") from None
+    if scenario in {"evolve", "qsd"} and cfg.t_max < cfg.dt:
+        raise ConfigError(f"key 't_max' = {cfg.t_max} is below one step dt = {cfg.dt}")
     return cfg
 
 
@@ -447,14 +465,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg.seed = _seed(args.seed)
     except ConfigError as exc:
         print(f"[dissipforge] config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"[dissipforge] cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
         run(cfg, output_dir=args.output, quiet=args.quiet)
     except ConfigError as exc:

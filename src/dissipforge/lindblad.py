@@ -1,12 +1,17 @@
 """Lindblad generator assembly, master-equation integration, steady states.
 
 The generator is d(rho)/dt = -i[H, rho] + sum_j gamma_j (L_j rho L_j^dag
-- {L_j^dag L_j, rho} / 2). Density matrices are vectorized by stacking
+- {L_j^dag L_j, rho} / 2). It is evaluated through the non-Hermitian
+effective Hamiltonian H_eff = H - (i/2) sum_j gamma_j L_j^dag L_j as
+d(rho)/dt = -i(H_eff rho - rho H_eff^dag) + sum_j gamma_j L_j rho L_j^dag;
+the same H_eff gives the vectorized Liouvillian and the drift of the
+diffusion trajectories in `qsd`. Density matrices are vectorized by stacking
 columns, so vec(A X B) = (B^T kron A) vec(X).
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +52,26 @@ class LindbladModel:
             return self.dissipators.dim
         return self.hamiltonian.shape[0]
 
+    @cached_property
+    def h_eff(self) -> np.ndarray:
+        """Read-only H - (i/2) sum_j gamma_j L_j^dag L_j, built on first use."""
+        K = np.zeros((self.dim, self.dim), dtype=complex)
+        for gamma, L in self.dissipators:
+            K += gamma * (dag(L) @ L)
+        H = -0.5j * K
+        if self.hamiltonian is not None:
+            H += self.hamiltonian
+        H.setflags(write=False)
+        return H
+
+    @cached_property
+    def _jumps(self):
+        """Stacks (gamma_j L_j, L_j^dag) of shape (m, d, d), or None without jumps."""
+        if len(self.dissipators) == 0:
+            return None
+        L = np.stack(self.dissipators.operators)
+        return np.array(self.dissipators.rates)[:, None, None] * L, L.conj().transpose(0, 2, 1)
+
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacked vector of a matrix."""
@@ -57,54 +82,31 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
-def _stacks(model: LindbladModel):
-    """Batched (gamma, L, L^dag, L^dag L) arrays, or None without dissipators."""
-    if len(model.dissipators) == 0:
-        return None
-    L = np.stack(model.dissipators.operators)
-    g = np.array(model.dissipators.rates)[:, None, None]
-    Ld = L.conj().transpose(0, 2, 1)
-    return g, L, Ld, Ld @ L
-
-
-def _rhs_raw(model, stacks, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    H = model.hamiltonian
-    if H is not None:
-        out += -1j * (H @ rho - rho @ H)
-    if stacks is not None:
-        g, L, Ld, K = stacks
-        out += np.sum(g * (L @ rho @ Ld - 0.5 * (K @ rho + rho @ K)), axis=0)
-    return out
-
-
 def rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Generator applied to one state: -i[H, rho] + dissipative terms."""
+    """Generator applied to one state: -i(H_eff rho - rho H_eff^dag) + jump terms."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if m.shape != (model.dim, model.dim):
         raise ValueError(f"state shape {m.shape} does not match model dimension {model.dim}")
-    return _rhs_raw(model, _stacks(model), m)
+    H = model.h_eff
+    out = -1j * (H @ m - m @ dag(H))
+    if model._jumps is not None:
+        gL, Ld = model._jumps
+        out += np.sum(gL @ m @ Ld, axis=0)
+    return out
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """N^2 x N^2 matrix M with M vec(rho) = vec(rhs(rho)), columns stacked.
 
-    M = sum_j gamma_j [L* kron L - (I kron L^dag L)/2 - ((L^dag L)* kron I)/2]
-        - i (I kron H - H* kron I).
+    M = -i (I kron H_eff - H_eff* kron I) + sum_j gamma_j L_j* kron L_j.
     """
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
-    M = np.zeros((d * d, d * d), dtype=complex)
-    H = model.hamiltonian
-    if H is not None:
-        M += -1j * (np.kron(eye, H) - np.kron(H.conj(), eye))
+    eye = np.eye(model.dim, dtype=complex)
+    H = model.h_eff
+    M = np.kron(eye, H)
+    M -= np.kron(H.conj(), eye)
+    M *= -1j
     for gamma, L in model.dissipators:
-        K = dag(L) @ L
-        M += gamma * (
-            np.kron(L.conj(), L)
-            - 0.5 * np.kron(eye, K)
-            - 0.5 * np.kron(K.conj(), eye)
-        )
+        M += np.kron(gamma * L.conj(), L)
     return M
 
 
@@ -207,7 +209,6 @@ def integrate(
     if t_max < dt:
         raise ValueError(f"t_max = {t_max} is below one step dt = {dt}")
     steps = int(math.ceil(t_max / dt - 1e-12))
-    stacks = _stacks(model)
     tvec = None
     if target is not None:
         tvec = target.amplitudes if isinstance(target, PureState) else np.asarray(target, complex)
@@ -227,10 +228,10 @@ def integrate(
 
     record(0, abs(np.trace(rho).real - 1.0))
     for step in range(1, steps + 1):
-        k1 = _rhs_raw(model, stacks, rho)
-        k2 = _rhs_raw(model, stacks, rho + 0.5 * dt * k1)
-        k3 = _rhs_raw(model, stacks, rho + 0.5 * dt * k2)
-        k4 = _rhs_raw(model, stacks, rho + dt * k3)
+        k1 = rhs(model, rho)
+        k2 = rhs(model, rho + 0.5 * dt * k1)
+        k3 = rhs(model, rho + 0.5 * dt * k2)
+        k4 = rhs(model, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = (rho + dag(rho)) / 2.0
         tr = np.trace(rho).real

@@ -1,27 +1,30 @@
 """Linear quantum-state-diffusion trajectories in the Markov limit.
 
-Each unnormalized trajectory obeys d(psi)/dt = [L z*_t - (gamma/2) L^dag L] psi,
-driven by complex white noise of intensity gamma (E[z z*] = gamma / dt per
-step, E[z z] = 0). Averaging the unnormalized projectors |psi><psi| over
+Each unnormalized trajectory obeys d(psi)/dt = [L z*_t - i H_eff] psi, where
+H_eff = -(i gamma/2) L^dag L is the effective Hamiltonian of the one-jump
+Lindblad model (gamma, L), driven by complex white noise of intensity gamma
+(E[z z*] = gamma / dt per step, E[z z] = 0). Averaging the unnormalized projectors |psi><psi| over
 trajectories reproduces the master-equation density matrix; the linear form
 does not preserve single-trajectory norms, only the ensemble trace.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import EvolutionRecord
+from .dissipators import DissipatorSet
+from .lindblad import EvolutionRecord, LindbladModel
 from .states import PureState
 
 NORM_LIMIT = 1e6
-THREADS_ENV = "DISSIPFORGE_THREADS"
 
 
 class TrajectoryOverflow(RuntimeError):
-    """A trajectory norm exceeded the overflow limit."""
+    """Trajectory norms exceeded the overflow limit; `indices` lists the offending rows."""
+
+    def __init__(self, message, indices):
+        super().__init__(message)
+        self.indices = tuple(int(i) for i in indices)
 
 
 class EnsembleError(RuntimeError):
@@ -91,39 +94,58 @@ class Trajectory:
     states: np.ndarray  # (n_steps + 1, d)
 
 
-def _as_vector(psi0) -> np.ndarray:
-    v = np.asarray(
+def _prepare(L, psi0):
+    """Validated (operator, normalized start vector) pair."""
+    L = np.asarray(L, dtype=complex)
+    psi = np.asarray(
         psi0.amplitudes if isinstance(psi0, PureState) else psi0, dtype=complex
     ).reshape(-1)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise ValueError("initial state must be normalized")
-    return v
+    if L.shape != (psi.size, psi.size):
+        raise ValueError(f"operator shape {L.shape} does not match state dimension {psi.size}")
+    return L, psi
+
+
+def _steps(L, cfg, Psi, noise):
+    """Euler-Maruyama steps of a batch of trajectories, one per row of Psi.
+
+    psi_{k+1} = psi_k + dt [L z*_k - i H_eff] psi_k, where -i H_eff =
+    -(gamma/2) L^dag L is the drift of the one-jump model (gamma, L) and
+    noise[:, k] holds each row's z*_k. Yields (Psi, |Psi|^2 elementwise) at
+    steps 0..n_steps; a row whose norm exceeds NORM_LIMIT raises
+    TrajectoryOverflow with the offending row indices.
+    """
+    drift = -1j * LindbladModel(DissipatorSet(((cfg.gamma, L),))).h_eff
+    LT = L.T.copy()
+    DT = drift.T.copy()
+    prob = Psi.real**2 + Psi.imag**2
+    yield Psi, prob
+    for k in range(cfg.n_steps):
+        Psi = Psi + cfg.dt * (noise[:, k, None] * (Psi @ LT) + Psi @ DT)
+        prob = Psi.real**2 + Psi.imag**2
+        norms2 = prob.sum(axis=1)
+        bad = ~np.isfinite(norms2) | (norms2 > NORM_LIMIT**2)
+        if np.any(bad):
+            raise TrajectoryOverflow(
+                f"{int(bad.sum())} trajectory norm(s) exceeded {NORM_LIMIT:.0e} "
+                f"at step {k + 1}",
+                np.nonzero(bad)[0],
+            )
+        yield Psi, prob
 
 
 def evolve_trajectory(L: np.ndarray, cfg: TrajectoryConfig, psi0, noise: NoisePath) -> Trajectory:
     """Euler-Maruyama propagation of one unnormalized trajectory.
 
-    psi_{k+1} = psi_k + dt [L z*_k - (gamma/2) L^dag L] psi_k. Norms above
-    NORM_LIMIT abort with TrajectoryOverflow.
+    Runs the ensemble's stepper on a batch of one; norms above NORM_LIMIT
+    abort with TrajectoryOverflow.
     """
-    L = np.asarray(L, dtype=complex)
-    psi = _as_vector(psi0)
-    if L.shape != (psi.size, psi.size):
-        raise ValueError(f"operator shape {L.shape} does not match state dimension {psi.size}")
+    L, psi = _prepare(L, psi0)
     if noise.increments.size != cfg.n_steps:
         raise ValueError("noise path length does not match the configured step count")
-    drift = -0.5 * cfg.gamma * (L.conj().T @ L)
-    out = np.empty((cfg.n_steps + 1, psi.size), dtype=complex)
-    out[0] = psi
-    for k in range(cfg.n_steps):
-        psi = psi + cfg.dt * (noise.increments[k] * (L @ psi) + drift @ psi)
-        nrm = np.linalg.norm(psi)
-        if not np.isfinite(nrm) or nrm > NORM_LIMIT:
-            raise TrajectoryOverflow(
-                f"trajectory norm {nrm:.3e} exceeded {NORM_LIMIT:.0e} at step {k + 1}"
-            )
-        out[k + 1] = psi
-    return Trajectory(cfg.times, out)
+    states = [Psi[0] for Psi, _ in _steps(L, cfg, psi[None, :], noise.increments[None, :])]
+    return Trajectory(cfg.times, np.array(states))
 
 
 @dataclass(eq=False)
@@ -166,50 +188,25 @@ class EnsembleResult:
         }
 
 
-class _ChunkOverflow(Exception):
-    def __init__(self, indices):
-        self.indices = tuple(indices)
-
-
-def _chunk_sums(L, drift, cfg, psi0, lo, hi, excluded):
+def _chunk_sums(L, cfg, psi0, lo, hi, excluded):
     """Evolve trajectories [lo, hi) together, accumulating projector sums.
 
-    Raises _ChunkOverflow with the offending global indices the first time
-    any live trajectory exceeds NORM_LIMIT; excluded rows ride along as
-    zeros and contribute nothing.
+    Excluded rows ride along as zeros and contribute nothing; an overflow
+    propagates as TrajectoryOverflow with chunk-relative row indices.
     """
-    count = hi - lo
     d = psi0.size
     noise = np.stack([sample_noise(cfg, i).increments for i in range(lo, hi)])
-    Psi = np.tile(psi0, (count, 1))
+    Psi = np.tile(psi0, (hi - lo, 1))
     for i in excluded:
         if lo <= i < hi:
             Psi[i - lo] = 0.0
-    LT = L.T.copy()
-    DT = drift.T.copy()
     T = cfg.n_steps + 1
     s_outer = np.empty((T, d, d), dtype=complex)
     s_abs2 = np.empty((T, d, d))
-    prob = Psi.real**2 + Psi.imag**2
-    s_outer[0] = Psi.T @ Psi.conj()
-    s_abs2[0] = prob.T @ prob
-    for k in range(1, T):
-        Psi = Psi + cfg.dt * (noise[:, k - 1, None] * (Psi @ LT) + Psi @ DT)
-        prob = Psi.real**2 + Psi.imag**2
-        norms2 = prob.sum(axis=1)
-        bad = ~np.isfinite(norms2) | (norms2 > NORM_LIMIT**2)
-        if np.any(bad):
-            raise _ChunkOverflow(lo + np.nonzero(bad)[0])
+    for k, (Psi, prob) in enumerate(_steps(L, cfg, Psi, noise)):
         s_outer[k] = Psi.T @ Psi.conj()
         s_abs2[k] = prob.T @ prob
     return s_outer, s_abs2
-
-
-def _resolve_workers(max_workers) -> int:
-    if max_workers is not None:
-        return max(int(max_workers), 1)
-    env = os.environ.get(THREADS_ENV)
-    return max(int(env), 1) if env else 1
 
 
 def ensemble_average(
@@ -217,60 +214,39 @@ def ensemble_average(
     cfg: TrajectoryConfig,
     psi0,
     chunk_size: int = 256,
-    max_workers: int | None = None,
 ) -> EnsembleResult:
     """Mean and standard error of unnormalized projectors over an ensemble.
 
-    Noise paths derive from (master_seed, index), so the ensemble is
-    reproducible regardless of chunking or thread count; partial sums fold
-    in fixed chunk order. Diverging trajectories are dropped and counted,
-    and more than 1% exclusions raises EnsembleError. max_workers defaults
-    to the DISSIPFORGE_THREADS environment variable (or 1).
+    Every trajectory takes Euler-Maruyama steps
+    psi_{k+1} = psi_k + dt [L z*_k - i H_eff] psi_k with the effective
+    Hamiltonian H_eff = -(i gamma/2) L^dag L of the one-jump model
+    (gamma, L). Noise paths derive from (master_seed, index), so the
+    ensemble is reproducible regardless of chunking; partial sums fold in
+    fixed chunk order. Diverging trajectories are dropped and counted, and
+    more than 1% exclusions raises EnsembleError.
     """
-    L = np.asarray(L, dtype=complex)
-    psi0 = _as_vector(psi0)
-    if L.shape != (psi0.size, psi0.size):
-        raise ValueError(f"operator shape {L.shape} does not match state dimension {psi0.size}")
-    drift = -0.5 * cfg.gamma * (L.conj().T @ L)
+    L, psi0 = _prepare(L, psi0)
     budget = int(0.01 * cfg.n_traj)
     excluded: set[int] = set()
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        local: set[int] = set(i for i in excluded if lo <= i < hi)
-        while True:
-            try:
-                sums = _chunk_sums(L, drift, cfg, psi0, lo, hi, local)
-                return sums, local
-            except _ChunkOverflow as ov:
-                local |= set(int(i) for i in ov.indices)
-                if len(local) > budget + 1:
-                    raise EnsembleError(
-                        f"more than 1% of trajectories diverged ({len(local)} in chunk "
-                        f"[{lo}, {hi}) alone, budget {budget})"
-                    ) from None
-
-    chunks = [(lo, min(lo + chunk_size, cfg.n_traj)) for lo in range(0, cfg.n_traj, chunk_size)]
-    workers = _resolve_workers(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
-
     T = cfg.n_steps + 1
     d = psi0.size
     total_outer = np.zeros((T, d, d), dtype=complex)
     total_abs2 = np.zeros((T, d, d))
-    for (s_outer, s_abs2), local in results:
+    for lo in range(0, cfg.n_traj, chunk_size):
+        hi = min(lo + chunk_size, cfg.n_traj)
+        while True:
+            try:
+                s_outer, s_abs2 = _chunk_sums(L, cfg, psi0, lo, hi, excluded)
+                break
+            except TrajectoryOverflow as ov:
+                excluded.update(lo + i for i in ov.indices)
+                if len(excluded) > budget:
+                    raise EnsembleError(
+                        f"{len(excluded)} of {cfg.n_traj} trajectories diverged (> 1%)"
+                    ) from None
         total_outer += s_outer
         total_abs2 += s_abs2
-        excluded |= local
 
-    if len(excluded) > budget:
-        raise EnsembleError(
-            f"{len(excluded)} of {cfg.n_traj} trajectories diverged (> 1%)"
-        )
     n_valid = cfg.n_traj - len(excluded)
     mean = total_outer / n_valid
     var = np.maximum(total_abs2 / n_valid - np.abs(mean) ** 2, 0.0)

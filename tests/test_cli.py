@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -100,6 +101,37 @@ def test_parse_rejects_bad_values(tmp_path):
     })
     with pytest.raises(ConfigError, match="graph"):
         parse_config(path)
+
+
+_EVOLVE = {"scenario": "evolve", "n_qubits": 2, "target": "bell", "t_max": 1}
+_QSD = {"scenario": "qsd", "n_qubits": 2, "target": "bell", "t_max": 0.1, "n_traj": 2}
+_STEADY = {"scenario": "steady", "n_qubits": 2, "target": "bell"}
+_COMPILE = {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7}
+
+
+@pytest.mark.parametrize("probe", [
+    pytest.param({**_EVOLVE, "t_max": math.inf}, id="t_max-infinity"),
+    pytest.param({**_EVOLVE, "t_max": math.nan}, id="t_max-nan"),
+    pytest.param({**_STEADY, "gamma": math.nan}, id="gamma-nan"),
+    pytest.param({**_COMPILE, "theta": math.nan}, id="theta-nan"),
+    pytest.param({**_STEADY, "seed": "abc"}, id="seed-string"),
+    pytest.param({**_QSD, "seed": -1}, id="seed-negative"),
+    pytest.param({**_QSD, "n_traj": 1.7}, id="n_traj-fractional"),
+    pytest.param({**_STEADY, "gamma": True}, id="gamma-boolean"),
+    pytest.param({**_STEADY, "n_qubits": 1, "target": [math.nan, 1.0]}, id="amplitude-nan"),
+    pytest.param({**_STEADY, "target": "cluster-abc"}, id="cluster-size-not-a-number"),
+    pytest.param({**_STEADY, "target": "cluster-0"}, id="cluster-size-zero"),
+    pytest.param({**_EVOLVE, "t_max": 0.01, "dt": 0.1}, id="evolve-dt-above-t_max"),
+    pytest.param({**_QSD, "t_max": 0.01, "dt": 0.1}, id="qsd-dt-above-t_max"),
+    pytest.param({**_COMPILE, "pauli_word": "II"}, id="pauli_word-identity"),
+])
+def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
+    path = _write(tmp_path, "cfg.json", probe)
+    out = tmp_path / "out"
+    assert main([str(path), "--output", str(out), "--quiet"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("[dissipforge] config error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- scenarios

@@ -72,11 +72,16 @@ def test_model_validation():
 
 def test_liouvillian_matches_rhs_on_random_states():
     rng = np.random.default_rng(21)
-    model = LindbladModel(preset_lfor2(), hamiltonian=random_hermitian(4, rng))
-    M = liouvillian_matrix(model)
-    for _ in range(10):
-        rho = random_density(4, rng)
-        assert np.max(np.abs(M @ vec(rho) - vec(rhs(model, rho)))) < 1e-12
+    full_rank = DissipatorSet(((0.3, random_complex((4, 4), rng)),
+                               (2.5, random_complex((4, 4), rng))))
+    for jumps in (preset_lfor2(), full_rank):
+        model = LindbladModel(jumps, hamiltonian=random_hermitian(4, rng))
+        M = liouvillian_matrix(model)
+        # trace preservation ties the H_eff rates to the jump-term rates
+        assert np.max(np.abs(vec(np.eye(4)).conj() @ M)) < 1e-12
+        for _ in range(10):
+            rho = random_density(4, rng)
+            assert np.max(np.abs(M @ vec(rho) - vec(rhs(model, rho)))) < 1e-12
 
 
 def test_liouvillian_decay_spectrum():

@@ -142,9 +142,6 @@ def test_ensemble_chunking_does_not_change_results():
     a = ensemble_average(SIGMA_MINUS, cfg, KET1, chunk_size=256)
     b = ensemble_average(SIGMA_MINUS, cfg, KET1, chunk_size=17)
     assert np.max(np.abs(a.rho_mean - b.rho_mean)) < 1e-12
-    c = ensemble_average(SIGMA_MINUS, cfg, KET1, chunk_size=64, max_workers=4)
-    d = ensemble_average(SIGMA_MINUS, cfg, KET1, chunk_size=64, max_workers=1)
-    assert np.array_equal(c.rho_mean, d.rho_mean)
 
 
 def test_ensemble_mean_trace_stays_near_one():
