@@ -5,7 +5,8 @@ flat JSON objects; unknown keys are rejected to catch typos. Runs are
 deterministic given the seed, and output files never embed wall-clock data.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
-4 I/O error.
+4 I/O error. A config whose largest dense array would exceed MAX_DENSE_BYTES
+is a config error, found before anything is built.
 """
 
 import argparse
@@ -35,7 +36,7 @@ from .lindblad import (
     integrate,
     steady_states,
 )
-from .qsd import EnsembleError, TrajectoryConfig, ensemble_average
+from .qsd import CHUNK_SIZE, EnsembleError, TrajectoryConfig, ensemble_average
 from .states import (
     DensityMatrix,
     GraphSpec,
@@ -52,6 +53,11 @@ EXIT_CONTRACT = 3
 EXIT_IO = 4
 
 VERIFY_THETAS = (0.3, 1.1, 2.7)
+
+# Cap on the estimated largest dense array of one run (1 GiB): the
+# Liouvillian of steady/synth up to 6 qubits, evolve records of 8 qubits up
+# to about 1000 samples.
+MAX_DENSE_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -141,7 +147,8 @@ def _parse_target(raw, key="target"):
     if isinstance(raw, str):
         name = raw.strip().lower()
         size = name[len("cluster-"):] if name.startswith("cluster-") else ""
-        if name in {"bell", "plus", "cluster"} or (size.isdecimal() and int(size) > 0):
+        # float, not int: int() refuses strings of more than 4300 digits
+        if name in {"bell", "plus", "cluster"} or (size.isdecimal() and float(size) > 0):
             return name
         raise ConfigError(f"key '{key}': unknown preset {raw!r}")
     if isinstance(raw, list):
@@ -169,7 +176,7 @@ def parse_config(path) -> ScenarioConfig:
         raise
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal beyond int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -230,11 +237,52 @@ def parse_config(path) -> ScenarioConfig:
     if "graph" in data:
         try:
             cfg.graph = GraphSpec.from_obj(data["graph"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"key 'graph': {exc}") from None
     if scenario in {"evolve", "qsd"} and cfg.t_max < cfg.dt:
         raise ConfigError(f"key 't_max' = {cfg.t_max} is below one step dt = {cfg.dt}")
+    log2_bytes = _log2_largest_array(cfg)
+    if log2_bytes is not None and log2_bytes > math.log2(MAX_DENSE_BYTES):
+        gib = 2.0 ** (log2_bytes - 30) if log2_bytes < 1000 else math.inf
+        raise ConfigError(
+            f"scenario '{scenario}' needs an estimated {gib:.3g} GiB for its largest "
+            f"array, above the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
+        )
     return cfg
+
+
+def _target_qubits(cfg: ScenarioConfig):
+    """Qubit count of the configured target without building it (None if unknown)."""
+    tgt = cfg.target
+    if not isinstance(tgt, str):
+        return math.log2(tgt.size)
+    if tgt == "cluster":
+        return cfg.n_qubits
+    return {"bell": 2, "plus": 1}.get(tgt) or float(tgt.split("-", 1)[1])
+
+
+def _log2_largest_array(cfg: ScenarioConfig):
+    """log2 of the bytes of the run's largest dense array, from the config alone.
+
+    steady/synth: the d^4 complex Liouvillian; evolve: the (T, d, d) complex
+    record of T = t_max/dt + 1 samples; qsd: that record or the (chunk, T)
+    complex noise block, whichever is larger; compile: the dense coupling on
+    2^n * bath_dim levels; graph-state: the (2^n, n) int64 bit table.
+    """
+    if cfg.scenario == "graph-state":
+        n = cfg.graph.n
+        return 3 + n + math.log2(n)
+    if cfg.scenario == "compile":
+        return 4 + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
+    n = _target_qubits(cfg)
+    if n is None:
+        return None  # run() reports the missing n_qubits
+    if cfg.scenario in {"synth", "steady"}:
+        return 4 + 4 * n
+    samples = math.log2(cfg.t_max / cfg.dt + 1)
+    if cfg.scenario == "qsd":
+        return 4 + max(2 * n, math.log2(min(cfg.n_traj, CHUNK_SIZE))) + samples
+    return 4 + 2 * n + samples
 
 
 def _target_state(cfg: ScenarioConfig) -> PureState:
@@ -424,6 +472,7 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
         emit("verification.json", {
             "passed": all(r.passed for r in reports),
             "max_deviation": max_dev,
+            "measure": "relative Frobenius deviation ||V - T||_F / ||T||_F",
             "tolerance": reports[0].tolerance,
             "thetas": list(VERIFY_THETAS),
             "deviations": [list(r.deviations) for r in reports],
@@ -432,7 +481,7 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
         metrics["max_verification_deviation"] = max_dev
         if not all(r.passed for r in reports):
             raise ContractError(
-                f"compiled sequence failed verification (max deviation {max_dev:.3e})"
+                f"compiled sequence failed verification (max relative deviation {max_dev:.3e})"
             )
 
     else:  # pragma: no cover - parse_config guards this

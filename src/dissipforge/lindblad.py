@@ -7,6 +7,14 @@ d(rho)/dt = -i(H_eff rho - rho H_eff^dag) + sum_j gamma_j L_j rho L_j^dag;
 the same H_eff gives the vectorized Liouvillian and the drift of the
 diffusion trajectories in `qsd`. Density matrices are vectorized by stacking
 columns, so vec(A X B) = (B^T kron A) vec(X).
+
+Jumps of rank one, L_j = u_j v_j^dag (every synthesized operator, the stock
+Bell set and the single-operator route), are used in closed form:
+gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j,
+gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, and
+gamma_j L_j* kron L_j = gamma_j (u_j* kron u_j)(v_j* kron v_j)^dag, so the
+jump term costs O(m d^2) per evaluation instead of O(m d^3). Each jump is
+tested for rank one once per model; any other jump is applied densely.
 """
 
 import math
@@ -22,6 +30,24 @@ from .states import DensityMatrix, PureState, purity
 
 class IntegrationError(RuntimeError):
     """Step-size instability detected during time integration."""
+
+
+@dataclass(frozen=True, eq=False)
+class _JumpFactors:
+    """Jump operators grouped by structure; a group with no members is None.
+
+    Rank-one jumps L_j = u_j v_j^dag are columns of U and V (d, m1), with
+    their rates, U^dag and gamma_j conj(V) precomputed. Every other jump is
+    kept in the stacks gL = gamma_j L_j and Ld = L_j^dag of shape (m2, d, d).
+    """
+
+    rates: np.ndarray | None = None
+    U: np.ndarray | None = None
+    Ud: np.ndarray | None = None
+    V: np.ndarray | None = None
+    gVc: np.ndarray | None = None
+    gL: np.ndarray | None = None
+    Ld: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +81,13 @@ class LindbladModel:
     @cached_property
     def h_eff(self) -> np.ndarray:
         """Read-only H - (i/2) sum_j gamma_j L_j^dag L_j, built on first use."""
+        jumps = self._jumps
         K = np.zeros((self.dim, self.dim), dtype=complex)
-        for gamma, L in self.dissipators:
-            K += gamma * (dag(L) @ L)
+        if jumps.U is not None:
+            weights = jumps.rates * np.sum(np.abs(jumps.U) ** 2, axis=0)
+            K += (jumps.V * weights) @ dag(jumps.V)
+        if jumps.gL is not None:
+            K += np.sum(jumps.Ld @ jumps.gL, axis=0)
         H = -0.5j * K
         if self.hamiltonian is not None:
             H += self.hamiltonian
@@ -65,12 +95,45 @@ class LindbladModel:
         return H
 
     @cached_property
-    def _jumps(self):
-        """Stacks (gamma_j L_j, L_j^dag) of shape (m, d, d), or None without jumps."""
-        if len(self.dissipators) == 0:
-            return None
-        L = np.stack(self.dissipators.operators)
-        return np.array(self.dissipators.rates)[:, None, None] * L, L.conj().transpose(0, 2, 1)
+    def _jumps(self) -> _JumpFactors:
+        """The jump set split into rank-one factors and dense stacks, built on first use."""
+        rank_one, dense = [], []
+        for gamma, L in self.dissipators:
+            uv = _rank_one(L)
+            if uv is None:
+                dense.append((gamma, L))
+            else:
+                rank_one.append((gamma, *uv))
+        fields = {}
+        if rank_one:
+            rates, us, vs = zip(*rank_one)
+            rates = np.array(rates)
+            U, V = np.column_stack(us), np.column_stack(vs)
+            fields.update(rates=rates, U=U, Ud=dag(U), V=V, gVc=rates * V.conj())
+        if dense:
+            rates, ops = zip(*dense)
+            L = np.stack(ops)
+            fields.update(gL=np.array(rates)[:, None, None] * L, Ld=L.conj().transpose(0, 2, 1))
+        return _JumpFactors(**fields)
+
+
+def _rank_one(L: np.ndarray):
+    """(u, v) with L = u v^dag to round-off, or None, in O(d^2) without an SVD.
+
+    u is the column of largest norm and v = L^dag u / ||u||^2; a rank-one L
+    is reproduced by u v^dag exactly up to rounding, any other L is not.
+    """
+    mag = np.abs(L)
+    norms = np.sum(mag**2, axis=0)
+    k = int(np.argmax(norms))
+    if norms[k] == 0.0:
+        return None
+    u = L[:, k]
+    v = (dag(L) @ u) / norms[k]
+    tol = 8 * L.shape[0] * np.finfo(float).eps * mag.max()
+    if np.max(np.abs(L - np.outer(u, v.conj()))) > tol:
+        return None
+    return u, v
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -89,24 +152,40 @@ def rhs(model: LindbladModel, rho) -> np.ndarray:
         raise ValueError(f"state shape {m.shape} does not match model dimension {model.dim}")
     H = model.h_eff
     out = -1j * (H @ m - m @ dag(H))
-    if model._jumps is not None:
-        gL, Ld = model._jumps
-        out += np.sum(gL @ m @ Ld, axis=0)
+    jumps = model._jumps
+    if jumps.U is not None:
+        c = (jumps.gVc * (m @ jumps.V)).sum(axis=0)
+        out += (jumps.U * c) @ jumps.Ud
+    if jumps.gL is not None:
+        out += (jumps.gL @ m @ jumps.Ld).sum(axis=0)
     return out
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """N^2 x N^2 matrix M with M vec(rho) = vec(rhs(rho)), columns stacked.
 
-    M = -i (I kron H_eff - H_eff* kron I) + sum_j gamma_j L_j* kron L_j.
+    M = -i (I kron H_eff - H_eff* kron I) + sum_j gamma_j L_j* kron L_j; the
+    rank-one jumps enter through one product of (N^2, m1) column matrices.
     """
-    eye = np.eye(model.dim, dtype=complex)
-    H = model.h_eff
-    M = np.kron(eye, H)
-    M -= np.kron(H.conj(), eye)
-    M *= -1j
-    for gamma, L in model.dissipators:
-        M += np.kron(gamma * L.conj(), L)
+    d = model.dim
+    jumps = model._jumps
+    if jumps.U is not None:
+        A = (jumps.U.conj()[:, None, :] * jumps.U[None, :, :]).reshape(d * d, -1)
+        B = (jumps.V.conj()[:, None, :] * jumps.V[None, :, :]).reshape(d * d, -1)
+        M = (A * jumps.rates) @ dag(B)
+    else:
+        M = np.zeros((d * d, d * d), dtype=complex)
+    if jumps.gL is not None:
+        for gL, Ld in zip(jumps.gL, jumps.Ld):
+            M += np.kron(gL.conj(), dag(Ld))
+    # M4[a, b, c, e] is the entry of row a d + b, column c d + e; I kron H_eff
+    # lives where a = c and H_eff* kron I where b = e, so both are added in
+    # place, d blocks at a time, without an N^2 x N^2 temporary
+    M4 = M.reshape(d, d, d, d)
+    left, right = -1j * model.h_eff, 1j * model.h_eff.conj()
+    for a in range(d):
+        M4[a, :, a, :] += left
+        M4[:, a, :, a] += right
     return M
 
 
@@ -194,8 +273,8 @@ def integrate(
 
     After every step the trace drift is measured, then removed, and the
     state is re-hermitized; both corrections are at round-off level for a
-    stable step. Drift above 1e-4 or negativity below -1e-4 aborts with
-    IntegrationError.
+    stable step. Drift above 1e-4, negativity below -1e-4 or a non-finite
+    entry aborts with IntegrationError.
     """
     rho = np.array(
         rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex, copy=True
@@ -237,6 +316,8 @@ def integrate(
         tr = np.trace(rho).real
         drift = abs(tr - 1.0)
         rho = rho / tr
+        if not np.isfinite(rho).all():
+            raise IntegrationError(f"state became non-finite at t = {times[step]:.6g}; reduce dt")
         record(step, drift)
         if drift > 1e-4 or min_eigs[step] < -1e-4:
             raise IntegrationError(

@@ -17,6 +17,7 @@ from .lindblad import EvolutionRecord, LindbladModel
 from .states import PureState
 
 NORM_LIMIT = 1e6
+CHUNK_SIZE = 256  # trajectories stepped together by ensemble_average
 
 
 class TrajectoryOverflow(RuntimeError):
@@ -213,7 +214,7 @@ def ensemble_average(
     L: np.ndarray,
     cfg: TrajectoryConfig,
     psi0,
-    chunk_size: int = 256,
+    chunk_size: int = CHUNK_SIZE,
 ) -> EnsembleResult:
     """Mean and standard error of unnormalized projectors over an ensemble.
 

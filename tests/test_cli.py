@@ -1,12 +1,17 @@
 import json
 import math
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dissipforge.cli import (
+    _SCENARIO_KEYS,
     EXIT_CONFIG,
     EXIT_CONTRACT,
     EXIT_IO,
@@ -24,8 +29,9 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write(tmp_path, name, obj):
+    """Write obj as JSON, or verbatim when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
     return path
 
 
@@ -124,6 +130,12 @@ _COMPILE = {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7}
     pytest.param({**_EVOLVE, "t_max": 0.01, "dt": 0.1}, id="evolve-dt-above-t_max"),
     pytest.param({**_QSD, "t_max": 0.01, "dt": 0.1}, id="qsd-dt-above-t_max"),
     pytest.param({**_COMPILE, "pauli_word": "II"}, id="pauli_word-identity"),
+    pytest.param({"scenario": "graph-state", "graph": {"n": 2, "edges": [[1]]}},
+                 id="graph-edge-one-vertex"),
+    pytest.param({"scenario": "graph-state", "graph": {"n": math.inf}}, id="graph-n-infinity"),
+    pytest.param({**_STEADY, "target": "cluster-" + "9" * 5000}, id="cluster-size-5000-digits"),
+    pytest.param('{"scenario": "steady", "n_qubits": 1%s, "target": "bell"}' % ("0" * 5000),
+                 id="integer-literal-5001-digits"),
 ])
 def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -132,6 +144,87 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("[dissipforge] config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("probe", [
+    pytest.param({"scenario": "graph-state", "graph": {"n": 30, "edges": [[1, 2]]}},
+                 id="graph-state-30-qubits"),
+    pytest.param({**_EVOLVE, "n_qubits": 4, "target": "cluster-4", "t_max": 30, "dt": 1e-7},
+                 id="evolve-dt-1e-7"),
+    pytest.param({**_STEADY, "n_qubits": 8, "target": "cluster"}, id="steady-8-qubits"),
+])
+def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
+    path = _write(tmp_path, "cfg.json", probe)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([str(path), "--output", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG and not out.exists()
+    err = capsys.readouterr().err
+    assert "GiB for its largest array" in err and err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def test_size_guard_boundary_for_steady(tmp_path):
+    # the 4096 x 4096 Liouvillian of 6 qubits takes 256 MiB, that of 7 qubits 4 GiB
+    assert parse_config(_write(tmp_path, "six.json", {**_STEADY, "n_qubits": 6,
+                                                      "target": "cluster"})).n_qubits == 6
+    with pytest.raises(ConfigError, match="4 GiB"):
+        parse_config(_write(tmp_path, "seven.json", {**_STEADY, "n_qubits": 7,
+                                                     "target": "cluster"}))
+
+
+_JUNK = st.sampled_from([None, True, "1", -1, 0, 0.5, 1e300, 10**30, -math.inf, math.nan,
+                         [], [1], {}])
+
+
+@st.composite
+def _configs(draw):
+    """A small valid config of any scenario, then at most one fault: a key
+    dropped, a value replaced by junk, or an unknown key added."""
+    scenario = draw(st.sampled_from(sorted(_SCENARIO_KEYS)))
+    n = draw(st.integers(1, 3))
+    presets = {1: ["plus"], 2: ["bell"], 3: []}[n] + ["cluster", f"cluster-{n}"]
+    cfg = {"scenario": scenario, "n_qubits": n, "seed": draw(st.integers(0, 3)),
+           "target": draw(st.sampled_from(presets))}
+    rate = st.floats(0.1, 3.0)
+    jumps = 3 if cfg["target"] == "bell" else 2**n - 1
+    cfg["gamma"] = draw(st.one_of(rate, st.lists(rate, min_size=jumps, max_size=jumps)))
+    if scenario in {"evolve", "qsd"}:
+        cfg["t_max"] = draw(st.sampled_from([0.05, 0.5, 2.0]))
+        cfg["dt"] = draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0]))
+    if scenario == "qsd":
+        cfg["n_traj"] = draw(st.integers(1, 4))
+    if scenario == "compile":
+        cfg = {"scenario": scenario, "pauli_word": draw(st.text("IXYZ", min_size=1, max_size=3)),
+               "theta": draw(st.floats(-4.0, 4.0)), "bath_dim": draw(st.integers(2, 4))}
+    if scenario == "graph-state":
+        vertex = st.integers(1, n + 1)
+        edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=3), max_size=3))
+        cfg = {"scenario": scenario, "graph": {"n": n + 1, "edges": edges}}
+    fault = draw(st.sampled_from(["none", "none", "junk", "drop", "typo"]))
+    key = draw(st.sampled_from(sorted(cfg)))
+    if fault == "junk":
+        cfg[key] = draw(_JUNK)
+    elif fault == "drop":
+        del cfg[key]
+    elif fault == "typo":
+        cfg[key + "s"] = cfg[key]
+    return cfg
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_configs())
+def test_main_exit_code_contract_holds_for_generated_configs(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([str(path), "--output", str(Path(tmp) / "out"), "--quiet"]) in {
+            EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO}
 
 
 # ---------------------------------------------------------------- scenarios
@@ -205,6 +298,17 @@ def test_compile_scenario_roundtrip_and_verification(tmp_path):
     verification = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert verification["passed"] is True
     assert (tmp_path / "out" / "circuit.txt").read_text().count("\n") >= len(seq.gates)
+
+
+def test_compile_certificate_is_relative_to_the_target(tmp_path):
+    # the random bath_dim = 16 bath makes ||exp(i theta W B)||_F about 1e7 at
+    # theta = 2.7, so the absolute deviation of this correct sequence is about 8e-9
+    path = _write(tmp_path, "cfg.json", {
+        "scenario": "compile", "pauli_word": "XYZXY", "theta": 0.7, "bath_dim": 16,
+    })
+    assert main([str(path), "--output", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    verification = json.loads((tmp_path / "out" / "verification.json").read_text())
+    assert verification["passed"] is True and verification["max_deviation"] <= 1e-10
 
 
 def test_qsd_scenario_deterministic_outputs(tmp_path):

@@ -5,7 +5,14 @@ import pytest
 
 from conftest import random_complex, random_density, random_hermitian, random_unitary
 from dissipforge.algebra import dag
-from dissipforge.dissipators import DissipatorSet, SynthesisSpec, preset_lfor2, synth_subspace
+from dissipforge.cli import ScenarioConfig, _combined_operator
+from dissipforge.dissipators import (
+    DissipatorSet,
+    SynthesisSpec,
+    preset_lfor2,
+    synth_single,
+    synth_subspace,
+)
 from dissipforge.lindblad import (
     EvolutionRecord,
     IntegrationError,
@@ -118,6 +125,61 @@ def test_rate_scaling_scales_spectrum_exactly():
     assert np.max(np.abs(e3 - 3.0 * e1)) < 1e-10
 
 
+# ---------------------------------------------------------------- factored jumps
+
+
+def _textbook_rhs(H, jumps, rho):
+    """-i[H, rho] + sum_j gamma_j (L_j rho L_j^dag - {L_j^dag L_j, rho} / 2), term by term."""
+    out = -1j * (H @ rho - rho @ H)
+    for gamma, L in jumps:
+        LdL = dag(L) @ L
+        out += gamma * (L @ rho @ dag(L) - 0.5 * (LdL @ rho + rho @ LdL))
+    return out
+
+
+def _mixed_model(rng):
+    """Seven synthesized rank-one jumps at n = 3 with rates 0.3..2.5, one
+    full-rank jump, one rank-one jump perturbed by 1e-9 R, and a Hamiltonian."""
+    spec = SynthesisSpec(dim=8, k=1, coeffs=random_complex((7, 1), rng),
+                         basis=random_unitary(8, rng))
+    jumps = [(rate, L) for rate, (_, L) in zip(np.linspace(0.3, 2.5, 7), synth_subspace(spec))]
+    jumps.append((0.7, random_complex((8, 8), rng)))
+    near = np.outer(random_complex(8, rng), random_complex(8, rng).conj())
+    jumps.append((1.3, near + 1e-9 * random_complex((8, 8), rng)))
+    H = random_hermitian(8, rng)
+    return LindbladModel(DissipatorSet(tuple(jumps)), hamiltonian=H), jumps
+
+
+def test_factored_generator_matches_textbook_form():
+    rng = np.random.default_rng(30)
+    model, jumps = _mixed_model(rng)
+    H = model.hamiltonian
+    # the synthesized jumps are factored; the full-rank and perturbed ones stay dense
+    assert model._jumps.U.shape == (8, 7) and model._jumps.gL.shape == (2, 8, 8)
+    K = sum(gamma * (dag(L) @ L) for gamma, L in jumps)
+    assert np.max(np.abs(model.h_eff - (H - 0.5j * K))) < 1e-12
+    M = liouvillian_matrix(model)
+    # density matrices, and a non-Hermitian matrix, since the generator is linear
+    for rho in [random_density(8, rng) for _ in range(5)] + [random_complex((8, 8), rng)]:
+        out = rhs(model, rho)
+        assert np.max(np.abs(out - _textbook_rhs(H, jumps, rho))) < 1e-12
+        assert np.max(np.abs(M @ vec(rho) - vec(out))) < 1e-12
+
+
+def test_structured_jump_sets_are_factored():
+    rng = np.random.default_rng(31)
+    spec = SynthesisSpec(dim=8, k=1, coeffs=random_complex((7, 1), rng))
+    sets = [preset_lfor2(), synth_subspace(spec), synth_single(spec),
+            synth_single(spec, frame=random_unitary(8, rng))]
+    for n in (2, 3, 4):  # the CLI's single trajectory operator
+        L, gamma, _ = _combined_operator(
+            ScenarioConfig(scenario="qsd", n_qubits=n, target=f"cluster-{n}"))
+        sets.append(DissipatorSet(((gamma, L),)))
+    for ds in sets:
+        jumps = LindbladModel(ds)._jumps
+        assert jumps.gL is None and jumps.U.shape == (ds.dim, len(ds))
+
+
 # ---------------------------------------------------------------- steady states
 
 
@@ -179,6 +241,13 @@ def test_integrate_matches_exact_propagation():
 def test_integrate_aborts_on_unstable_step():
     with pytest.raises(IntegrationError):
         integrate(_sigma_minus_model(), np.diag([0.0, 1.0]).astype(complex), 100.0, dt=10.0)
+
+
+def test_integrate_aborts_on_non_finite_state():
+    # the state overflows to inf/NaN in the first step, where the trace drift
+    # and eigenvalue checks alone compare false and would let it pass
+    with pytest.raises(IntegrationError, match="non-finite"), np.errstate(all="ignore"):
+        integrate(_sigma_minus_model(1e300), np.diag([0.0, 1.0]).astype(complex), 1.0, dt=0.5)
 
 
 def test_integrate_frame_covariance():
