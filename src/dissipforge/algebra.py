@@ -32,6 +32,12 @@ def dag(A: np.ndarray) -> np.ndarray:
     return np.asarray(A).conj().T
 
 
+def complex_pairs(A: np.ndarray) -> list:
+    """Entries of a complex array in C order as [re, im] float pairs (the JSON form)."""
+    flat = np.asarray(A).reshape(-1)
+    return np.column_stack((flat.real, flat.imag)).tolist()
+
+
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product A (x) B; A is the more significant factor."""
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))

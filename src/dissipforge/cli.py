@@ -5,8 +5,9 @@ flat JSON objects; unknown keys are rejected to catch typos. Runs are
 deterministic given the seed, and output files never embed wall-clock data.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
-4 I/O error. A config whose largest dense array would exceed MAX_DENSE_BYTES
-is a config error, found before anything is built.
+4 I/O error. Every config error is reported before anything is written. A
+config whose largest dense array would exceed MAX_DENSE_BYTES is a config
+error, found before anything is built.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import PauliString
+from .algebra import PauliString, complex_pairs
 from .compiler import BathTestSpec, compile_coupling, verify_sequence
 from .dissipators import (
     DissipatorSet,
@@ -68,23 +69,17 @@ class ContractError(RuntimeError):
     """A numerical contract failed during the run."""
 
 
-_SCENARIO_KEYS = {
-    "synth": {"n_qubits", "target", "gamma"},
-    "evolve": {"n_qubits", "target", "gamma", "t_max", "dt"},
-    "steady": {"n_qubits", "target", "gamma"},
-    "qsd": {"n_qubits", "target", "gamma", "t_max", "dt", "n_traj"},
-    "compile": {"pauli_word", "theta", "bath_dim"},
-    "graph-state": {"graph", "n_qubits"},
+# scenario -> (required keys, optional keys); every scenario also takes
+# seed and output_path
+_SCENARIOS = {
+    "synth": ({"n_qubits", "target"}, {"gamma"}),
+    "evolve": ({"n_qubits", "target", "t_max"}, {"gamma", "dt"}),
+    "steady": ({"n_qubits", "target"}, {"gamma"}),
+    "qsd": ({"n_qubits", "target", "t_max", "n_traj"}, {"gamma", "dt"}),
+    "compile": ({"pauli_word", "theta"}, {"bath_dim"}),
+    "graph-state": ({"graph"}, {"n_qubits"}),
 }
-_REQUIRED_KEYS = {
-    "synth": {"n_qubits", "target"},
-    "evolve": {"n_qubits", "target", "t_max"},
-    "steady": {"n_qubits", "target"},
-    "qsd": {"n_qubits", "target", "t_max", "n_traj"},
-    "compile": {"pauli_word", "theta"},
-    "graph-state": {"graph"},
-}
-_COMMON_KEYS = {"scenario", "seed", "output_path"}
+_DEFAULT_DT = {"evolve": 0.01, "qsd": 1e-3}
 
 
 @dataclass
@@ -143,122 +138,142 @@ def _seed(value):
     return seed
 
 
-def _parse_target(raw, key="target"):
-    if isinstance(raw, str):
-        name = raw.strip().lower()
-        size = name[len("cluster-"):] if name.startswith("cluster-") else ""
-        # float, not int: int() refuses strings of more than 4300 digits
-        if name in {"bell", "plus", "cluster"} or (size.isdecimal() and float(size) > 0):
-            return name
-        raise ConfigError(f"key '{key}': unknown preset {raw!r}")
+def _parse_target(raw, cfg):
+    """The target on cfg.n_qubits qubits: "bell", "plus", "cluster" (the path
+    graph state; "cluster-N" is checked against n_qubits and becomes "cluster")
+    or a unit amplitude array of 2^n entries."""
     if isinstance(raw, list):
-        amps = []
-        for i, entry in enumerate(raw):
-            pair = entry if isinstance(entry, list) else [entry, 0]
-            if len(pair) != 2:
-                raise ConfigError(f"key '{key}[{i}]': expected number or [re, im] pair")
-            amps.append(complex(_number(pair[0], f"{key}[{i}]"), _number(pair[1], f"{key}[{i}]")))
-        amps = np.array(amps, dtype=complex)
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-6:
-            raise ConfigError(f"key '{key}': amplitudes have norm {norm!r}, too far from 1")
-        if abs(norm - 1.0) > 1e-12:
-            print(f"[dissipforge] warning: renormalizing target (norm {norm!r})", file=sys.stderr)
-        return amps / norm
-    raise ConfigError(f"key '{key}' must be a preset name or amplitude list")
+        n = len(raw).bit_length() - 1
+        if n < 1 or len(raw) != 1 << n:
+            raise ConfigError(f"key 'target': amplitude count {len(raw)} is not 2^n for n >= 1")
+    elif isinstance(raw, str):
+        name = raw.strip().lower()
+        size = name.removeprefix("cluster-")
+        # float, not int: int() refuses strings of more than 4300 digits
+        if name.startswith("cluster-") and size.isdecimal() and float(size) > 0:
+            name, n = "cluster", float(size)
+        else:
+            n = {"bell": 2, "plus": 1, "cluster": cfg.n_qubits}.get(name)
+        if n is None:
+            raise ConfigError(f"key 'target': unknown preset {raw!r}")
+    else:
+        raise ConfigError("key 'target' must be a preset name or amplitude list")
+    if n != cfg.n_qubits:
+        raise ConfigError(f"target acts on {n:g} qubits but n_qubits = {cfg.n_qubits}")
+    return name if isinstance(raw, str) else _amplitudes(raw)
+
+
+def _amplitudes(raw):
+    amps = []
+    for i, entry in enumerate(raw):
+        pair = entry if isinstance(entry, list) else [entry, 0]
+        if len(pair) != 2:
+            raise ConfigError(f"key 'target[{i}]': expected number or [re, im] pair")
+        amps.append(complex(_number(pair[0], f"target[{i}]"), _number(pair[1], f"target[{i}]")))
+    amps = np.array(amps, dtype=complex)
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > 1e-6:
+        raise ConfigError(f"key 'target': amplitudes have norm {norm!r}, too far from 1")
+    if abs(norm - 1.0) > 1e-12:
+        print(f"[dissipforge] warning: renormalizing target (norm {norm!r})", file=sys.stderr)
+    return amps / norm
+
+
+def _parse_gamma(raw, cfg):
+    if not isinstance(raw, list):
+        return _positive(raw, "gamma")
+    if cfg.scenario == "qsd":
+        raise ConfigError("qsd scenarios take a single gamma rate, not a list")
+    return [_positive(g, f"gamma[{i}]") for i, g in enumerate(raw)]
+
+
+def _parse_pauli_word(raw, cfg):
+    try:
+        word = PauliString(str(raw))
+    except ValueError as exc:
+        raise ConfigError(f"key 'pauli_word': {exc}") from None
+    if word.weight == 0:
+        raise ConfigError("key 'pauli_word' needs at least one non-identity letter")
+    return word.letters
+
+
+def _parse_bath_dim(raw, cfg):
+    dim = _positive(raw, "bath_dim", integral=True)
+    if dim < 2:
+        raise ConfigError("key 'bath_dim' must be at least 2")
+    return dim
+
+
+def _parse_graph(raw, cfg):
+    try:
+        graph = GraphSpec.from_obj(raw)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"key 'graph': {exc}") from None
+    if cfg.n_qubits not in (None, graph.n):
+        raise ConfigError(f"graph has {graph.n} vertices but n_qubits = {cfg.n_qubits}")
+    return graph
+
+
+# key -> parser(raw value, config so far). parse_config walks this table, not
+# the file, so n_qubits is set before target and graph are checked against it
+# and the first error reported does not depend on the key order in the file.
+_FIELDS = {
+    "seed": lambda raw, cfg: _seed(raw),
+    "output_path": lambda raw, cfg: str(raw),
+    "n_qubits": lambda raw, cfg: _positive(raw, "n_qubits", integral=True),
+    "target": _parse_target,
+    "gamma": _parse_gamma,
+    "t_max": lambda raw, cfg: _positive(raw, "t_max"),
+    "dt": lambda raw, cfg: _positive(raw, "dt"),
+    "n_traj": lambda raw, cfg: _positive(raw, "n_traj", integral=True),
+    "pauli_word": _parse_pauli_word,
+    "theta": lambda raw, cfg: _number(raw, "theta"),
+    "bath_dim": _parse_bath_dim,
+    "graph": _parse_graph,
+}
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Load and validate a scenario config, filling defaults."""
+    """Load and validate a scenario config, filling defaults.
+
+    Every check that needs only the config happens here; the one left to
+    run(), the length of a gamma list, comes before its first write.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer literal beyond int's digit limit
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer beyond int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     scenario = data.get("scenario")
     if scenario is None:
         raise ConfigError("missing required key 'scenario'")
-    if not isinstance(scenario, str) or scenario not in _SCENARIO_KEYS:
+    if not isinstance(scenario, str) or scenario not in _SCENARIOS:
         raise ConfigError(
-            f"unknown scenario {scenario!r}; expected one of {sorted(_SCENARIO_KEYS)}"
+            f"unknown scenario {scenario!r}; expected one of {sorted(_SCENARIOS)}"
         )
-    allowed = _SCENARIO_KEYS[scenario] | _COMMON_KEYS
-    unknown = sorted(set(data) - allowed)
+    required, optional = _SCENARIOS[scenario]
+    unknown = sorted(set(data) - required - optional - {"scenario", "seed", "output_path"})
     if unknown:
         raise ConfigError(f"unknown key '{unknown[0]}' for scenario '{scenario}'")
-    missing = sorted(_REQUIRED_KEYS[scenario] - set(data))
+    missing = sorted(required - set(data))
     if missing:
         raise ConfigError(f"scenario '{scenario}' requires key '{missing[0]}'")
 
-    cfg = ScenarioConfig(scenario=scenario)
-    if "seed" in data:
-        cfg.seed = _seed(data["seed"])
-    if "output_path" in data:
-        cfg.output_path = str(data["output_path"])
-    if "n_qubits" in data:
-        cfg.n_qubits = _positive(data["n_qubits"], "n_qubits", integral=True)
-    if "gamma" in data:
-        raw = data["gamma"]
-        if isinstance(raw, list):
-            cfg.gamma = [_positive(g, f"gamma[{i}]") for i, g in enumerate(raw)]
-        else:
-            cfg.gamma = _positive(raw, "gamma")
-    if "t_max" in data:
-        cfg.t_max = _positive(data["t_max"], "t_max")
-    if "dt" in data:
-        cfg.dt = _positive(data["dt"], "dt")
-    elif scenario == "evolve":
-        cfg.dt = 0.01
-    elif scenario == "qsd":
-        cfg.dt = 1e-3
-    if "n_traj" in data:
-        cfg.n_traj = _positive(data["n_traj"], "n_traj", integral=True)
-    if "target" in data:
-        cfg.target = _parse_target(data["target"])
-    if "pauli_word" in data:
-        try:
-            word = PauliString(str(data["pauli_word"]))
-        except ValueError as exc:
-            raise ConfigError(f"key 'pauli_word': {exc}") from None
-        if word.weight == 0:
-            raise ConfigError("key 'pauli_word' needs at least one non-identity letter")
-        cfg.pauli_word = word.letters
-    if "theta" in data:
-        cfg.theta = _number(data["theta"], "theta")
-    if "bath_dim" in data:
-        cfg.bath_dim = _positive(data["bath_dim"], "bath_dim", integral=True)
-        if cfg.bath_dim < 2:
-            raise ConfigError("key 'bath_dim' must be at least 2")
-    if "graph" in data:
-        try:
-            cfg.graph = GraphSpec.from_obj(data["graph"])
-        except (LookupError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"key 'graph': {exc}") from None
+    cfg = ScenarioConfig(scenario=scenario, dt=_DEFAULT_DT.get(scenario))
+    for key, parse in _FIELDS.items():
+        if key in data:
+            setattr(cfg, key, parse(data[key], cfg))
     if scenario in {"evolve", "qsd"} and cfg.t_max < cfg.dt:
         raise ConfigError(f"key 't_max' = {cfg.t_max} is below one step dt = {cfg.dt}")
     log2_bytes = _log2_largest_array(cfg)
-    if log2_bytes is not None and log2_bytes > math.log2(MAX_DENSE_BYTES):
+    if log2_bytes > math.log2(MAX_DENSE_BYTES):
         gib = 2.0 ** (log2_bytes - 30) if log2_bytes < 1000 else math.inf
         raise ConfigError(
             f"scenario '{scenario}' needs an estimated {gib:.3g} GiB for its largest "
             f"array, above the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
         )
     return cfg
-
-
-def _target_qubits(cfg: ScenarioConfig):
-    """Qubit count of the configured target without building it (None if unknown)."""
-    tgt = cfg.target
-    if not isinstance(tgt, str):
-        return math.log2(tgt.size)
-    if tgt == "cluster":
-        return cfg.n_qubits
-    return {"bell": 2, "plus": 1}.get(tgt) or float(tgt.split("-", 1)[1])
 
 
 def _log2_largest_array(cfg: ScenarioConfig):
@@ -274,37 +289,13 @@ def _log2_largest_array(cfg: ScenarioConfig):
         return 3 + n + math.log2(n)
     if cfg.scenario == "compile":
         return 4 + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
-    n = _target_qubits(cfg)
-    if n is None:
-        return None  # run() reports the missing n_qubits
+    n = cfg.n_qubits  # the target's qubit count, checked at parse time
     if cfg.scenario in {"synth", "steady"}:
         return 4 + 4 * n
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
         return 4 + max(2 * n, math.log2(min(cfg.n_traj, CHUNK_SIZE))) + samples
     return 4 + 2 * n + samples
-
-
-def _target_state(cfg: ScenarioConfig) -> PureState:
-    tgt = cfg.target
-    if isinstance(tgt, str):
-        if tgt == "bell":
-            state = bell_state()
-        elif tgt == "plus":
-            state = plus_state(1)
-        else:
-            if tgt == "cluster":
-                if cfg.n_qubits is None:
-                    raise ConfigError("preset 'cluster' needs n_qubits")
-                n = cfg.n_qubits
-            else:
-                n = int(tgt.split("-", 1)[1])
-            state = graph_state(GraphSpec.path(n))
-    else:
-        state = PureState(tgt)
-    if cfg.n_qubits is not None and state.n != cfg.n_qubits:
-        raise ConfigError(f"target acts on {state.n} qubits but n_qubits = {cfg.n_qubits}")
-    return state
 
 
 def _rates(cfg: ScenarioConfig, count: int) -> list[float]:
@@ -319,10 +310,16 @@ def _build_model(cfg: ScenarioConfig):
     """Dissipators for the configured target: the stock Bell set on two
     qubits, otherwise one operator per complement level of a completed
     frame (which pins the target as the unique steady state)."""
-    target = _target_state(cfg)
-    if isinstance(cfg.target, str) and cfg.target == "bell":
-        base = preset_lfor2()
-    else:
+    base = None
+    if not isinstance(cfg.target, str):
+        target = PureState(cfg.target)
+    elif cfg.target == "bell":
+        target, base = bell_state(), preset_lfor2()
+    elif cfg.target == "plus":
+        target = plus_state(1)
+    else:  # "cluster": parse_config checked that a "cluster-N" has N = n_qubits
+        target = graph_state(GraphSpec.path(cfg.n_qubits))
+    if base is None:
         frame = orthonormal_frame(target)
         spec = SynthesisSpec(
             dim=target.dim, k=1, coeffs=np.ones((target.dim - 1, 1)), basis=frame
@@ -336,8 +333,6 @@ def _build_model(cfg: ScenarioConfig):
 def _combined_operator(cfg: ScenarioConfig):
     """Single jump operator for trajectory runs, scaled to unit spectral norm
     (the scale belongs to gamma, and a tame norm keeps the O(dt) bias small)."""
-    if isinstance(cfg.gamma, list):
-        raise ConfigError("qsd scenarios take a single gamma rate, not a list")
     model, target = _build_model(cfg)
     L = np.zeros((model.dim, model.dim), dtype=complex)
     for _, op in model.dissipators:
@@ -363,9 +358,9 @@ def _round_floats(obj):
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(
-        json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(_round_floats(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def emit_outputs(obj, path) -> Path:
@@ -389,21 +384,20 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
     """Dispatch one scenario, writing artifacts and returning headline metrics."""
     start = time.perf_counter()
     out_dir = Path(output_dir or cfg.output_path or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics: dict = {}
     artifacts: list[Path] = []
 
     def emit(name, obj):
+        if not artifacts:  # made on the first write, so a run that fails early leaves nothing
+            out_dir.mkdir(parents=True, exist_ok=True)
         artifacts.append(emit_outputs(obj, out_dir / name))
 
     if cfg.scenario == "graph-state":
         state = graph_state(cfg.graph)
-        if cfg.n_qubits is not None and state.n != cfg.n_qubits:
-            raise ConfigError(f"graph has {state.n} vertices but n_qubits = {cfg.n_qubits}")
         emit("state.json", {
             "n": state.n,
             "edges": [list(e) for e in cfg.graph.edges],
-            "amplitudes": [[z.real, z.imag] for z in state.amplitudes],
+            "amplitudes": complex_pairs(state.amplitudes),
         })
         metrics["n_qubits"] = state.n
         metrics["edge_count"] = len(cfg.graph.edges)
@@ -512,17 +506,11 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)
 
+    cfg = None
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = _seed(args.seed)
-    except ConfigError as exc:
-        print(f"[dissipforge] config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"[dissipforge] cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
         run(cfg, output_dir=args.output, quiet=args.quiet)
     except ConfigError as exc:
         print(f"[dissipforge] config error: {exc}", file=sys.stderr)
@@ -531,7 +519,8 @@ def main(argv=None) -> int:
         print(f"[dissipforge] numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except OSError as exc:
-        print(f"[dissipforge] I/O error: {exc}", file=sys.stderr)
+        prefix = "cannot read config" if cfg is None else "I/O error"
+        print(f"[dissipforge] {prefix}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 

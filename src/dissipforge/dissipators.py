@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PauliSum, dag
+from .algebra import PauliSum, complex_pairs, dag
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +99,7 @@ class DissipatorSet:
         return DissipatorSet(tuple((g * factor, op) for g, op in self.items))
 
     def to_json_obj(self) -> list:
-        out = []
-        for gamma, op in self.items:
-            flat = [[float(z.real), float(z.imag)] for z in op.reshape(-1)]
-            out.append({"gamma": gamma, "matrix": flat})
-        return out
+        return [{"gamma": gamma, "matrix": complex_pairs(op)} for gamma, op in self.items]
 
     @classmethod
     def from_json_obj(cls, obj) -> "DissipatorSet":

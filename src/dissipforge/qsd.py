@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import complex_pairs
 from .dissipators import DissipatorSet
 from .lindblad import EvolutionRecord, LindbladModel
 from .states import PureState
@@ -177,15 +178,12 @@ class EnsembleResult:
         return EvolutionRecord(self.times, self.rho_mean, np.abs(traces - 1.0), min_eigs, fids)
 
     def to_json_obj(self) -> dict:
-        flat_mean = [
-            [float(z.real), float(z.imag)] for z in self.rho_mean.reshape(-1)
-        ]
         return {
             "n_traj": self.n_traj,
             "excluded": self.n_excluded,
-            "times": [float(t) for t in self.times],
-            "rho_mean": flat_mean,
-            "rho_se": [float(x) for x in self.rho_se.reshape(-1)],
+            "times": self.times.tolist(),
+            "rho_mean": complex_pairs(self.rho_mean),
+            "rho_se": self.rho_se.reshape(-1).tolist(),
         }
 
 

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dissipforge.algebra import complex_pairs
 from dissipforge.cli import (
-    _SCENARIO_KEYS,
+    _SCENARIOS,
     EXIT_CONFIG,
     EXIT_CONTRACT,
     EXIT_IO,
     EXIT_OK,
     ConfigError,
+    _round_floats,
     emit_outputs,
     main,
     parse_config,
@@ -24,14 +26,18 @@ from dissipforge.cli import (
 )
 from dissipforge.compiler import GateSequence
 from dissipforge.dissipators import DissipatorSet
+from dissipforge.qsd import EnsembleResult
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write(tmp_path, name, obj):
-    """Write obj as JSON, or verbatim when it is already text."""
+    """Write obj as JSON, or verbatim when it is already text or bytes."""
     path = tmp_path / name
-    path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
     return path
 
 
@@ -136,6 +142,16 @@ _COMPILE = {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7}
     pytest.param({**_STEADY, "target": "cluster-" + "9" * 5000}, id="cluster-size-5000-digits"),
     pytest.param('{"scenario": "steady", "n_qubits": 1%s, "target": "bell"}' % ("0" * 5000),
                  id="integer-literal-5001-digits"),
+    pytest.param(b'{"scenario": "steady", "n_qubits": 2, "target": "\xff"}', id="not-utf-8"),
+    pytest.param({**_STEADY, "n_qubits": 1, "target": [0.5, 0.5]}, id="amplitude-norm-off"),
+    pytest.param({**_STEADY, "n_qubits": 1, "target": [0.6, 0.8, 0.0]},
+                 id="amplitude-count-3"),
+    pytest.param({**_STEADY, "n_qubits": 1, "target": [1.0]}, id="amplitude-count-1"),
+    pytest.param({**_STEADY, "n_qubits": 3}, id="bell-on-3-qubits"),
+    pytest.param({**_STEADY, "gamma": [1.0, 2.0]}, id="bell-gamma-list-of-2"),
+    pytest.param({**_QSD, "gamma": [1.0, 1.0, 1.0]}, id="qsd-gamma-list"),
+    pytest.param({"scenario": "graph-state", "n_qubits": 2, "graph": {"n": 3, "edges": []}},
+                 id="graph-n-differs-from-n_qubits"),
 ])
 def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -144,6 +160,7 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("[dissipforge] config error:") and err.count("\n") == 1
+    assert "np.float64(" not in err
 
 
 @pytest.mark.parametrize("probe", [
@@ -184,12 +201,17 @@ _JUNK = st.sampled_from([None, True, "1", -1, 0, 0.5, 1e300, 10**30, -math.inf, 
 @st.composite
 def _configs(draw):
     """A small valid config of any scenario, then at most one fault: a key
-    dropped, a value replaced by junk, or an unknown key added."""
-    scenario = draw(st.sampled_from(sorted(_SCENARIO_KEYS)))
+    dropped, a value replaced by junk, an unknown key added, or n_qubits off
+    by one."""
+    scenario = draw(st.sampled_from(sorted(_SCENARIOS)))
     n = draw(st.integers(1, 3))
     presets = {1: ["plus"], 2: ["bell"], 3: []}[n] + ["cluster", f"cluster-{n}"]
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
+    norm = math.hypot(*amps)
+    # a list of 2^n entries is a valid target; other lengths must be refused
+    amps = [a / norm for a in amps] if norm > 0 else amps
     cfg = {"scenario": scenario, "n_qubits": n, "seed": draw(st.integers(0, 3)),
-           "target": draw(st.sampled_from(presets))}
+           "target": draw(st.one_of(st.sampled_from(presets), st.just(amps)))}
     rate = st.floats(0.1, 3.0)
     jumps = 3 if cfg["target"] == "bell" else 2**n - 1
     cfg["gamma"] = draw(st.one_of(rate, st.lists(rate, min_size=jumps, max_size=jumps)))
@@ -204,8 +226,8 @@ def _configs(draw):
     if scenario == "graph-state":
         vertex = st.integers(1, n + 1)
         edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=3), max_size=3))
-        cfg = {"scenario": scenario, "graph": {"n": n + 1, "edges": edges}}
-    fault = draw(st.sampled_from(["none", "none", "junk", "drop", "typo"]))
+        cfg = {"scenario": scenario, "n_qubits": n + 1, "graph": {"n": n + 1, "edges": edges}}
+    fault = draw(st.sampled_from(["none", "none", "junk", "drop", "typo", "qubits"]))
     key = draw(st.sampled_from(sorted(cfg)))
     if fault == "junk":
         cfg[key] = draw(_JUNK)
@@ -213,6 +235,8 @@ def _configs(draw):
         del cfg[key]
     elif fault == "typo":
         cfg[key + "s"] = cfg[key]
+    elif fault == "qubits" and "n_qubits" in cfg:
+        cfg["n_qubits"] += draw(st.sampled_from([-1, 1]))
     return cfg
 
 
@@ -223,8 +247,19 @@ def test_main_exit_code_contract_holds_for_generated_configs(config):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        assert main([str(path), "--output", str(Path(tmp) / "out"), "--quiet"]) in {
-            EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO}
+        out = Path(tmp) / "out"
+        code = main([str(path), "--output", str(out), "--quiet"])
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_IO}
+        assert code != EXIT_CONFIG or not out.exists()
+
+
+def test_main_reports_an_output_path_that_is_a_file(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", _STEADY)
+    taken = _write(tmp_path, "taken", "not a directory")
+    assert main([str(path), "--output", str(taken), "--quiet"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("[dissipforge] I/O error:") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory"
 
 
 # ---------------------------------------------------------------- scenarios
@@ -345,6 +380,30 @@ def test_emit_outputs_dispatch(tmp_path):
 
     txt_path = emit_outputs("one line\n", tmp_path / "out.txt")
     assert txt_path.read_text() == "one line\n"
+
+
+def test_emit_outputs_writes_rounded_sorted_json(tmp_path):
+    pairs = complex_pairs(np.array([[1 / 3 + 2j / 7, -0.0], [0.1 + 0.2, 1e-17 - 1j]]))
+    obj = {"pairs": pairs, "n": 3, "ok": True, "none": None, "x": 0.1 + 0.2,
+           "nested": {"b": [1.0000000000000002, 2], "a": (False, 7.5)}}
+    text = emit_outputs(obj, tmp_path / "out.json").read_text(encoding="utf-8")
+    assert text == json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"
+    assert "0.30000000000000004" not in text and json.loads(text)["x"] == 0.3
+
+
+def test_emit_outputs_memory_of_a_large_ensemble_record(tmp_path):
+    rng = np.random.default_rng(0)
+    shape = (1001, 8, 8)  # a qsd record at d = 8: 1.5 MB of arrays
+    result = EnsembleResult(np.arange(shape[0]) * 1e-3,
+                            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                            rng.random(shape), 500, ())
+    tracemalloc.start()
+    try:
+        emit_outputs(result.to_json_obj(), tmp_path / "ensemble.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 << 20
 
 
 def test_summary_json_has_no_wall_time(tmp_path):
