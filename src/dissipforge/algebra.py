@@ -64,9 +64,11 @@ def null_space(A: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
 
     A right singular vector is accepted when its singular value is at most
     tol times the largest singular value, so the returned dimension equals
-    the count of singular values below that relative threshold.
+    the count of singular values below that relative threshold. The SVD
+    runs in double precision, real for real input, which gives a real basis.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A.astype(np.result_type(A.dtype, np.float64), copy=False)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"null_space needs a square matrix, got shape {A.shape}")
     if tol <= 0:

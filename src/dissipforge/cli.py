@@ -204,6 +204,12 @@ def _parse_bath_dim(raw, cfg):
     return dim
 
 
+def _parse_output_path(raw, cfg):
+    if not isinstance(raw, str) or not raw:
+        raise ConfigError(f"key 'output_path' must be a non-empty string, got {raw!r}")
+    return raw
+
+
 def _parse_graph(raw, cfg):
     try:
         graph = GraphSpec.from_obj(raw)
@@ -219,7 +225,7 @@ def _parse_graph(raw, cfg):
 # and the first error reported does not depend on the key order in the file.
 _FIELDS = {
     "seed": lambda raw, cfg: _seed(raw),
-    "output_path": lambda raw, cfg: str(raw),
+    "output_path": _parse_output_path,
     "n_qubits": lambda raw, cfg: _positive(raw, "n_qubits", integral=True),
     "target": _parse_target,
     "gamma": _parse_gamma,

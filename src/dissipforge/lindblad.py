@@ -15,6 +15,12 @@ gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, and
 gamma_j L_j* kron L_j = gamma_j (u_j* kron u_j)(v_j* kron v_j)^dag, so the
 jump term costs O(m d^2) per evaluation instead of O(m d^3). Each jump is
 tested for rank one once per model; any other jump is applied densely.
+
+Steady states are the null space of the generator restricted to Hermitian
+matrices. In the orthonormal Hermitian basis E_aa, (E_ab + E_ba)/sqrt2 and
+i(E_ab - E_ba)/sqrt2 (a < b) its matrix is real, with the singular values of
+the complex Liouvillian, so one real SVD of size N^2 finds the null space and
+each null vector is a Hermitian matrix.
 """
 
 import math
@@ -191,7 +197,11 @@ def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
 
 @dataclass(eq=False)
 class SteadyStateResult:
-    """Null space of the vectorized generator plus a positive representative."""
+    """Null space of the generator plus a positive representative.
+
+    basis_matrices are Hermitian and orthonormal in the Hilbert-Schmidt inner
+    product; null_vectors holds their column-stacked vec forms.
+    """
 
     dimension: int
     state: DensityMatrix
@@ -199,29 +209,83 @@ class SteadyStateResult:
     basis_matrices: list
 
 
-def steady_states(model: LindbladModel, tol: float = 1e-9) -> SteadyStateResult:
-    """Null-space analysis of the Liouvillian.
+def _hermitian_basis_indices(d: int):
+    """vec positions of the diagonal, of (a, b) and of (b, a), a < b.
 
-    The representative state is the maximally mixed state projected onto the
-    null space (orthogonal projection in the Hilbert-Schmidt inner product),
-    hermitized and normalized; for a one-dimensional null space this is the
-    unique steady state.
+    They index the orthonormal Hermitian basis E_aa, (E_ab + E_ba)/sqrt2,
+    i(E_ab - E_ba)/sqrt2, in that order of blocks.
+    """
+    a, b = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), a + b * d, b + a * d
+
+
+def _real_liouvillian(M: np.ndarray, d: int) -> np.ndarray:
+    """Real d^2 x d^2 matrix T^dag M T of a Hermiticity-preserving M.
+
+    T is the unitary from the Hermitian basis to column-stacked vec, so the
+    columns of M T are D = M[:, diag], (U + L)/sqrt2 and i(U - L)/sqrt2 with
+    U = M[:, upper] and L = M[:, lower]. Each column is the vec of a Hermitian
+    matrix, whose (b, a) entries conjugate its (a, b) entries, so only the
+    diagonal and upper rows are read: T^dag takes Re of the diagonal rows and
+    sqrt2 Re and sqrt2 Im of the upper rows.
+    """
+    diag, upper, lower = _hermitian_basis_indices(d)
+    p = d + len(upper)
+    rows = np.concatenate((diag, upper))
+    D, U, L = (M[np.ix_(rows, cols)] for cols in (diag, upper, lower))
+    h = 1.0 / math.sqrt(2.0)
+    # rows and columns in basis order: d diagonal, then the (E_ab + E_ba)
+    # elements up to p, then the i(E_ab - E_ba) elements
+    out = np.empty((d * d, d * d))
+    out[:d, :d] = D[:d].real
+    out[:d, d:p] = h * (U[:d].real + L[:d].real)
+    out[:d, p:] = h * (L[:d].imag - U[:d].imag)
+    out[d:p, :d] = D[d:].real / h
+    out[p:, :d] = D[d:].imag / h
+    # the sqrt2 of the upper rows cancels the 1/sqrt2 of the columns
+    U, L = U[d:], L[d:]
+    np.add(U.real, L.real, out=out[d:p, d:p])
+    np.subtract(L.imag, U.imag, out=out[d:p, p:])
+    np.add(U.imag, L.imag, out=out[p:, d:p])
+    np.subtract(U.real, L.real, out=out[p:, p:])
+    return out
+
+
+def _hermitian_matrix(x: np.ndarray, d: int) -> np.ndarray:
+    """The Hermitian matrix with real coordinates x in the Hermitian basis."""
+    diag, upper, lower = _hermitian_basis_indices(d)
+    p = d + len(upper)
+    v = np.empty(d * d, dtype=complex)
+    v[diag] = x[:d]
+    v[upper] = (x[d:p] + 1j * x[p:]) / math.sqrt(2.0)
+    v[lower] = v[upper].conj()
+    return unvec(v, d)
+
+
+def steady_states(model: LindbladModel, tol: float = 1e-9) -> SteadyStateResult:
+    """Null-space analysis of the generator on Hermitian matrices.
+
+    A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
+    an orthonormal Hermitian basis its matrix is real and has the singular
+    values of the complex Liouvillian; the null space comes from the SVD of
+    that real matrix. The representative state is the maximally mixed state
+    projected onto the null space (orthogonal projection in the
+    Hilbert-Schmidt inner product) and normalized; for a one-dimensional null
+    space this is the unique steady state.
     """
     d = model.dim
-    vecs = null_space(liouvillian_matrix(model), tol)
-    if not vecs:
+    xs = null_space(_real_liouvillian(liouvillian_matrix(model), d), tol)
+    if not xs:
         raise RuntimeError("no null vector found; a Lindblad generator always has one")
-    target = vec(np.eye(d, dtype=complex) / d)
-    comp = np.zeros(d * d, dtype=complex)
-    for b in vecs:
-        comp += np.vdot(b, target) * b
-    m = unvec(comp, d)
-    m = (m + dag(m)) / 2.0
+    X = np.array(xs)
+    # <B_k, I/d> = Tr(B_k)/d, the sum of B_k's diagonal coordinates over d
+    m = _hermitian_matrix((X[:, :d].sum(axis=1) / d) @ X, d)
     tr = np.trace(m).real
     if abs(tr) < 1e-12:
         raise RuntimeError("projected representative has vanishing trace")
     state = DensityMatrix(m / tr)
-    return SteadyStateResult(len(vecs), state, vecs, [unvec(b, d) for b in vecs])
+    basis = [_hermitian_matrix(x, d) for x in xs]
+    return SteadyStateResult(len(xs), state, [vec(b) for b in basis], basis)
 
 
 @dataclass(eq=False)

@@ -1,6 +1,7 @@
 """Pure states, density matrices, and cluster/graph-state constructions."""
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,15 @@ CORRECTION_GATES = (
 )
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; booleans, non-numbers and non-integral numbers raise ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Simple undirected graph on vertices 1..n (no self-loops, no duplicates)."""
@@ -31,12 +41,15 @@ class GraphSpec:
     edges: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "vertex count"))
         if self.n < 1:
             raise ValueError("need at least one vertex")
         norm = []
         seen = set()
         for edge in self.edges:
-            a, b = int(edge[0]), int(edge[1])
+            if len(edge) != 2:
+                raise ValueError(f"edge {edge!r} does not have two vertices")
+            a, b = (_integer(v, "vertex label") for v in edge)
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             if not (1 <= a <= self.n and 1 <= b <= self.n):
@@ -59,7 +72,7 @@ class GraphSpec:
     @classmethod
     def from_obj(cls, obj) -> "GraphSpec":
         """Build from the JSON form {"n": int, "edges": [[a, b], ...]}."""
-        return cls(int(obj["n"]), tuple(tuple(e) for e in obj.get("edges", ())))
+        return cls(obj["n"], tuple(tuple(e) for e in obj.get("edges", ())))
 
     def to_obj(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}

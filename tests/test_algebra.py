@@ -180,6 +180,19 @@ def test_null_space_vectors_annihilated():
         assert np.linalg.norm(M @ v) < 1e-12 * np.linalg.norm(M)
 
 
+def test_null_space_keeps_real_input_real():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((3, 6))
+    M = A.T @ A  # rank 3 on R^6
+    basis = null_space(M)
+    assert len(basis) == len(null_space(M.astype(complex))) == 3
+    assert all(v.dtype == np.float64 for v in basis)
+    gram = np.array([[a @ b for b in basis] for a in basis])
+    assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+    for v in basis:
+        assert np.linalg.norm(M @ v) < 1e-12 * np.linalg.norm(M)
+
+
 # ---------------------------------------------------------------- Pauli words
 
 

@@ -152,6 +152,14 @@ _COMPILE = {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7}
     pytest.param({**_QSD, "gamma": [1.0, 1.0, 1.0]}, id="qsd-gamma-list"),
     pytest.param({"scenario": "graph-state", "n_qubits": 2, "graph": {"n": 3, "edges": []}},
                  id="graph-n-differs-from-n_qubits"),
+    pytest.param({"scenario": "graph-state", "graph": {"n": 3.7, "edges": [[1, 3]]}},
+                 id="graph-n-fraction"),
+    pytest.param({"scenario": "graph-state", "graph": {"n": 3, "edges": [[1.9, 3]]}},
+                 id="graph-edge-fraction"),
+    pytest.param({"scenario": "graph-state", "graph": {"n": 3, "edges": [[True, 3]]}},
+                 id="graph-edge-bool"),
+    pytest.param({**_STEADY, "output_path": {"a": 1}}, id="output_path-object"),
+    pytest.param({**_STEADY, "output_path": ""}, id="output_path-empty"),
 ])
 def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)

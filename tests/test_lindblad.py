@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_density, random_hermitian, random_unitary
-from dissipforge.algebra import dag
+from dissipforge.algebra import dag, null_space
 from dissipforge.cli import ScenarioConfig, _combined_operator
 from dissipforge.dissipators import (
     DissipatorSet,
@@ -17,12 +17,14 @@ from dissipforge.lindblad import (
     EvolutionRecord,
     IntegrationError,
     LindbladModel,
+    _real_liouvillian,
     integrate,
     liouvillian_matrix,
     propagate_exact,
     rhs,
     steady_states,
     time_to_fidelity,
+    unvec,
     vec,
 )
 from dissipforge.states import DensityMatrix, bell_state, basis_state, fidelity
@@ -202,6 +204,43 @@ def test_steady_state_subspace_dimension():
     assert result.dimension == 4
     # the representative is a valid state supported on the block
     assert abs(np.trace(result.state.matrix) - 1.0) < 1e-12
+
+
+def _oracle_models():
+    """A Hamiltonian with full-rank and rank-one jumps at mixed rates for
+    d = 2, 4, 8, the bare single operator (null dimension 9) and a k = 2
+    subspace synthesis (null dimension 4)."""
+    rng = np.random.default_rng(26)
+    for d in (2, 4, 8):
+        rank_one = np.outer(random_complex(d, rng), random_complex(d, rng).conj())
+        jumps = ((0.4, random_complex((d, d), rng)), (2.2, rank_one))
+        model = LindbladModel(DissipatorSet(jumps), hamiltonian=random_hermitian(d, rng))
+        yield pytest.param(model, 1, id=f"mixed-jumps-d{d}")
+    spec = SynthesisSpec(dim=4, k=1, coeffs=np.ones((3, 1)))
+    yield pytest.param(LindbladModel(synth_single(spec)), 9, id="single-operator-bare")
+    spec = SynthesisSpec(dim=4, k=2, coeffs=random_complex((2, 2), rng))
+    yield pytest.param(LindbladModel(synth_subspace(spec)), 4, id="subspace-k2")
+
+
+@pytest.mark.parametrize("model,expected", list(_oracle_models()))
+def test_steady_states_match_complex_svd_oracle(model, expected):
+    d = model.dim
+    M = liouvillian_matrix(model)
+    oracle = null_space(M)
+    result = steady_states(model)
+    assert result.dimension == len(oracle) == expected
+    s_complex = np.linalg.svd(M, compute_uv=False)
+    s_real = np.linalg.svd(_real_liouvillian(M, d), compute_uv=False)
+    assert np.max(np.abs(s_real - s_complex)) <= 1e-12 * s_complex[0]
+    projector = sum(np.outer(v, v.conj()) for v in oracle)
+    ours = sum(np.outer(v, v.conj()) for v in result.null_vectors)
+    assert np.max(np.abs(ours - projector)) < 1e-10
+    for v, B in zip(result.null_vectors, result.basis_matrices):
+        assert np.array_equal(B, dag(B)) and np.array_equal(vec(B), v)
+    # the complex-basis representative: I/d projected, hermitized, normalized
+    m = unvec(projector @ vec(np.eye(d) / d), d)
+    m = (m + dag(m)) / 2.0
+    assert np.max(np.abs(result.state.matrix - m / np.trace(m).real)) < 1e-10
 
 
 # ---------------------------------------------------------------- integration

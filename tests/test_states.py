@@ -48,6 +48,12 @@ def test_graph_spec_validation():
         GraphSpec(3, ((1, 2), (2, 1)))
     with pytest.raises(ValueError):
         GraphSpec(0, ())
+    for n, edge in ((3.7, (1, 3)), (True, ()), ("3", (1, 3)), (3, (1.9, 3)), (3, (True, 3))):
+        with pytest.raises(ValueError, match="integer"):
+            GraphSpec(n, (edge,) if edge else ())
+    with pytest.raises(ValueError, match="two vertices"):
+        GraphSpec(3, ((1, 2, 3),))
+    assert GraphSpec(3.0, ((1.0, 3),)) == GraphSpec(3, ((1, 3),))
 
 
 def test_graph_spec_json_roundtrip():
