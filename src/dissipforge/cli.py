@@ -456,7 +456,7 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
         emit("ensemble.json", result.to_json_obj())
         metrics["n_traj"] = result.n_traj
         metrics["excluded"] = result.n_excluded
-        metrics["final_fidelity"] = float(result.record(target).fidelities[-1])
+        metrics["final_fidelity"] = fidelity(result.rho_mean[-1], target)
 
     elif cfg.scenario == "compile":
         word = PauliString(cfg.pauli_word)

@@ -28,6 +28,8 @@ from .algebra import (
 )
 from .states import GraphSpec
 
+VERIFY_TOL = 1e-10  # bound on the relative deviation of verify_sequence
+
 
 @dataclass(frozen=True)
 class Conjugation:
@@ -278,12 +280,7 @@ class VerificationReport:
     tolerance: float
 
 
-def verify_sequence(
-    seq: GateSequence,
-    bath: BathTestSpec,
-    theta_samples,
-    tolerance: float = 1e-10,
-) -> VerificationReport:
+def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> VerificationReport:
     """Check e^{i theta W (x) B} against the realized sequence at each theta.
 
     The seed gate becomes e^{i theta Y_seed (x) B_test} on the combined
@@ -291,7 +288,8 @@ def verify_sequence(
     factor. Reports the Frobenius deviation relative to the target,
     ||V - T||_F / ||T||_F, at each sample: the test bath need not be
     normalized or Hermitian, so ||T|| can grow as e^{theta ||B||} and an
-    absolute bound would reject correct sequences on large baths.
+    absolute bound would reject correct sequences on large baths. The
+    sequence passes when every deviation is at most VERIFY_TOL.
     """
     seed = seq.seed
     if seed is None or any(
@@ -316,8 +314,8 @@ def verify_sequence(
         devs.append(float(np.linalg.norm(V - target) / np.linalg.norm(target)))
     max_dev = float(np.max(devs))  # NaN propagates, and fails the bound below
     return VerificationReport(
-        max_dev <= tolerance, max_dev, tuple(devs), tuple(float(t) for t in theta_samples),
-        tolerance,
+        max_dev <= VERIFY_TOL, max_dev, tuple(devs), tuple(float(t) for t in theta_samples),
+        VERIFY_TOL,
     )
 
 

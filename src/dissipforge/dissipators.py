@@ -12,6 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PauliSum, complex_pairs, dag
+from .states import as_vector
+
+
+def _unitary(m, dim: int, what: str) -> np.ndarray:
+    """A complex copy of m; ValueError unless it is (dim, dim) and unitary to 1e-12."""
+    m = np.array(m, dtype=complex)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{what} shape {m.shape} is not ({dim}, {dim})")
+    if np.max(np.abs(dag(m) @ m - np.eye(dim))) > 1e-12:
+        raise ValueError(f"{what} is not unitary to 1e-12")
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,15 +43,10 @@ class SynthesisSpec:
     def __post_init__(self):
         if not 1 <= self.k < self.dim:
             raise ValueError(f"need 1 <= k < N, got k={self.k}, N={self.dim}")
-        basis = self.basis
-        if basis is None:
+        if self.basis is None:
             basis = np.eye(self.dim, dtype=complex)
         else:
-            basis = np.asarray(basis, dtype=complex).copy()
-            if basis.shape != (self.dim, self.dim):
-                raise ValueError(f"basis shape {basis.shape} is not ({self.dim}, {self.dim})")
-            if np.max(np.abs(dag(basis) @ basis - np.eye(self.dim))) > 1e-12:
-                raise ValueError("basis columns are not orthonormal to 1e-12")
+            basis = _unitary(self.basis, self.dim, "basis")
         coeffs = np.asarray(self.coeffs, dtype=complex).copy()
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
@@ -151,11 +157,7 @@ def synth_single(spec: SynthesisSpec, frame: np.ndarray | None = None) -> Dissip
     bra = spec.basis[:, 1:].conj() @ spec.coeffs[:, 0]
     L = np.outer(phi0, bra)
     if frame is not None:
-        frame = np.asarray(frame, dtype=complex)
-        if frame.shape != (spec.dim, spec.dim):
-            raise ValueError(f"frame shape {frame.shape} is not ({spec.dim}, {spec.dim})")
-        if np.max(np.abs(dag(frame) @ frame - np.eye(spec.dim))) > 1e-12:
-            raise ValueError("frame is not unitary to 1e-12")
+        frame = _unitary(frame, spec.dim, "frame")
         L = dag(frame) @ L @ frame
     return DissipatorSet(((1.0, L),))
 
@@ -182,7 +184,7 @@ def splitting_hamiltonian(
         raise ValueError("energies must be pairwise distinct to split the frame")
     H = spec.basis @ np.diag(energies).astype(complex) @ dag(spec.basis)
     if frame is not None:
-        frame = np.asarray(frame, dtype=complex)
+        frame = _unitary(frame, spec.dim, "frame")
         H = dag(frame) @ H @ frame
     return (H + dag(H)) / 2.0
 
@@ -193,9 +195,7 @@ def orthonormal_frame(target) -> np.ndarray:
     The remaining columns come from computational basis seeds, skipping the
     seed that overlaps `target` most strongly (lowest index on ties).
     """
-    v = np.asarray(
-        target.amplitudes if hasattr(target, "amplitudes") else target, dtype=complex
-    ).reshape(-1)
+    v = as_vector(target)
     v = v / np.linalg.norm(v)
     N = v.size
     drop = int(np.argmax(np.abs(v)))
@@ -237,9 +237,7 @@ def preset_lfor2() -> DissipatorSet:
 
 def is_dark(ds: DissipatorSet, phi) -> bool:
     """True when every jump operator annihilates |phi> to within 1e-10."""
-    v = np.asarray(
-        phi.amplitudes if hasattr(phi, "amplitudes") else phi, dtype=complex
-    ).reshape(-1)
+    v = as_vector(phi)
     if ds.dim is not None and ds.dim != v.size:
         raise ValueError(f"dimension mismatch: operators on {ds.dim}, state on {v.size}")
     return all(np.linalg.norm(op @ v) <= 1e-10 for _, op in ds)

@@ -16,6 +16,10 @@ gamma_j L_j* kron L_j = gamma_j (u_j* kron u_j)(v_j* kron v_j)^dag, so the
 jump term costs O(m d^2) per evaluation instead of O(m d^3). Each jump is
 tested for rank one once per model; any other jump is applied densely.
 
+Both time-stepping routes, `integrate` here and the trajectory ensembles of
+`qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps, so they sample
+the same times and end at or just after t_max.
+
 Steady states are the null space of the generator restricted to Hermitian
 matrices. In the orthonormal Hermitian basis E_aa, (E_ab + E_ba)/sqrt2 and
 i(E_ab - E_ba)/sqrt2 (a < b) its matrix is real, with the singular values of
@@ -31,7 +35,9 @@ import numpy as np
 
 from .algebra import dag, matexp, null_space
 from .dissipators import DissipatorSet
-from .states import DensityMatrix, PureState, purity
+from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
+
+NULL_TOL = 1e-9  # relative singular-value cut of steady_states
 
 
 class IntegrationError(RuntimeError):
@@ -153,7 +159,7 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 def rhs(model: LindbladModel, rho) -> np.ndarray:
     """Generator applied to one state: -i(H_eff rho - rho H_eff^dag) + jump terms."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = as_matrix(rho)
     if m.shape != (model.dim, model.dim):
         raise ValueError(f"state shape {m.shape} does not match model dimension {model.dim}")
     H = model.h_eff
@@ -262,7 +268,7 @@ def _hermitian_matrix(x: np.ndarray, d: int) -> np.ndarray:
     return unvec(v, d)
 
 
-def steady_states(model: LindbladModel, tol: float = 1e-9) -> SteadyStateResult:
+def steady_states(model: LindbladModel) -> SteadyStateResult:
     """Null-space analysis of the generator on Hermitian matrices.
 
     A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
@@ -271,10 +277,11 @@ def steady_states(model: LindbladModel, tol: float = 1e-9) -> SteadyStateResult:
     that real matrix. The representative state is the maximally mixed state
     projected onto the null space (orthogonal projection in the
     Hilbert-Schmidt inner product) and normalized; for a one-dimensional null
-    space this is the unique steady state.
+    space this is the unique steady state. A singular value counts as zero
+    at most NULL_TOL times the largest.
     """
     d = model.dim
-    xs = null_space(_real_liouvillian(liouvillian_matrix(model), d), tol)
+    xs = null_space(_real_liouvillian(liouvillian_matrix(model), d), NULL_TOL)
     if not xs:
         raise RuntimeError("no null vector found; a Lindblad generator always has one")
     X = np.array(xs)
@@ -320,6 +327,17 @@ class EvolutionRecord:
                 fh.write(",".join(f"{x:.15g}" for x in row) + "\n")
 
 
+def step_count(t_max: float, dt: float) -> int:
+    """Steps of size dt from 0 to t_max, ceil(t_max / dt): the last sample lies at
+    or after t_max (1e-12 absorbs round-off in the ratio). Shared by integrate
+    and the trajectory ensembles of `qsd`, so both sample the same times."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_max < dt:
+        raise ValueError(f"t_max = {t_max} is below one step dt = {dt}")
+    return int(math.ceil(t_max / dt - 1e-12))
+
+
 def default_step(model: LindbladModel) -> float:
     """Default integrator step 0.01 / max rate."""
     rates = model.dissipators.rates
@@ -335,26 +353,18 @@ def integrate(
 ) -> EvolutionRecord:
     """Fixed-step classical RK4 integration of the master equation.
 
-    After every step the trace drift is measured, then removed, and the
-    state is re-hermitized; both corrections are at round-off level for a
-    stable step. Drift above 1e-4, negativity below -1e-4 or a non-finite
+    Samples k dt for k = 0..step_count(t_max, dt). After every step the trace
+    drift is measured, then removed, and the state is re-hermitized; both
+    corrections are at round-off level for a stable step. Drift above 1e-4, negativity below -1e-4 or a non-finite
     entry aborts with IntegrationError.
     """
-    rho = np.array(
-        rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex, copy=True
-    )
+    rho = as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):
         raise ValueError(f"initial state shape {rho.shape} does not match dimension {model.dim}")
     if dt is None:
         dt = default_step(model)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_max < dt:
-        raise ValueError(f"t_max = {t_max} is below one step dt = {dt}")
-    steps = int(math.ceil(t_max / dt - 1e-12))
-    tvec = None
-    if target is not None:
-        tvec = target.amplitudes if isinstance(target, PureState) else np.asarray(target, complex)
+    steps = step_count(t_max, dt)
+    tvec = None if target is None else as_vector(target)
 
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, model.dim, model.dim), dtype=complex)
@@ -367,7 +377,7 @@ def integrate(
         trace_errors[i] = drift
         min_eigs[i] = np.linalg.eigvalsh(rho)[0].real
         if fids is not None:
-            fids[i] = min(max(np.vdot(tvec, rho @ tvec).real, 0.0), 1.0)
+            fids[i] = fidelity(rho, tvec)
 
     record(0, abs(np.trace(rho).real - 1.0))
     for step in range(1, steps + 1):
@@ -393,9 +403,7 @@ def integrate(
 
 def propagate_exact(model: LindbladModel, rho0, t: float) -> np.ndarray:
     """rho(t) by exponentiating the vectorized generator (integration cross-check)."""
-    m = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
-    d = model.dim
-    return unvec(matexp(t * liouvillian_matrix(model)) @ vec(m), d)
+    return unvec(matexp(t * liouvillian_matrix(model)) @ vec(as_matrix(rho0)), model.dim)
 
 
 def time_to_fidelity(

@@ -6,6 +6,8 @@ Lindblad model (gamma, L), driven by complex white noise of intensity gamma
 (E[z z*] = gamma / dt per step, E[z z] = 0). Averaging the unnormalized projectors |psi><psi| over
 trajectories reproduces the master-equation density matrix; the linear form
 does not preserve single-trajectory norms, only the ensemble trace.
+Trajectories step on the grid of `integrate`: lindblad.step_count(t_max, dt)
+steps of dt, the last sample at or just after t_max.
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,8 @@ import numpy as np
 
 from .algebra import complex_pairs
 from .dissipators import DissipatorSet
-from .lindblad import EvolutionRecord, LindbladModel
-from .states import PureState
+from .lindblad import LindbladModel, step_count
+from .states import as_vector
 
 NORM_LIMIT = 1e6
 CHUNK_SIZE = 256  # trajectories stepped together by ensemble_average
@@ -46,16 +48,13 @@ class TrajectoryConfig:
     def __post_init__(self):
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be at least 1, got {self.n_traj}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        step_count(self.t_max, self.dt)  # checks dt > 0 and t_max >= dt
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.t_max < self.dt:
-            raise ValueError(f"t_max = {self.t_max} is below one step dt = {self.dt}")
 
     @property
     def n_steps(self) -> int:
-        return max(int(round(self.t_max / self.dt)), 1)
+        return step_count(self.t_max, self.dt)
 
     @property
     def times(self) -> np.ndarray:
@@ -99,9 +98,7 @@ class Trajectory:
 def _prepare(L, psi0):
     """Validated (operator, normalized start vector) pair."""
     L = np.asarray(L, dtype=complex)
-    psi = np.asarray(
-        psi0.amplitudes if isinstance(psi0, PureState) else psi0, dtype=complex
-    ).reshape(-1)
+    psi = as_vector(psi0)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise ValueError("initial state must be normalized")
     if L.shape != (psi.size, psi.size):
@@ -164,19 +161,6 @@ class EnsembleResult:
     def n_excluded(self) -> int:
         return len(self.excluded)
 
-    def record(self, target=None) -> EvolutionRecord:
-        """View the ensemble mean as an evolution record (diagnostics included)."""
-        traces = np.einsum("tii->t", self.rho_mean).real
-        herm = (self.rho_mean + self.rho_mean.conj().transpose(0, 2, 1)) / 2.0
-        min_eigs = np.array([np.linalg.eigvalsh(h)[0].real for h in herm])
-        fids = None
-        if target is not None:
-            v = np.asarray(
-                target.amplitudes if isinstance(target, PureState) else target, dtype=complex
-            )
-            fids = np.einsum("i,tij,j->t", v.conj(), self.rho_mean, v).real
-        return EvolutionRecord(self.times, self.rho_mean, np.abs(traces - 1.0), min_eigs, fids)
-
     def to_json_obj(self) -> dict:
         return {
             "n_traj": self.n_traj,
@@ -208,12 +192,7 @@ def _chunk_sums(L, cfg, psi0, lo, hi, excluded):
     return s_outer, s_abs2
 
 
-def ensemble_average(
-    L: np.ndarray,
-    cfg: TrajectoryConfig,
-    psi0,
-    chunk_size: int = CHUNK_SIZE,
-) -> EnsembleResult:
+def ensemble_average(L: np.ndarray, cfg: TrajectoryConfig, psi0) -> EnsembleResult:
     """Mean and standard error of unnormalized projectors over an ensemble.
 
     Every trajectory takes Euler-Maruyama steps
@@ -231,8 +210,8 @@ def ensemble_average(
     d = psi0.size
     total_outer = np.zeros((T, d, d), dtype=complex)
     total_abs2 = np.zeros((T, d, d))
-    for lo in range(0, cfg.n_traj, chunk_size):
-        hi = min(lo + chunk_size, cfg.n_traj)
+    for lo in range(0, cfg.n_traj, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, cfg.n_traj)
         while True:
             try:
                 s_outer, s_abs2 = _chunk_sums(L, cfg, psi0, lo, hi, excluded)

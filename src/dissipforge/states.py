@@ -195,18 +195,20 @@ def cluster_formula(n: int) -> PureState:
     return PureState(signs * 2.0 ** (-n / 2.0))
 
 
-def _as_matrix(rho) -> np.ndarray:
+def as_matrix(rho) -> np.ndarray:
+    """The matrix of a DensityMatrix, or any array-like as a complex array."""
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
-def _as_vector(phi) -> np.ndarray:
-    return phi.amplitudes if isinstance(phi, PureState) else np.asarray(phi, dtype=complex)
+def as_vector(phi) -> np.ndarray:
+    """The amplitudes of a PureState, or any array-like as a flat complex vector."""
+    return phi.amplitudes if isinstance(phi, PureState) else np.asarray(phi, complex).reshape(-1)
 
 
 def fidelity(rho, phi) -> float:
     """Overlap <phi| rho |phi>, real, clipped to [0, 1]."""
-    m = _as_matrix(rho)
-    v = _as_vector(phi)
+    m = as_matrix(rho)
+    v = as_vector(phi)
     if m.shape[0] != v.size:
         raise ValueError(f"dimension mismatch: {m.shape[0]} vs {v.size}")
     val = np.vdot(v, m @ v)
@@ -215,7 +217,7 @@ def fidelity(rho, phi) -> float:
 
 def purity(rho) -> float:
     """Tr(rho^2)."""
-    m = _as_matrix(rho)
+    m = as_matrix(rho)
     return float(np.trace(m @ m).real)
 
 
@@ -225,8 +227,8 @@ def max_local_overlap(psi, phi, gates=CORRECTION_GATES) -> float:
     The default 8-gate set (products over I, X, Z, S, H) is enough to relate
     the small cluster/graph states handled here.
     """
-    psi_v = _as_vector(psi)
-    phi_v = _as_vector(phi)
+    psi_v = as_vector(psi)
+    phi_v = as_vector(phi)
     if psi_v.size != phi_v.size:
         raise ValueError("states live on different registers")
     n = int(psi_v.size).bit_length() - 1

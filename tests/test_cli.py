@@ -366,6 +366,22 @@ def test_qsd_scenario_deterministic_outputs(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_qsd_final_fidelity_is_the_target_overlap_of_the_final_mean(tmp_path):
+    cfg_obj = {
+        "scenario": "qsd", "n_qubits": 2, "target": "bell",
+        "t_max": 0.2, "dt": 0.01, "n_traj": 20, "seed": 3,
+    }
+    path = _write(tmp_path, "cfg.json", cfg_obj)
+    run(parse_config(path), output_dir=tmp_path, quiet=True)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    ensemble = json.loads((tmp_path / "ensemble.json").read_text())
+    pairs = np.array(ensemble["rho_mean"])
+    rho = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(len(ensemble["times"]), 4, 4)[-1]
+    t = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    expected = np.vdot(t, rho @ t).real
+    assert abs(summary["metrics"]["final_fidelity"] - expected) <= 1e-12
+
+
 def test_emit_outputs_dispatch(tmp_path):
     from dissipforge.lindblad import EvolutionRecord
 

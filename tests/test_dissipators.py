@@ -141,6 +141,10 @@ def test_splitting_hamiltonian_validation():
         splitting_hamiltonian(spec, energies=np.array([0.0, 1.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         splitting_hamiltonian(spec, energies=np.zeros(3))
+    with pytest.raises(ValueError, match="not unitary"):
+        splitting_hamiltonian(spec, frame=np.diag([1.0, 1.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="shape"):
+        splitting_hamiltonian(spec, frame=np.eye(3))
 
 
 def test_single_operator_two_level_is_lowering():

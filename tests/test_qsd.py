@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dissipforge.dissipators import preset_lfor2
+import dissipforge.qsd
+from dissipforge.dissipators import DissipatorSet, preset_lfor2
 from dissipforge.lindblad import LindbladModel, integrate
 from dissipforge.qsd import (
     EnsembleError,
@@ -12,6 +13,7 @@ from dissipforge.qsd import (
     evolve_trajectory,
     sample_noise,
 )
+from dissipforge.states import fidelity
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -55,6 +57,16 @@ def test_trajectory_config_validation():
         TrajectoryConfig(n_traj=1, dt=0.1, t_max=0.05)
     with pytest.raises(ValueError):
         TrajectoryConfig(n_traj=1, dt=0.1, t_max=1.0, gamma=0.0)
+
+
+@pytest.mark.parametrize("t_max, dt", [(1.0, 0.3), (0.14, 0.1)])
+def test_ensemble_and_integrate_share_the_time_grid(t_max, dt):
+    cfg = TrajectoryConfig(n_traj=2, dt=dt, t_max=t_max, master_seed=1)
+    res = ensemble_average(SIGMA_MINUS, cfg, KET1)
+    model = LindbladModel(DissipatorSet(((1.0, SIGMA_MINUS),)))
+    record = integrate(model, np.outer(KET1, KET1.conj()), t_max, dt=dt)
+    assert np.array_equal(record.times, res.times)
+    assert res.times[-1] >= t_max
 
 
 # ---------------------------------------------------------------- single trajectory
@@ -137,10 +149,12 @@ def test_ensemble_bit_identical_reruns():
     assert np.array_equal(a.rho_se, b.rho_se)
 
 
-def test_ensemble_chunking_does_not_change_results():
+def test_ensemble_chunking_does_not_change_results(monkeypatch):
     cfg = TrajectoryConfig(n_traj=300, dt=1e-3, t_max=0.5, master_seed=5)
-    a = ensemble_average(SIGMA_MINUS, cfg, KET1, chunk_size=256)
-    b = ensemble_average(SIGMA_MINUS, cfg, KET1, chunk_size=17)
+    monkeypatch.setattr(dissipforge.qsd, "CHUNK_SIZE", 256)
+    a = ensemble_average(SIGMA_MINUS, cfg, KET1)
+    monkeypatch.setattr(dissipforge.qsd, "CHUNK_SIZE", 17)
+    b = ensemble_average(SIGMA_MINUS, cfg, KET1)
     assert np.max(np.abs(a.rho_mean - b.rho_mean)) < 1e-12
 
 
@@ -168,8 +182,6 @@ def test_ensemble_agrees_with_master_equation_two_qubits():
     cfg = TrajectoryConfig(n_traj=2000, dt=1e-3, t_max=1.0, master_seed=15)
     psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
     res = ensemble_average(L, cfg, psi0)
-    from dissipforge.dissipators import DissipatorSet
-
     record = integrate(
         LindbladModel(DissipatorSet(((1.0, L),))),
         np.outer(psi0, psi0.conj()), 1.0, dt=1e-3,
@@ -195,5 +207,4 @@ def test_ensemble_json_summary():
     assert obj["n_traj"] == 8 and obj["excluded"] == 0
     assert len(obj["times"]) == cfg.n_steps + 1
     assert len(obj["rho_mean"]) == (cfg.n_steps + 1) * 4
-    record = res.record(target=KET1)
-    assert record.fidelities is not None and abs(record.fidelities[0] - 1.0) < 1e-12
+    assert abs(fidelity(res.rho_mean[0], KET1) - 1.0) < 1e-12
