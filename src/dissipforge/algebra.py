@@ -8,7 +8,6 @@ is kron(P_1, kron(P_2, ...)).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -52,11 +51,17 @@ def kron_all(ops) -> np.ndarray:
 
 
 def matexp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square complex matrix (scaling-and-squaring Pade)."""
+    """Matrix exponential of a square complex matrix (scaling-and-squaring Pade).
+
+    scipy.linalg is imported here, on first use, so only the compiler and the
+    exact propagation pay for its import time.
+    """
+    from scipy.linalg import expm
+
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matexp needs a square matrix, got shape {A.shape}")
-    return _expm(A)
+    return expm(A)
 
 
 def null_space(A: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:

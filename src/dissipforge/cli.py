@@ -7,7 +7,8 @@ deterministic given the seed, and output files never embed wall-clock data.
 Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
 4 I/O error. Every config error is reported before anything is written. A
 config whose largest dense array would exceed MAX_DENSE_BYTES is a config
-error, found before anything is built.
+error, found before anything is built; a steady-state fallback that would
+exceed it at run time is a numerical-contract failure.
 """
 
 import argparse
@@ -31,9 +32,11 @@ from .dissipators import (
     synth_subspace,
 )
 from .lindblad import (
+    MAX_DENSE_BYTES,
     EvolutionRecord,
     IntegrationError,
     LindbladModel,
+    SizeLimitError,
     integrate,
     steady_states,
 )
@@ -54,11 +57,6 @@ EXIT_CONTRACT = 3
 EXIT_IO = 4
 
 VERIFY_THETAS = (0.3, 1.1, 2.7)
-
-# Cap on the estimated largest dense array of one run (1 GiB): the
-# Liouvillian of steady/synth up to 6 qubits, evolve records of 8 qubits up
-# to about 1000 samples.
-MAX_DENSE_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -285,18 +283,25 @@ def parse_config(path) -> ScenarioConfig:
 def _log2_largest_array(cfg: ScenarioConfig):
     """log2 of the bytes of the run's largest dense array, from the config alone.
 
-    steady/synth: the d^4 complex Liouvillian; evolve: the (T, d, d) complex
-    record of T = t_max/dt + 1 samples; qsd: that record or the (chunk, T)
-    complex noise block, whichever is larger; compile: the dense coupling on
-    2^n * bath_dim levels; graph-state: the (2^n, n) int64 bit table.
+    steady: the (d - 1, d, d) complex jump stack of the model, since the
+    certificate of `steady_states` needs no Liouvillian; synth: the d^4
+    complex Liouvillian, since dissipators.json holds every jump entry as a
+    Python list; evolve: the (T, d, d) complex record of T = t_max/dt + 1
+    samples; qsd: that record or the (chunk, T) complex noise block,
+    whichever is larger; compile: the dense coupling on 2^n * bath_dim
+    levels; graph-state: the (2^n, n) int64 bit table.
     """
-    if cfg.scenario == "graph-state":
-        n = cfg.graph.n
-        return 3 + n + math.log2(n)
     if cfg.scenario == "compile":
         return 4 + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
-    n = cfg.n_qubits  # the target's qubit count, checked at parse time
-    if cfg.scenario in {"synth", "steady"}:
+    # the target's qubit count was checked against n_qubits at parse time
+    n = cfg.graph.n if cfg.scenario == "graph-state" else cfg.n_qubits
+    if n > 64:  # far above the limit, and a count this large can overflow a float
+        return math.inf
+    if cfg.scenario == "graph-state":
+        return 3 + n + math.log2(n)
+    if cfg.scenario == "steady":
+        return 4 + 2 * n + math.log2((1 << n) - 1)
+    if cfg.scenario == "synth":
         return 4 + 4 * n
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
@@ -521,7 +526,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"[dissipforge] config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ContractError as exc:
+    except (ContractError, SizeLimitError) as exc:
         print(f"[dissipforge] numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except OSError as exc:

@@ -236,8 +236,13 @@ def preset_lfor2() -> DissipatorSet:
 
 
 def is_dark(ds: DissipatorSet, phi) -> bool:
-    """True when every jump operator annihilates |phi> to within 1e-10."""
+    """True when every jump operator annihilates |phi>: ||L phi|| <= 1e-10 ||L||_F ||phi||.
+
+    The bound is relative, so the answer does not change when the operators or
+    the state are rescaled.
+    """
     v = as_vector(phi)
     if ds.dim is not None and ds.dim != v.size:
         raise ValueError(f"dimension mismatch: operators on {ds.dim}, state on {v.size}")
-    return all(np.linalg.norm(op @ v) <= 1e-10 for _, op in ds)
+    bound = 1e-10 * np.linalg.norm(v)
+    return all(np.linalg.norm(op @ v) <= bound * np.linalg.norm(op) for _, op in ds)

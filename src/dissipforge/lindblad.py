@@ -17,14 +17,22 @@ jump term costs O(m d^2) per evaluation instead of O(m d^3). Each jump is
 tested for rank one once per model; any other jump is applied densely.
 
 Both time-stepping routes, `integrate` here and the trajectory ensembles of
-`qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps, so they sample
-the same times and end at or just after t_max.
+`qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps (with a relative
+1e-12 of slack for round-off in the ratio), so they sample the same times and
+end at or just after t_max.
 
-Steady states are the null space of the generator restricted to Hermitian
-matrices. In the orthonormal Hermitian basis E_aa, (E_ab + E_ba)/sqrt2 and
-i(E_ab - E_ba)/sqrt2 (a < b) its matrix is real, with the singular values of
-the complex Liouvillian, so one real SVD of size N^2 finds the null space and
-each null vector is a Hermitian matrix.
+Steady states come from a certificate when the model has a pure steady
+state, and otherwise from the null space of the generator restricted to
+Hermitian matrices. The certificate (Ticozzi & Viola, Automatica 45, 2002
+(2009); the dark-state condition of Kraus et al., PRA 78, 042307 (2008))
+looks among the eigenvectors of H_eff for the one |t> that every jump and
+H_eff leave invariant and checks that the jumps drain its complement; it
+costs O(d^3), see `steady_states`. The fallback works in the orthonormal
+Hermitian basis E_aa, (E_ab + E_ba)/sqrt2 and i(E_ab - E_ba)/sqrt2 (a < b),
+where the generator's matrix is real, with the singular values of the
+complex Liouvillian, so one real SVD of size N^2 finds the null space and
+each null vector is a Hermitian matrix. That fallback is refused above
+MAX_DENSE_BYTES.
 """
 
 import math
@@ -38,10 +46,21 @@ from .dissipators import DissipatorSet
 from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
 
 NULL_TOL = 1e-9  # relative singular-value cut of steady_states
+CERT_TOL = 1e-12  # relative invariance residual accepted by the certificate
+CERT_MARGIN = 1e-6  # relative decay rate the certificate requires of the complement
+
+# Cap on the largest dense array of one run (1 GiB): the 16 d^4-byte
+# Liouvillian of the steady-state fallback up to 6 qubits, and the bound of
+# the CLI's size estimates.
+MAX_DENSE_BYTES = 1 << 30
 
 
 class IntegrationError(RuntimeError):
     """Step-size instability detected during time integration."""
+
+
+class SizeLimitError(RuntimeError):
+    """A dense route would allocate more than MAX_DENSE_BYTES."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +225,15 @@ class SteadyStateResult:
     """Null space of the generator plus a positive representative.
 
     basis_matrices are Hermitian and orthonormal in the Hilbert-Schmidt inner
-    product; null_vectors holds their column-stacked vec forms.
+    product; null_vectors holds their column-stacked vec forms. route names
+    what decided the result: "certificate" or "svd".
     """
 
     dimension: int
     state: DensityMatrix
     null_vectors: list
     basis_matrices: list
+    route: str
 
 
 def _hermitian_basis_indices(d: int):
@@ -268,19 +289,99 @@ def _hermitian_matrix(x: np.ndarray, d: int) -> np.ndarray:
     return unvec(v, d)
 
 
-def steady_states(model: LindbladModel) -> SteadyStateResult:
-    """Null-space analysis of the generator on Hermitian matrices.
+def _certified_state(model: LindbladModel) -> np.ndarray | None:
+    """The unit |t> of the certificate described in `steady_states`, or None."""
+    H = model.h_eff
+    jumps = model._jumps
+    scale = np.linalg.norm(H)
+    if jumps.U is not None:
+        uv_bound = CERT_TOL * np.linalg.norm(jumps.U, axis=0) * np.linalg.norm(jumps.V, axis=0)
+    if jumps.gL is not None:
+        gL_bound = CERT_TOL * np.linalg.norm(jumps.gL, axis=(1, 2))
 
-    A Lindblad generator maps Hermitian matrices to Hermitian matrices, so in
-    an orthonormal Hermitian basis its matrix is real and has the singular
-    values of the complex Liouvillian; the null space comes from the SVD of
-    that real matrix. The representative state is the maximally mixed state
-    projected onto the null space (orthogonal projection in the
-    Hilbert-Schmidt inner product) and normalized; for a one-dimensional null
-    space this is the unique steady state. A singular value counts as zero
-    at most NULL_TOL times the largest.
+    def invariant(t):
+        Ht = H @ t
+        if np.linalg.norm(Ht - np.vdot(t, Ht) * t) > CERT_TOL * scale:
+            return False
+        if jumps.U is not None:
+            # L_j t = u_j (v_j^dag t), whose part off t is (v_j^dag t)(u_j - t t^dag u_j)
+            off = (jumps.U - np.outer(t, t.conj() @ jumps.U)) * np.conj(t.conj() @ jumps.V)
+            if np.any(np.linalg.norm(off, axis=0) > uv_bound):
+                return False
+        if jumps.gL is not None:
+            Lt = jumps.gL @ t
+            off = Lt - np.outer(Lt @ t.conj(), t)
+            if np.any(np.linalg.norm(off, axis=1) > gL_bound):
+                return False
+        return True
+
+    found = [t for t in np.linalg.eig(H)[1].T if invariant(t)]
+    if len(found) != 1:
+        return None
+    t = found[0] / np.linalg.norm(found[0])
+
+    def off_t(X):  # Q X for a stack of columns X
+        return X - np.outer(t, t.conj() @ X)
+
+    # W = sum_j gamma_j Q L_j^dag |t><t| L_j Q, from the columns Q L_j^dag t
+    W = np.zeros_like(H)
+    if jumps.U is not None:
+        QV = off_t(jumps.V)
+        W += (QV * (jumps.rates * np.abs(t.conj() @ jumps.U) ** 2)) @ dag(QV)
+    if jumps.gL is not None:
+        # columns gamma_j L_j^dag t and L_j^dag t
+        W += off_t(np.conj(t.conj() @ jumps.gL).T) @ dag(off_t((jumps.Ld @ t).T))
+    # Q W Q maps t to 0, so the lowest eigenvalue is t's and the rest are W's on Q
+    lam = np.linalg.eigvalsh((W + dag(W)) / 2.0)
+    return t if np.all(lam[1:] > CERT_MARGIN * scale) else None
+
+
+def steady_states(model: LindbladModel) -> SteadyStateResult:
+    """Null space of the generator, with a positive representative.
+
+    Certificate route. Every pure steady state |t> is an eigenvector of
+    H_eff, so the candidates are the eigenvectors of one `eig(H_eff)`. With
+    P = |t><t| and Q = I - P, a candidate is kept when L_j|t> is parallel to
+    |t> for every jump and Q H_eff |t> = 0, each to CERT_TOL relative to the
+    norm of L_j and of H_eff. When exactly one candidate is kept and
+    W = sum_j gamma_j Q L_j^dag P L_j Q has every eigenvalue on the range of
+    Q above CERT_MARGIN ||H_eff||_F, the null space is spanned by P:
+
+    - Q L_j P = 0 and Q H_eff P = 0, so Q L_j = Q L_j Q and Q H_eff = Q H_eff Q
+      and the block Q rho Q obeys a Lindblad-type equation of its own, with
+      H_eff -> Q H_eff Q and L_j -> Q L_j Q.
+    - Its trace obeys d/dt Tr(Q rho) = -Tr(W Q rho Q) <= -lambda_min(W) Tr(Q rho),
+      so Tr(Q rho(t)) decays at least as fast as exp(-lambda_min(W) t), and
+      by positivity the coherences P rho Q as well: every state converges to P.
+    - Every matrix is a combination of states, so exp(t G) X -> Tr(X) P for
+      the generator G; a null vector X is fixed by exp(t G) and so equals
+      Tr(X) P. The kernel is one-dimensional.
+
+    The result is then P itself, hermitized, as state, basis matrix and
+    (vec) null vector, with route "certificate".
+
+    SVD route, taken otherwise. A Lindblad generator maps Hermitian matrices
+    to Hermitian matrices, so in an orthonormal Hermitian basis its matrix is
+    real and has the singular values of the complex Liouvillian; the null
+    space comes from the SVD of that real matrix. The representative state is
+    the maximally mixed state projected onto the null space (orthogonal
+    projection in the Hilbert-Schmidt inner product) and normalized; for a
+    one-dimensional null space this is the unique steady state. A singular
+    value counts as zero at most NULL_TOL times the largest. When the
+    16 d^4-byte Liouvillian would exceed MAX_DENSE_BYTES, SizeLimitError is
+    raised before anything is allocated.
     """
+    t = _certified_state(model)
+    if t is not None:
+        p = np.outer(t, t.conj())
+        p = (p + dag(p)) / 2.0
+        return SteadyStateResult(1, DensityMatrix(p), [vec(p)], [p], "certificate")
     d = model.dim
+    if 16 * d**4 > MAX_DENSE_BYTES:
+        raise SizeLimitError(
+            f"no pure steady state certified, and the {16 * d**4 / 2**30:g} GiB "
+            f"Liouvillian of the dense fallback exceeds the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
+        )
     xs = null_space(_real_liouvillian(liouvillian_matrix(model), d), NULL_TOL)
     if not xs:
         raise RuntimeError("no null vector found; a Lindblad generator always has one")
@@ -292,7 +393,7 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
         raise RuntimeError("projected representative has vanishing trace")
     state = DensityMatrix(m / tr)
     basis = [_hermitian_matrix(x, d) for x in xs]
-    return SteadyStateResult(len(xs), state, [vec(b) for b in basis], basis)
+    return SteadyStateResult(len(xs), state, [vec(b) for b in basis], basis, "svd")
 
 
 @dataclass(eq=False)
@@ -329,13 +430,14 @@ class EvolutionRecord:
 
 def step_count(t_max: float, dt: float) -> int:
     """Steps of size dt from 0 to t_max, ceil(t_max / dt): the last sample lies at
-    or after t_max (1e-12 absorbs round-off in the ratio). Shared by integrate
-    and the trajectory ensembles of `qsd`, so both sample the same times."""
+    or after t_max. The ratio is first shrunk by a relative 1e-12, which absorbs
+    its round-off at any size, so an exact multiple k dt takes k steps. Shared by
+    integrate and the trajectory ensembles of `qsd`, so both sample the same times."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_max < dt:
         raise ValueError(f"t_max = {t_max} is below one step dt = {dt}")
-    return int(math.ceil(t_max / dt - 1e-12))
+    return int(math.ceil(t_max / dt * (1.0 - 1e-12)))
 
 
 def default_step(model: LindbladModel) -> float:

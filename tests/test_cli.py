@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -176,7 +179,9 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
                  id="graph-state-30-qubits"),
     pytest.param({**_EVOLVE, "n_qubits": 4, "target": "cluster-4", "t_max": 30, "dt": 1e-7},
                  id="evolve-dt-1e-7"),
-    pytest.param({**_STEADY, "n_qubits": 8, "target": "cluster"}, id="steady-8-qubits"),
+    pytest.param({**_STEADY, "n_qubits": 9, "target": "cluster"}, id="steady-9-qubits"),
+    pytest.param({**_EVOLVE, "n_qubits": 10**400, "target": "cluster"},
+                 id="evolve-10^400-qubits"),
 ])
 def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -194,12 +199,34 @@ def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
 
 
 def test_size_guard_boundary_for_steady(tmp_path):
-    # the 4096 x 4096 Liouvillian of 6 qubits takes 256 MiB, that of 7 qubits 4 GiB
-    assert parse_config(_write(tmp_path, "six.json", {**_STEADY, "n_qubits": 6,
-                                                      "target": "cluster"})).n_qubits == 6
-    with pytest.raises(ConfigError, match="4 GiB"):
-        parse_config(_write(tmp_path, "seven.json", {**_STEADY, "n_qubits": 7,
-                                                     "target": "cluster"}))
+    # steady builds d - 1 jumps of d x d: 255 MiB at 8 qubits, 2 GiB at 9; synth
+    # keeps the d^4 estimate: 256 MiB at 6 qubits, 4 GiB at 7
+    for scenario, fits, refused, gib in (("steady", 8, 9, "2 GiB"), ("synth", 6, 7, "4 GiB")):
+        probe = {"scenario": scenario, "target": "cluster"}
+        cfg = parse_config(_write(tmp_path, "fits.json", {**probe, "n_qubits": fits}))
+        assert cfg.n_qubits == fits
+        with pytest.raises(ConfigError, match=gib):
+            parse_config(_write(tmp_path, "refused.json", {**probe, "n_qubits": refused}))
+
+
+def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
+    # one rate at 1e-12 defeats the certificate, and the 4 GiB Liouvillian of
+    # the dense fallback at 7 qubits is refused before it is allocated; the
+    # peak is the model's 127 jumps of 256 KiB, held twice while it is built
+    gamma = [1e-12] + [1.0] * 126
+    path = _write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": 7, "target": "cluster",
+                                         "gamma": gamma})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main([str(path), "--output", str(out), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONTRACT and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("[dissipforge] numerical contract failure:") and err.count("\n") == 1
+    assert "GiB" in err and peak < 128 << 20
 
 
 _JUNK = st.sampled_from([None, True, "1", -1, 0, 0.5, 1e300, 10**30, -math.inf, math.nan,
@@ -280,6 +307,25 @@ def test_steady_scenario_on_bell_preset(tmp_path):
     assert summary.metrics["fidelity"] >= 1.0 - 1e-10
     data = json.loads((tmp_path / "out" / "steady.json").read_text())
     assert isinstance(data["null_space_dim"], int)
+
+
+def test_steady_scenario_on_six_qubits(tmp_path):
+    # certified without the 4096 x 4096 Liouvillian, with random rates in [0.5, 2]
+    gamma = np.random.default_rng(8).uniform(0.5, 2.0, 63).tolist()
+    path = _write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": 6, "target": "cluster-6",
+                                         "gamma": gamma})
+    summary = run(parse_config(path), output_dir=tmp_path / "out", quiet=True)
+    assert summary.metrics["null_space_dim"] == 1
+    assert summary.metrics["fidelity"] >= 1.0 - 1e-12
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    code = "import sys, dissipforge.cli; print('scipy.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_evolve_scenario_writes_csv(tmp_path):

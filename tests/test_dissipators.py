@@ -243,6 +243,21 @@ def test_is_dark():
         is_dark(ds, np.array([1.0, 0.0]))
 
 
+def test_is_dark_is_scale_aware():
+    # round-off in a random frame leaves ||L phi|| near 1e-16 ||L||, so a dark
+    # set stays dark when scaled up, and a tiny operator that does not
+    # annihilate phi is not dark
+    rng = np.random.default_rng(15)
+    spec = SynthesisSpec(dim=8, k=1, coeffs=random_complex((7, 1), rng),
+                         basis=random_unitary(8, rng))
+    phi = spec.basis[:, 0]
+    ds = synth_subspace(spec)
+    big = DissipatorSet(tuple((g, 1e8 * L) for g, L in ds))
+    assert is_dark(ds, phi) and is_dark(big, phi) and is_dark(ds, 1e8 * phi)
+    tiny = DissipatorSet(((1.0, 1e-12 * random_complex((8, 8), rng)),))
+    assert not is_dark(tiny, phi)
+
+
 # ---------------------------------------------------------------- container
 
 

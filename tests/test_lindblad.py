@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,25 +10,37 @@ from dissipforge.cli import ScenarioConfig, _combined_operator
 from dissipforge.dissipators import (
     DissipatorSet,
     SynthesisSpec,
+    orthonormal_frame,
     preset_lfor2,
     synth_single,
     synth_subspace,
 )
 from dissipforge.lindblad import (
+    MAX_DENSE_BYTES,
     EvolutionRecord,
     IntegrationError,
     LindbladModel,
+    SizeLimitError,
     _real_liouvillian,
     integrate,
     liouvillian_matrix,
     propagate_exact,
     rhs,
     steady_states,
+    step_count,
     time_to_fidelity,
     unvec,
     vec,
 )
-from dissipforge.states import DensityMatrix, bell_state, basis_state, fidelity
+from dissipforge.states import (
+    DensityMatrix,
+    GraphSpec,
+    PureState,
+    basis_state,
+    bell_state,
+    fidelity,
+    graph_state,
+)
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -206,41 +219,114 @@ def test_steady_state_subspace_dimension():
     assert abs(np.trace(result.state.matrix) - 1.0) < 1e-12
 
 
+def _synthesized(target, rates):
+    """The CLI's model: one jump |t><f_j| per frame vector f_j outside |t>."""
+    frame = orthonormal_frame(target)
+    spec = SynthesisSpec(dim=target.dim, k=1, coeffs=np.ones((target.dim - 1, 1)), basis=frame)
+    return DissipatorSet(tuple((r, L) for r, (_, L) in zip(rates, synth_subspace(spec))))
+
+
 def _oracle_models():
-    """A Hamiltonian with full-rank and rank-one jumps at mixed rates for
-    d = 2, 4, 8, the bare single operator (null dimension 9) and a k = 2
-    subspace synthesis (null dimension 4)."""
+    """Models with the null dimension of the complex SVD and the route that
+    should decide it.
+
+    Certified: the Bell preset, path clusters with random rates, a random
+    amplitude target, rescaled rates, and a Hamiltonian H_Q + c|t><t| that
+    keeps the target invariant. Declined: a Hamiltonian with full-rank and
+    rank-one jumps at mixed rates for d = 2, 4, 8 (a mixed steady state), the
+    bare single operator, a k = 2 subspace synthesis, the synthesized set with
+    one jump dropped and one with a rate of 1e-12, which the SVD counts as null.
+    """
     rng = np.random.default_rng(26)
     for d in (2, 4, 8):
         rank_one = np.outer(random_complex(d, rng), random_complex(d, rng).conj())
         jumps = ((0.4, random_complex((d, d), rng)), (2.2, rank_one))
         model = LindbladModel(DissipatorSet(jumps), hamiltonian=random_hermitian(d, rng))
-        yield pytest.param(model, 1, id=f"mixed-jumps-d{d}")
+        yield pytest.param(model, 1, "svd", id=f"mixed-jumps-d{d}")
     spec = SynthesisSpec(dim=4, k=1, coeffs=np.ones((3, 1)))
-    yield pytest.param(LindbladModel(synth_single(spec)), 9, id="single-operator-bare")
+    yield pytest.param(LindbladModel(synth_single(spec)), 9, "svd", id="single-operator-bare")
     spec = SynthesisSpec(dim=4, k=2, coeffs=random_complex((2, 2), rng))
-    yield pytest.param(LindbladModel(synth_subspace(spec)), 4, id="subspace-k2")
+    yield pytest.param(LindbladModel(synth_subspace(spec)), 4, "svd", id="subspace-k2")
+
+    yield pytest.param(LindbladModel(preset_lfor2()), 1, "certificate", id="bell-preset")
+    for n in (2, 3, 4):
+        ds = _synthesized(graph_state(GraphSpec.path(n)), rng.uniform(0.5, 2.0, 2**n - 1))
+        yield pytest.param(LindbladModel(ds), 1, "certificate", id=f"cluster-{n}")
+    amps = random_complex(8, rng)
+    ds = _synthesized(PureState(amps / np.linalg.norm(amps)), rng.uniform(0.5, 2.0, 7))
+    yield pytest.param(LindbladModel(ds), 1, "certificate", id="amplitude-target")
+    for scale in (1e-8, 1e8):
+        yield pytest.param(LindbladModel(ds.scaled(scale)), 1, "certificate",
+                           id=f"amplitude-target-rates-x{scale:g}")
+    target = graph_state(GraphSpec.path(3))
+    P = target.density().matrix
+    Q = np.eye(8) - P
+    H = Q @ random_hermitian(8, rng) @ Q + 0.7 * P
+    ds = _synthesized(target, rng.uniform(0.5, 2.0, 7))
+    yield pytest.param(LindbladModel(ds, hamiltonian=(H + dag(H)) / 2), 1, "certificate",
+                       id="cluster-3-invariant-hamiltonian")
+    yield pytest.param(LindbladModel(DissipatorSet(ds.items[1:])), 4, "svd",
+                       id="cluster-3-one-jump-dropped")
+    weak = DissipatorSet(((1e-12, ds.items[0][1]),) + ds.items[1:])
+    yield pytest.param(LindbladModel(weak), 4, "svd", id="cluster-3-rate-1e-12")
 
 
-@pytest.mark.parametrize("model,expected", list(_oracle_models()))
-def test_steady_states_match_complex_svd_oracle(model, expected):
+def _oracle(model):
+    """Null-space projector and representative state from the complex SVD."""
+    d = model.dim
+    oracle = null_space(liouvillian_matrix(model))
+    projector = sum(np.outer(v, v.conj()) for v in oracle)
+    # the complex-basis representative: I/d projected, hermitized, normalized
+    m = unvec(projector @ vec(np.eye(d) / d), d)
+    m = (m + dag(m)) / 2.0
+    return len(oracle), projector, m / np.trace(m).real
+
+
+@pytest.mark.parametrize("model,expected,route", list(_oracle_models()))
+def test_steady_states_match_complex_svd_oracle(model, expected, route):
     d = model.dim
     M = liouvillian_matrix(model)
-    oracle = null_space(M)
+    dimension, projector, state = _oracle(model)
     result = steady_states(model)
-    assert result.dimension == len(oracle) == expected
+    assert result.dimension == dimension == expected
+    assert result.route == route
     s_complex = np.linalg.svd(M, compute_uv=False)
     s_real = np.linalg.svd(_real_liouvillian(M, d), compute_uv=False)
     assert np.max(np.abs(s_real - s_complex)) <= 1e-12 * s_complex[0]
-    projector = sum(np.outer(v, v.conj()) for v in oracle)
     ours = sum(np.outer(v, v.conj()) for v in result.null_vectors)
     assert np.max(np.abs(ours - projector)) < 1e-10
     for v, B in zip(result.null_vectors, result.basis_matrices):
         assert np.array_equal(B, dag(B)) and np.array_equal(vec(B), v)
-    # the complex-basis representative: I/d projected, hermitized, normalized
-    m = unvec(projector @ vec(np.eye(d) / d), d)
-    m = (m + dag(m)) / 2.0
-    assert np.max(np.abs(result.state.matrix - m / np.trace(m).real)) < 1e-10
+    assert np.max(np.abs(result.state.matrix - state)) < 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
+def test_steady_states_of_a_perturbed_jump_match_the_oracle(eps):
+    # a perturbation breaks invariance by about eps: either route must agree
+    # with the SVD on the dimension and the state
+    rng = np.random.default_rng(28)
+    ds = _synthesized(graph_state(GraphSpec.path(3)), rng.uniform(0.5, 2.0, 7))
+    (rate, L), rest = ds.items[0], ds.items[1:]
+    model = LindbladModel(DissipatorSet(((rate, L + eps * random_complex((8, 8), rng)),) + rest))
+    dimension, _, state = _oracle(model)
+    result = steady_states(model)
+    assert result.dimension == dimension == 1
+    assert np.max(np.abs(result.state.matrix - state)) < 1e-9
+
+
+def test_steady_states_refuses_a_fallback_above_the_size_limit():
+    # the bare single operator at d = 128 has no pure steady state to certify,
+    # and its 4 GiB Liouvillian is refused before it is allocated
+    model = LindbladModel(synth_single(SynthesisSpec(dim=128, k=1, coeffs=np.ones((127, 1)))))
+    assert 16 * model.dim**4 > MAX_DENSE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="GiB"):
+            steady_states(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------- integration
@@ -300,6 +386,13 @@ def test_integrate_frame_covariance():
     rec = integrate(model, rho0, 1.0, dt=0.01)
     rec_rot = integrate(rotated, V @ rho0 @ dag(V), 1.0, dt=0.01)
     assert np.max(np.abs(rec_rot.final - V @ rec.final @ dag(V))) < 1e-8
+
+
+def test_step_count_takes_k_steps_to_an_exact_multiple():
+    for dt in (0.03, 0.3, 1e-3):
+        assert all(step_count(k * dt, dt) == k for k in range(1, 20001))
+    assert step_count(4916.1, 0.3) == 16387
+    assert step_count(1.0, 0.3) == 4 and step_count(0.14, 0.1) == 2
 
 
 def test_integrate_argument_validation():
