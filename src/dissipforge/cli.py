@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
 4 I/O error. Every config error is reported before anything is written. A
 config whose largest dense array would exceed MAX_DENSE_BYTES is a config
 error, found before anything is built; a steady-state fallback that would
-exceed it at run time is a numerical-contract failure.
+exceed it at run time, or whose representative is not a density matrix, is
+a numerical-contract failure.
 """
 
 import argparse
@@ -37,6 +38,7 @@ from .lindblad import (
     IntegrationError,
     LindbladModel,
     SizeLimitError,
+    SteadyStateError,
     integrate,
     steady_states,
 )
@@ -526,7 +528,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"[dissipforge] config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContractError, SizeLimitError) as exc:
+    except (ContractError, SizeLimitError, SteadyStateError) as exc:
         print(f"[dissipforge] numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except OSError as exc:

@@ -64,6 +64,21 @@ class SynthesisSpec:
         object.__setattr__(self, "coeffs", coeffs)
 
 
+def _frozen(op) -> np.ndarray:
+    """op as a read-only complex array that owns its data.
+
+    Such an array is kept as it is, so sets that share operators (rates
+    applied to a synthesized set, `scaled`) hold one copy of each; anything
+    else is copied.
+    """
+    if (isinstance(op, np.ndarray) and op.dtype == complex
+            and op.flags.owndata and not op.flags.writeable):
+        return op
+    op = np.array(op, dtype=complex)
+    op.setflags(write=False)
+    return op
+
+
 @dataclass(frozen=True, eq=False)
 class DissipatorSet:
     """Ordered collection of (decay rate, jump operator) pairs."""
@@ -77,14 +92,13 @@ class DissipatorSet:
             gamma = float(gamma)
             if gamma <= 0:
                 raise ValueError(f"decay rates must be positive, got {gamma}")
-            op = np.asarray(op, dtype=complex).copy()
+            op = _frozen(op)
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise ValueError(f"jump operator must be square, got shape {op.shape}")
             if dim is None:
                 dim = op.shape[0]
             elif op.shape[0] != dim:
                 raise ValueError("jump operators act on different dimensions")
-            op.setflags(write=False)
             norm.append((gamma, op))
         object.__setattr__(self, "items", tuple(norm))
 
@@ -135,7 +149,9 @@ def synth_subspace(spec: SynthesisSpec) -> DissipatorSet:
     for row in range(spec.dim - spec.k):
         phi = block @ spec.coeffs[row]
         bra = spec.basis[:, spec.k + row].conj()
-        ops.append((1.0, np.outer(phi, bra)))
+        L = np.outer(phi, bra)
+        L.setflags(write=False)  # kept, not copied, by DissipatorSet
+        ops.append((1.0, L))
     return DissipatorSet(tuple(ops))
 
 

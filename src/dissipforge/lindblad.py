@@ -63,6 +63,10 @@ class SizeLimitError(RuntimeError):
     """A dense route would allocate more than MAX_DENSE_BYTES."""
 
 
+class SteadyStateError(RuntimeError):
+    """The steady-state fallback found no valid density-matrix representative."""
+
+
 @dataclass(frozen=True, eq=False)
 class _JumpFactors:
     """Jump operators grouped by structure; a group with no members is None.
@@ -369,7 +373,10 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     one-dimensional null space this is the unique steady state. A singular
     value counts as zero at most NULL_TOL times the largest. When the
     16 d^4-byte Liouvillian would exceed MAX_DENSE_BYTES, SizeLimitError is
-    raised before anything is allocated.
+    raised before anything is allocated. A representative that is not a
+    density matrix, as when rates spread so widely that the null space is
+    resolved only to about eps / sigma_2 and its minimum eigenvalue falls
+    below -1e-10, raises SteadyStateError naming that eigenvalue.
     """
     t = _certified_state(model)
     if t is not None:
@@ -384,14 +391,17 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
         )
     xs = null_space(_real_liouvillian(liouvillian_matrix(model), d), NULL_TOL)
     if not xs:
-        raise RuntimeError("no null vector found; a Lindblad generator always has one")
+        raise SteadyStateError("no null vector found; a Lindblad generator always has one")
     X = np.array(xs)
     # <B_k, I/d> = Tr(B_k)/d, the sum of B_k's diagonal coordinates over d
     m = _hermitian_matrix((X[:, :d].sum(axis=1) / d) @ X, d)
     tr = np.trace(m).real
     if abs(tr) < 1e-12:
-        raise RuntimeError("projected representative has vanishing trace")
-    state = DensityMatrix(m / tr)
+        raise SteadyStateError("projected representative has vanishing trace")
+    try:
+        state = DensityMatrix(m / tr)
+    except ValueError as exc:  # round-off of an ill-conditioned null space
+        raise SteadyStateError(f"steady-state representative is not a state: {exc}") from None
     basis = [_hermitian_matrix(x, d) for x in xs]
     return SteadyStateResult(len(xs), state, [vec(b) for b in basis], basis, "svd")
 

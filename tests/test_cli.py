@@ -21,6 +21,7 @@ from dissipforge.cli import (
     EXIT_IO,
     EXIT_OK,
     ConfigError,
+    _build_model,
     _round_floats,
     emit_outputs,
     main,
@@ -209,10 +210,26 @@ def test_size_guard_boundary_for_steady(tmp_path):
             parse_config(_write(tmp_path, "refused.json", {**probe, "n_qubits": refused}))
 
 
+def test_build_model_holds_one_jump_stack(tmp_path):
+    # the rated set shares the synthesized operators instead of copying them
+    cfg = parse_config(_write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": 6,
+                                                     "target": "cluster", "gamma": 2.0}))
+    d = 64
+    stack = 16 * (d - 1) * d * d
+    tracemalloc.start()
+    try:
+        model, _ = _build_model(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.dissipators.rates == (2.0,) * (d - 1)
+    assert peak < 1.3 * stack
+
+
 def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
     # one rate at 1e-12 defeats the certificate, and the 4 GiB Liouvillian of
     # the dense fallback at 7 qubits is refused before it is allocated; the
-    # peak is the model's 127 jumps of 256 KiB, held twice while it is built
+    # peak is the model's 127 jumps of 256 KiB
     gamma = [1e-12] + [1.0] * 126
     path = _write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": 7, "target": "cluster",
                                          "gamma": gamma})
@@ -227,6 +244,18 @@ def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("[dissipforge] numerical contract failure:") and err.count("\n") == 1
     assert "GiB" in err and peak < 128 << 20
+
+
+@pytest.mark.parametrize("probe, reason", [
+    pytest.param({**_STEADY, "target": "cluster", "gamma": [1e-8, 1, 1]}, "minimum eigenvalue",
+                 id="steady-representative-negative"),
+])
+def test_main_reports_numerical_failures_with_exit_3(tmp_path, capsys, probe, reason):
+    path = _write(tmp_path, "cfg.json", probe)
+    assert main([str(path), "--output", str(tmp_path / "out"), "--quiet"]) == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err.startswith("[dissipforge] numerical contract failure:") and err.count("\n") == 1
+    assert reason in err
 
 
 _JUNK = st.sampled_from([None, True, "1", -1, 0, 0.5, 1e300, 10**30, -math.inf, math.nan,

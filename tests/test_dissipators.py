@@ -272,3 +272,19 @@ def test_dissipator_set_validation_and_json():
     for (_, a), (_, b) in zip(ds, back):
         assert np.array_equal(a, b)
     assert ds.scaled(2.0).rates == (2.0, 2.0, 2.0)
+
+
+def test_dissipator_set_shares_only_frozen_operators():
+    frozen = np.eye(2, dtype=complex)
+    frozen.setflags(write=False)
+    writable = np.eye(2, dtype=complex)
+    owner = np.eye(2, dtype=complex)
+    view = owner.view()
+    view.setflags(write=False)  # read-only, but its owner can still change it
+    ds = DissipatorSet(((1.0, frozen), (1.0, writable), (1.0, view)))
+    kept, copied, viewed = ds.operators
+    assert kept is frozen
+    assert copied is not writable and not copied.flags.writeable
+    writable[0, 0] = owner[0, 0] = 5.0
+    assert copied[0, 0] == viewed[0, 0] == 1.0
+    assert all(op is L for op, L in zip(ds.scaled(3.0).operators, ds.operators))

@@ -21,6 +21,7 @@ from dissipforge.lindblad import (
     IntegrationError,
     LindbladModel,
     SizeLimitError,
+    SteadyStateError,
     _real_liouvillian,
     integrate,
     liouvillian_matrix,
@@ -327,6 +328,15 @@ def test_steady_states_refuses_a_fallback_above_the_size_limit():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+
+
+def test_steady_states_reports_a_representative_that_is_not_a_state():
+    # rates spread by 1e8 defeat the certificate's margin, and the fallback's
+    # null space is resolved only to about eps / sigma_2, so the projected
+    # representative has a negative eigenvalue far below round-off
+    model = LindbladModel(_synthesized(graph_state(GraphSpec.path(2)), [1e-8, 1.0, 1.0]))
+    with pytest.raises(SteadyStateError, match="minimum eigenvalue -"):
+        steady_states(model)
 
 
 # ---------------------------------------------------------------- integration

@@ -1,8 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 import dissipforge.qsd
-from dissipforge.dissipators import DissipatorSet, preset_lfor2
+from dissipforge.dissipators import (
+    DissipatorSet,
+    SynthesisSpec,
+    orthonormal_frame,
+    preset_lfor2,
+    synth_subspace,
+)
 from dissipforge.lindblad import LindbladModel, integrate
 from dissipforge.qsd import (
     EnsembleError,
@@ -13,7 +21,7 @@ from dissipforge.qsd import (
     evolve_trajectory,
     sample_noise,
 )
-from dissipforge.states import fidelity
+from dissipforge.states import GraphSpec, bell_state, fidelity, graph_state
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -208,3 +216,98 @@ def test_ensemble_json_summary():
     assert len(obj["times"]) == cfg.n_steps + 1
     assert len(obj["rho_mean"]) == (cfg.n_steps + 1) * 4
     assert abs(fidelity(res.rho_mean[0], KET1) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------- rank-one closed form
+
+
+def _stepper_average(L, cfg, psi0):
+    """The ensemble of the stepper's chunk function, for any L."""
+    L, psi0 = dissipforge.qsd._prepare(L, psi0)
+    return dissipforge.qsd._average(cfg, partial(dissipforge.qsd._chunk_sums, L, cfg, psi0))
+
+
+def _cluster_operator(n):
+    """The CLI's combined trajectory operator |t><w| for the n-qubit path cluster."""
+    target = graph_state(GraphSpec.path(n))
+    spec = SynthesisSpec(dim=target.dim, k=1, coeffs=np.ones((target.dim - 1, 1)),
+                         basis=orthonormal_frame(target))
+    L = sum(op for _, op in synth_subspace(spec))
+    return L / np.linalg.norm(L, 2), target.amplitudes
+
+
+def _lfor2_operator():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    L = sum(ai * Li for ai, (_, Li) in zip(a, preset_lfor2()))
+    return L / np.linalg.norm(L, 2), bell_state().amplitudes
+
+
+def _rank_one_cases():
+    """(name, L, starts): each operator from a decaying start and from its dark state."""
+    ket_plus_i = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
+    yield "sigma-", SIGMA_MINUS, (KET1, KET0, ket_plus_i)
+    for n in (2, 3):
+        L, dark = _cluster_operator(n)
+        start = np.zeros(2**n, dtype=complex)
+        start[0] = 1.0
+        yield f"cluster-{n}", L, (start, dark)
+    L, dark = _lfor2_operator()
+    yield "lfor2", L, (np.array([1.0, 0, 0, 0], dtype=complex), dark)
+
+
+@pytest.mark.parametrize("name, L, starts", list(_rank_one_cases()),
+                         ids=[case[0] for case in _rank_one_cases()])
+def test_rank_one_closed_form_matches_stepper(name, L, starts):
+    cfg = TrajectoryConfig(n_traj=300, dt=0.01, t_max=1.0, master_seed=21, gamma=1.3)
+    for psi0 in starts:
+        closed = ensemble_average(L, cfg, psi0)
+        stepped = _stepper_average(L, cfg, psi0)
+        # rho_se^2 (n - 1) is a mean of |psi_i|^2 |psi_j|^2 minus |rho_ij|^2, so
+        # its round-off scales with that mean; an entry with no spread has a
+        # round-off-level variance whose square root is about sqrt(eps). So the
+        # spread is compared through the mean both paths sum, to 1e-12 of the
+        # largest entry like rho_mean.
+        moments = [res.rho_se**2 * (cfg.n_traj - 1) + np.abs(res.rho_mean) ** 2
+                   for res in (closed, stepped)]
+        for got, want in ((closed.rho_mean, stepped.rho_mean), moments):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert closed.excluded == stepped.excluded == ()
+
+
+def test_rank_one_blocks_do_not_change_results(monkeypatch):
+    # each block is seeded with the last values of the one before, so the
+    # arithmetic is the same whatever the block length
+    L, _ = _lfor2_operator()
+    psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
+    cfg = TrajectoryConfig(n_traj=40, dt=0.01, t_max=1.0, master_seed=4)
+    a = ensemble_average(L, cfg, psi0)
+    monkeypatch.setattr(dissipforge.qsd, "BLOCK_STEPS", 7)
+    b = ensemble_average(L, cfg, psi0)
+    assert np.array_equal(a.rho_mean, b.rho_mean) and np.array_equal(a.rho_se, b.rho_se)
+
+
+def test_path_rule_follows_the_operator(monkeypatch):
+    cfg = TrajectoryConfig(n_traj=8, dt=0.01, t_max=0.1, master_seed=1)
+
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    monkeypatch.setattr(dissipforge.qsd, "_chunk_sums", refuse)
+    ensemble_average(SIGMA_MINUS, cfg, KET1)  # rank one: closed form
+    monkeypatch.undo()
+    monkeypatch.setattr(dissipforge.qsd, "_rank_one_moments", refuse)
+    ensemble_average(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), cfg, KET1)
+
+
+@pytest.mark.parametrize("scale, outcome", [(8.0, (97,)), (12.0, "5 of 300")])
+def test_rank_one_divergence_same_on_both_paths(scale, outcome):
+    ket_plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
+    L = scale * np.outer(ket_plus, ket_plus.conj())
+    cfg = TrajectoryConfig(n_traj=300, dt=0.02, t_max=5.0, master_seed=3)
+    for average in (ensemble_average, _stepper_average):
+        if isinstance(outcome, tuple):
+            assert average(L, cfg, ket_plus).excluded == outcome
+        else:
+            with pytest.raises(EnsembleError, match=f"^{outcome} trajectories diverged"):
+                average(L, cfg, ket_plus)
