@@ -5,11 +5,10 @@ flat JSON objects; unknown keys are rejected to catch typos. Runs are
 deterministic given the seed, and output files never embed wall-clock data.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
-4 I/O error. Every config error is reported before anything is written. A
-config whose largest dense array would exceed MAX_DENSE_BYTES is a config
-error, found before anything is built; a steady-state fallback that would
-exceed it at run time, or whose representative is not a density matrix, is
-a numerical-contract failure.
+4 I/O error. Exit 2 comes only from parse_config, which makes every check
+that needs only the config, the size estimate against MAX_DENSE_BYTES among
+them, before anything is built or written. Exit 3 is a ContractError, raised
+by the run itself or by the numerical routines it calls.
 """
 
 import argparse
@@ -34,15 +33,13 @@ from .dissipators import (
 )
 from .lindblad import (
     MAX_DENSE_BYTES,
+    ContractError,
     EvolutionRecord,
-    IntegrationError,
     LindbladModel,
-    SizeLimitError,
-    SteadyStateError,
     integrate,
     steady_states,
 )
-from .qsd import CHUNK_SIZE, EnsembleError, TrajectoryConfig, ensemble_average
+from .qsd import CHUNK_SIZE, TrajectoryConfig, ensemble_average
 from .states import (
     DensityMatrix,
     GraphSpec,
@@ -63,10 +60,6 @@ VERIFY_THETAS = (0.3, 1.1, 2.7)
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
-
-
-class ContractError(RuntimeError):
-    """A numerical contract failed during the run."""
 
 
 # scenario -> (required keys, optional keys); every scenario also takes
@@ -179,11 +172,19 @@ def _amplitudes(raw):
     return amps / norm
 
 
+def _jump_count(n):
+    """Jumps of the model on n qubits, 2^n - 1 (3 for "bell"); inf above 64."""
+    return (1 << n) - 1 if n <= 64 else math.inf
+
+
 def _parse_gamma(raw, cfg):
     if not isinstance(raw, list):
         return _positive(raw, "gamma")
     if cfg.scenario == "qsd":
         raise ConfigError("qsd scenarios take a single gamma rate, not a list")
+    need = _jump_count(cfg.n_qubits)
+    if len(raw) != need:
+        raise ConfigError(f"gamma list has {len(raw)} entries, need 2^n_qubits - 1 = {need}")
     return [_positive(g, f"gamma[{i}]") for i, g in enumerate(raw)]
 
 
@@ -239,11 +240,10 @@ _FIELDS = {
 }
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Load and validate a scenario config, filling defaults.
-
-    Every check that needs only the config happens here; the one left to
-    run(), the length of a gamma list, comes before its first write.
+def parse_config(path, seed=None) -> ScenarioConfig:
+    """Load and validate a scenario config, filling defaults; a seed given here
+    replaces the config's. Every check that needs only the config happens
+    here, so no other step raises ConfigError.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -251,6 +251,8 @@ def parse_config(path) -> ScenarioConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    if seed is not None:
+        data["seed"] = seed
     scenario = data.get("scenario")
     if scenario is None:
         raise ConfigError("missing required key 'scenario'")
@@ -285,38 +287,32 @@ def parse_config(path) -> ScenarioConfig:
 def _log2_largest_array(cfg: ScenarioConfig):
     """log2 of the bytes of the run's largest dense array, from the config alone.
 
-    steady: the (d - 1, d, d) complex jump stack of the model, since the
-    certificate of `steady_states` needs no Liouvillian; synth: the d^4
-    complex Liouvillian, since dissipators.json holds every jump entry as a
-    Python list; evolve: the (T, d, d) complex record of T = t_max/dt + 1
-    samples; qsd: that record or the (chunk, T) complex noise block,
-    whichever is larger; compile: the dense coupling on 2^n * bath_dim
+    Every model builds the (d - 1, d, d) complex jump stack, which is all of
+    steady's estimate, since the certificate of `steady_states` needs no
+    Liouvillian; synth: the d^4 complex Liouvillian, since dissipators.json
+    holds every jump entry as a Python list; evolve: the larger of the stack
+    and the (T, d, d) complex record of T = t_max/dt + 1 samples; qsd: the
+    largest of those two and the (chunk, T) complex noise block; compile: the
+    12 (D, D) complex arrays verify_sequence holds at once on D = 2^n * bath_dim
     levels; graph-state: the (2^n, n) int64 bit table.
     """
     if cfg.scenario == "compile":
-        return 4 + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
+        return 4 + math.log2(12) + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
     # the target's qubit count was checked against n_qubits at parse time
     n = cfg.graph.n if cfg.scenario == "graph-state" else cfg.n_qubits
     if n > 64:  # far above the limit, and a count this large can overflow a float
         return math.inf
     if cfg.scenario == "graph-state":
         return 3 + n + math.log2(n)
+    stack = 2 * n + math.log2(_jump_count(n))
     if cfg.scenario == "steady":
-        return 4 + 2 * n + math.log2((1 << n) - 1)
+        return 4 + stack
     if cfg.scenario == "synth":
         return 4 + 4 * n
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
-        return 4 + max(2 * n, math.log2(min(cfg.n_traj, CHUNK_SIZE))) + samples
-    return 4 + 2 * n + samples
-
-
-def _rates(cfg: ScenarioConfig, count: int) -> list[float]:
-    if isinstance(cfg.gamma, list):
-        if len(cfg.gamma) != count:
-            raise ConfigError(f"gamma list has {len(cfg.gamma)} entries, need {count}")
-        return list(cfg.gamma)
-    return [float(cfg.gamma)] * count
+        return 4 + max(stack, max(2 * n, math.log2(min(cfg.n_traj, CHUNK_SIZE))) + samples)
+    return 4 + max(stack, 2 * n + samples)
 
 
 def _build_model(cfg: ScenarioConfig):
@@ -338,8 +334,8 @@ def _build_model(cfg: ScenarioConfig):
             dim=target.dim, k=1, coeffs=np.ones((target.dim - 1, 1)), basis=frame
         )
         base = synth_subspace(spec)
-    rates = _rates(cfg, len(base))
-    ds = DissipatorSet(tuple((r, op) for r, (_, op) in zip(rates, base)))
+    rates = cfg.gamma if isinstance(cfg.gamma, list) else [cfg.gamma] * len(base)
+    ds = DissipatorSet(tuple((r, op) for r, (_, op) in zip(rates, base, strict=True)))
     return LindbladModel(ds), target
 
 
@@ -347,11 +343,8 @@ def _combined_operator(cfg: ScenarioConfig):
     """Single jump operator for trajectory runs, scaled to unit spectral norm
     (the scale belongs to gamma, and a tame norm keeps the O(dt) bias small)."""
     model, target = _build_model(cfg)
-    L = np.zeros((model.dim, model.dim), dtype=complex)
-    for _, op in model.dissipators:
-        L = L + op
-    L = L / np.linalg.norm(L, 2)
-    return L, float(cfg.gamma), target
+    L = sum(model.dissipators.operators)
+    return L / np.linalg.norm(L, 2), float(cfg.gamma), target
 
 
 def _r15(x):
@@ -431,18 +424,12 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
         result = steady_states(model)
         metrics["null_space_dim"] = result.dimension
         metrics["fidelity"] = fidelity(result.state, target)
-        emit("steady.json", {
-            "null_space_dim": result.dimension,
-            "fidelity": metrics["fidelity"],
-        })
+        emit("steady.json", dict(metrics))
 
     elif cfg.scenario == "evolve":
         model, target = _build_model(cfg)
         rho0 = DensityMatrix.maximally_mixed(target.n)
-        try:
-            record = integrate(model, rho0, cfg.t_max, dt=cfg.dt, target=target)
-        except IntegrationError as exc:
-            raise ContractError(str(exc)) from None
+        record = integrate(model, rho0, cfg.t_max, dt=cfg.dt, target=target)
         emit("evolution.csv", record)
         metrics["final_fidelity"] = float(record.fidelities[-1])
         metrics["max_trace_error"] = float(np.max(record.trace_errors))
@@ -456,10 +443,7 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
         )
         psi0 = np.zeros(target.dim, dtype=complex)
         psi0[0] = 1.0
-        try:
-            result = ensemble_average(L, traj_cfg, psi0)
-        except EnsembleError as exc:
-            raise ContractError(str(exc)) from None
+        result = ensemble_average(L, traj_cfg, psi0)
         emit("ensemble.json", result.to_json_obj())
         metrics["n_traj"] = result.n_traj
         metrics["excluded"] = result.n_excluded
@@ -492,7 +476,7 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
             )
 
     else:  # pragma: no cover - parse_config guards this
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+        raise ValueError(f"unknown scenario {cfg.scenario!r}")
 
     artifact_names = [p.name for p in artifacts]
     emit("summary.json", {
@@ -521,14 +505,12 @@ def main(argv=None) -> int:
 
     cfg = None
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = _seed(args.seed)
+        cfg = parse_config(args.config, seed=args.seed)
         run(cfg, output_dir=args.output, quiet=args.quiet)
     except ConfigError as exc:
         print(f"[dissipforge] config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContractError, SizeLimitError, SteadyStateError) as exc:
+    except ContractError as exc:
         print(f"[dissipforge] numerical contract failure: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except OSError as exc:

@@ -290,6 +290,8 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     normalized or Hermitian, so ||T|| can grow as e^{theta ||B||} and an
     absolute bound would reject correct sequences on large baths. The
     sequence passes when every deviation is at most VERIFY_TOL.
+    Each conjugator exp(i pi/4 A) = (I + iA)/sqrt2 (a Pauli word squares to
+    I) is built where it is applied, so the gate count does not add memory.
     """
     seed = seq.seed
     if seed is None or any(
@@ -297,18 +299,15 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     ):
         raise ValueError("verify_sequence handles seed + conjugation sequences only")
     n = seq.target.n
-    d = bath.dimension
     B = bath.operator
-    eye_bath = np.eye(d, dtype=complex)
+    eye_bath = np.eye(bath.dimension, dtype=complex)
     seed_word = PauliString.single(n, seed.qubit, "Y").dense()
     target_word = seq.target.dense()
-    conj_unitaries = [
-        kron(matexp(0.25j * np.pi * g.axis.dense()), eye_bath) for g in seq.conjugations
-    ]
     devs = []
     for theta in theta_samples:
         V = matexp(1j * theta * kron(seed_word, B))
-        for U in conj_unitaries:
+        for g in seq.conjugations:
+            U = kron((np.eye(1 << n) + 1j * g.axis.dense()) * math.sqrt(0.5), eye_bath)
             V = U @ V @ dag(U)
         target = matexp(1j * theta * kron(target_word, B))
         devs.append(float(np.linalg.norm(V - target) / np.linalg.norm(target)))
@@ -381,24 +380,18 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
     n = terms[0].n
     if any(t.n != n for t in terms):
         raise ValueError("coupling terms act on different registers")
-    B = bath.operator
-    Bd = dag(B)
     U = np.eye((1 << n) * bath.dimension, dtype=complex)
     for term in terms:
-        Wd = term.dense()
-        H = kron(Wd, Bd) + kron(dag(Wd), B)
-        U = U @ matexp(-1j * dt * H)
+        U = U @ matexp(-1j * dt * _coupling(term, bath))
     return U
+
+
+def _coupling(term: PauliString, bath: BathTestSpec) -> np.ndarray:
+    """W (x) B^dag + W^dag (x) B for one coupling term W."""
+    W, B = term.dense(), bath.operator
+    return kron(W, dag(B)) + kron(dag(W), B)
 
 
 def coupling_generator(terms, bath: BathTestSpec) -> np.ndarray:
     """Summed generator sum_a (W_a (x) B^dag + W_a^dag (x) B) for cross-checks."""
-    terms = list(terms)
-    B = bath.operator
-    Bd = dag(B)
-    H = None
-    for term in terms:
-        Wd = term.dense()
-        piece = kron(Wd, Bd) + kron(dag(Wd), B)
-        H = piece if H is None else H + piece
-    return H
+    return sum(_coupling(term, bath) for term in terms)

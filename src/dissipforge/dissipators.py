@@ -206,29 +206,22 @@ def splitting_hamiltonian(
 
 
 def orthonormal_frame(target) -> np.ndarray:
-    """Unitary whose first column is `target`, completed by Gram-Schmidt.
+    """Unitary whose first column is `target`, completed by orthogonalization.
 
     The remaining columns come from computational basis seeds, skipping the
-    seed that overlaps `target` most strongly (lowest index on ties).
+    seed that overlaps `target` most strongly (lowest index on ties), in one
+    QR factorization whose columns are phased so that R has a positive
+    diagonal: the frame Gram-Schmidt would give on the same seeds.
     """
     v = as_vector(target)
     v = v / np.linalg.norm(v)
-    N = v.size
     drop = int(np.argmax(np.abs(v)))
-    cols = [v]
-    for i in range(N):
-        if i == drop:
-            continue
-        w = np.zeros(N, dtype=complex)
-        w[i] = 1.0
-        for _ in range(2):  # second pass keeps the frame orthonormal to 1e-12
-            for c in cols:
-                w = w - np.vdot(c, w) * c
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-12:
-            raise ValueError("basis seed collapsed during orthogonalization")
-        cols.append(w / nrm)
-    return np.column_stack(cols)
+    seeds = np.delete(np.eye(v.size, dtype=complex), drop, axis=1)
+    Q, R = np.linalg.qr(np.column_stack((v, seeds)))
+    r = np.diag(R)
+    if not np.all(np.abs(r) >= 1e-12):  # a zero or non-finite target included
+        raise ValueError("basis seed collapsed during orthogonalization")
+    return Q * (r / np.abs(r))
 
 
 def preset_lfor2() -> DissipatorSet:

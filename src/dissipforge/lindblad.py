@@ -48,6 +48,7 @@ from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, pu
 NULL_TOL = 1e-9  # relative singular-value cut of steady_states
 CERT_TOL = 1e-12  # relative invariance residual accepted by the certificate
 CERT_MARGIN = 1e-6  # relative decay rate the certificate requires of the complement
+SCALE_LIMIT = 1e100  # steady_states rescales rates or |H| entries beyond this factor of 1
 
 # Cap on the largest dense array of one run (1 GiB): the 16 d^4-byte
 # Liouvillian of the steady-state fallback up to 6 qubits, and the bound of
@@ -55,15 +56,19 @@ CERT_MARGIN = 1e-6  # relative decay rate the certificate requires of the comple
 MAX_DENSE_BYTES = 1 << 30
 
 
-class IntegrationError(RuntimeError):
+class ContractError(RuntimeError):
+    """A numerical contract failed during a run (CLI exit code 3)."""
+
+
+class IntegrationError(ContractError):
     """Step-size instability detected during time integration."""
 
 
-class SizeLimitError(RuntimeError):
+class SizeLimitError(ContractError):
     """A dense route would allocate more than MAX_DENSE_BYTES."""
 
 
-class SteadyStateError(RuntimeError):
+class SteadyStateError(ContractError):
     """The steady-state fallback found no valid density-matrix representative."""
 
 
@@ -340,6 +345,20 @@ def _certified_state(model: LindbladModel) -> np.ndarray | None:
     return t if np.all(lam[1:] > CERT_MARGIN * scale) else None
 
 
+def _unit_scaled(model: LindbladModel) -> LindbladModel:
+    """model itself, or, when its largest rate or |H| entry lies beyond SCALE_LIMIT
+    of 1, the model with every rate and H divided by a power of two near that
+    value. The generator's kernel does not change, and the operators are shared."""
+    H, rates = model.hamiltonian, model.dissipators.rates
+    peak = max(rates + (() if H is None else (float(np.max(np.abs(H))),)))
+    if peak == 0.0 or 1.0 / SCALE_LIMIT <= peak <= SCALE_LIMIT:
+        return model
+    factor = 2.0 ** -min(max(math.frexp(peak)[1], -1000), 1000)  # exact; finite if subnormal
+    if min(rates, default=1.0) * factor == 0.0:
+        raise SteadyStateError(f"rates span {min(rates):.3g} to {peak:.3g}, too wide to rescale")
+    return LindbladModel(model.dissipators.scaled(factor), None if H is None else H * factor)
+
+
 def steady_states(model: LindbladModel) -> SteadyStateResult:
     """Null space of the generator, with a positive representative.
 
@@ -377,7 +396,10 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     density matrix, as when rates spread so widely that the null space is
     resolved only to about eps / sigma_2 and its minimum eigenvalue falls
     below -1e-10, raises SteadyStateError naming that eigenvalue.
+    Both routes run on the model with every rate and H divided by a power of
+    two when the largest lies beyond SCALE_LIMIT of 1, so no rate scale matters.
     """
+    model = _unit_scaled(model)
     t = _certified_state(model)
     if t is not None:
         p = np.outer(t, t.conj())

@@ -46,12 +46,13 @@ import numpy as np
 
 from .algebra import complex_pairs
 from .dissipators import DissipatorSet
-from .lindblad import LindbladModel, step_count
+from .lindblad import ContractError, LindbladModel, step_count
 from .states import as_vector
 
 NORM_LIMIT = 1e6
 CHUNK_SIZE = 256  # trajectories stepped together by ensemble_average
 BLOCK_STEPS = 64  # time steps per block of the rank-one path: (64, 9, 256) floats, 1.2 MB
+VARIANCE_ROUNDOFF = 256  # a variance within this many eps of its terms' magnitude reads 0
 
 
 class TrajectoryOverflow(RuntimeError):
@@ -62,7 +63,7 @@ class TrajectoryOverflow(RuntimeError):
         self.indices = tuple(int(i) for i in indices)
 
 
-class EnsembleError(RuntimeError):
+class EnsembleError(ContractError):
     """More than 1% of trajectories were excluded."""
 
 
@@ -320,7 +321,9 @@ def _average(cfg, chunk_sums, expand=None) -> EnsembleResult:
 
     chunk_sums returns a tuple of partial sums, which add up across chunks;
     expand turns their totals into the (T, d, d) sums of psi psi^dag and of
-    |psi_i|^2 |psi_j|^2 (the identity when it is None). A chunk that raises
+    |psi_i|^2 |psi_j|^2 and the (T, d) sizes of the terms of the |psi_i|^4
+    sums (without it, those sums are their own sizes); a variance within
+    VARIANCE_ROUNDOFF eps of sqrt(size_i size_j) reads 0. A chunk that raises
     TrajectoryOverflow is rerun with the offending rows excluded; more than
     1% exclusions raises EnsembleError.
     """
@@ -344,16 +347,19 @@ def _average(cfg, chunk_sums, expand=None) -> EnsembleResult:
         else:
             for total, part in zip(totals, sums):
                 total += part
-    total_outer, total_abs2 = totals if expand is None else expand(*totals)
+    total_outer, total_abs2, *size = expand(*totals) if expand else totals
+    n_valid = cfg.n_traj - len(excluded)
+    # sqrt(size_i size_j) bounds the terms of entry (i, j) by Cauchy-Schwarz
+    size = size[0] if size else np.diagonal(total_abs2, axis1=1, axis2=2)
+    root = np.sqrt(size * (VARIANCE_ROUNDOFF * np.finfo(float).eps / n_valid))
 
     # the totals become the mean and the standard error in place
-    n_valid = cfg.n_traj - len(excluded)
     mean = total_outer
     mean /= n_valid
     se = total_abs2
     se /= n_valid
     se -= np.abs(mean) ** 2
-    np.maximum(se, 0.0, out=se)
+    se[se <= root[:, :, None] * root[:, None, :]] = 0.0  # negative round-off included
     se /= max(n_valid - 1, 1)
     np.sqrt(se, out=se)
     return EnsembleResult(cfg.times, mean, se, cfg.n_traj, tuple(sorted(excluded)))
@@ -383,12 +389,14 @@ def ensemble_average(L: np.ndarray, cfg: TrajectoryConfig, psi0) -> EnsembleResu
     def expand(g_sum, g_mom):
         # sum_b psi_b psi_b^dag = E^T M E^* with M = sum_b C_b C_b^dag, whose
         # entries are the sums of G; the |psi_i|^2 |psi_j|^2 sums are R S R^T
-        # for the 9x9 moments S
+        # for the 9x9 moments S, whose terms the diagonal of |R| |S| |R|^T sizes
         M = np.empty((len(g_sum), 3, 3), dtype=complex)
         M[:, [0, 1, 2], [0, 1, 2]] = g_sum[:, :3]
         M[:, _FIRST, _SECOND] = g_sum[:, 3:6] + 1j * g_sum[:, 6:]
         M[:, _SECOND, _FIRST] = g_sum[:, 3:6] - 1j * g_sum[:, 6:]
-        return E.T @ (M @ E.conj()), R @ (g_mom @ R.T)
+        Ra = np.abs(R)
+        size = np.einsum("tiq,iq->ti", Ra @ np.abs(g_mom), Ra)
+        return E.T @ (M @ E.conj()), R @ (g_mom @ R.T), size
 
     chunk = partial(_rank_one_moments, cfg, psi0, u, v, R.sum(axis=0))
     return _average(cfg, chunk, expand)

@@ -13,6 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dissipforge.cli
+import dissipforge.lindblad
+import dissipforge.qsd
 from dissipforge.algebra import complex_pairs
 from dissipforge.cli import (
     _SCENARIOS,
@@ -30,7 +33,9 @@ from dissipforge.cli import (
 )
 from dissipforge.compiler import GateSequence
 from dissipforge.dissipators import DissipatorSet
+from dissipforge.lindblad import steady_states
 from dissipforge.qsd import EnsembleResult
+from dissipforge.states import fidelity
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -183,6 +188,14 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     pytest.param({**_STEADY, "n_qubits": 9, "target": "cluster"}, id="steady-9-qubits"),
     pytest.param({**_EVOLVE, "n_qubits": 10**400, "target": "cluster"},
                  id="evolve-10^400-qubits"),
+    # the 16 GiB stack of 1023 jumps of 1024 x 1024, not the 32 MiB record
+    pytest.param({**_EVOLVE, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01},
+                 id="evolve-10-qubits-one-step"),
+    pytest.param({**_QSD, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01,
+                  "n_traj": 1}, id="qsd-10-qubits-one-step"),
+    # verify_sequence holds 12 arrays of D x D, D = 2^10 * 4: 3 GiB
+    pytest.param({**_COMPILE, "pauli_word": "XYZXYZXYZX", "bath_dim": 4},
+                 id="compile-D-4096"),
 ])
 def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -208,6 +221,34 @@ def test_size_guard_boundary_for_steady(tmp_path):
         assert cfg.n_qubits == fits
         with pytest.raises(ConfigError, match=gib):
             parse_config(_write(tmp_path, "refused.json", {**probe, "n_qubits": refused}))
+
+
+_ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
+
+
+@pytest.mark.parametrize("probe, key, fits, refused, gib", [
+    # evolve and qsd hold the (d - 1, d, d) jump stack whatever their record:
+    # 255 MiB at 8 qubits, 2 GiB at 9
+    pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 8, 9, "2 GiB", id="evolve"),
+    pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 8, 9, "2 GiB", id="qsd"),
+    # compile holds 12 (D, D) arrays: 768 MiB at D = 2^9 * 4, 3 GiB at 2^10 * 4
+    pytest.param(_COMPILE, "pauli_word", "XYZXYZXYZ", "XYZXYZXYZX", "3 GiB", id="compile"),
+])
+def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
+    cfg = parse_config(_write(tmp_path, "fits.json", {**probe, key: fits}))
+    assert getattr(cfg, key) == fits
+    with pytest.raises(ConfigError, match=gib):
+        parse_config(_write(tmp_path, "refused.json", {**probe, key: refused}))
+
+
+def test_a_gamma_list_is_checked_against_the_jump_count_at_parse_time(tmp_path):
+    for target, n, count in (("bell", 2, 3), ("plus", 1, 1), ("cluster", 3, 7)):
+        probe = {**_STEADY, "n_qubits": n, "target": target}
+        cfg = parse_config(_write(tmp_path, "ok.json", {**probe, "gamma": [1.0] * count}))
+        assert _build_model(cfg)[0].dissipators.rates == (1.0,) * count
+        with pytest.raises(ConfigError, match=f"gamma list has {count + 1} entries, need "
+                                              rf"2\^n_qubits - 1 = {count}"):
+            parse_config(_write(tmp_path, "bad.json", {**probe, "gamma": [1.0] * (count + 1)}))
 
 
 def test_build_model_holds_one_jump_stack(tmp_path):
@@ -249,6 +290,8 @@ def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("probe, reason", [
     pytest.param({**_STEADY, "target": "cluster", "gamma": [1e-8, 1, 1]}, "minimum eigenvalue",
                  id="steady-representative-negative"),
+    pytest.param({**_STEADY, "target": "cluster", "gamma": [1e-300, 1e300, 1]},
+                 "too wide to rescale", id="steady-rates-beyond-one-scale"),
 ])
 def test_main_reports_numerical_failures_with_exit_3(tmp_path, capsys, probe, reason):
     path = _write(tmp_path, "cfg.json", probe)
@@ -256,6 +299,43 @@ def test_main_reports_numerical_failures_with_exit_3(tmp_path, capsys, probe, re
     err = capsys.readouterr().err
     assert err.startswith("[dissipforge] numerical contract failure:") and err.count("\n") == 1
     assert reason in err
+
+
+def test_every_numerical_failure_is_one_contract_error():
+    assert dissipforge.cli.ContractError is dissipforge.lindblad.ContractError
+    for error in (dissipforge.lindblad.IntegrationError, dissipforge.lindblad.SizeLimitError,
+                  dissipforge.lindblad.SteadyStateError, dissipforge.qsd.EnsembleError):
+        assert issubclass(error, dissipforge.cli.ContractError)
+
+
+@pytest.mark.parametrize("target, n, gamma", [
+    pytest.param(target, n, gamma, id=f"{target}-{n}-{gamma:g}")
+    for target, n in (("bell", 2), ("cluster", 2), ("cluster", 3))
+    for gamma in (1e-300, 1e200, 1e307, 1e308)
+] + [pytest.param("cluster", 7, 1e200, id="cluster-7-1e+200")])
+def test_steady_states_do_not_depend_on_the_rate_scale(tmp_path, target, n, gamma):
+    cfg = parse_config(_write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": n,
+                                                     "target": target, "gamma": gamma}))
+    model, state = _build_model(cfg)
+    result = steady_states(model)
+    assert (result.route, result.dimension) == ("certificate", 1)
+    assert fidelity(result.state, state) > 1 - 1e-12
+
+
+def test_main_runs_steady_at_the_largest_rate(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", {**_STEADY, "gamma": 1e308})
+    assert main([str(path), "--output", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+    steady = json.loads((tmp_path / "out" / "steady.json").read_text())
+    assert steady["null_space_dim"] == 1 and steady["fidelity"] > 1 - 1e-12
+    assert capsys.readouterr().err == ""
+
+
+def test_main_checks_the_seed_override_at_parse_time(tmp_path, capsys):
+    path = _write(tmp_path, "cfg.json", _STEADY)
+    out = tmp_path / "out"
+    assert main([str(path), "--output", str(out), "--quiet", "--seed", "-1"]) == EXIT_CONFIG
+    assert not out.exists() and "'seed'" in capsys.readouterr().err
+    assert parse_config(path, seed=5).seed == 5
 
 
 _JUNK = st.sampled_from([None, True, "1", -1, 0, 0.5, 1e300, 10**30, -math.inf, math.nan,

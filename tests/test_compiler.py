@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,25 @@ def test_verify_is_bath_neutral():
     reports = [verify_sequence(seq, b, THETAS) for b in baths]
     assert all(r.passed for r in reports)
     assert max(r.max_deviation for r in reports) <= 1e-10
+
+
+def test_verify_working_set_does_not_grow_with_the_gate_count():
+    # 15 conjugations on D = 2^8 * 4 = 1024 levels: a conjugator kept per gate
+    # would add 15 (D, D) arrays to a working set of about 12
+    word = PauliString("XYZXYZXY")
+    seq = compile_coupling(word, 0.7, GraphSpec.path(word.n))
+    assert len(seq.conjugations) == 15
+    bath = BathTestSpec.random(4, seed=9)
+    D = (1 << word.n) * bath.dimension
+    matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
+    tracemalloc.start()
+    try:
+        report = verify_sequence(seq, bath, (0.3,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 13 * 16 * D * D
 
 
 def test_verify_rejects_ms_sequences():

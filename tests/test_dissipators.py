@@ -13,7 +13,7 @@ from dissipforge.dissipators import (
     synth_subspace,
 )
 from dissipforge.lindblad import LindbladModel, liouvillian_matrix, rhs, steady_states, vec
-from dissipforge.states import bell_state, fidelity, purity
+from dissipforge.states import GraphSpec, bell_state, fidelity, graph_state, purity
 from dissipforge.algebra import dag, null_space
 
 
@@ -196,6 +196,37 @@ def test_orthonormal_frame_properties():
     frame = orthonormal_frame(v)
     assert np.max(np.abs(dag(frame) @ frame - np.eye(8))) < 1e-12
     assert np.max(np.abs(frame[:, 0] - v)) < 1e-12
+
+
+def _gram_schmidt_frame(target):
+    """Reference frame: `target`, then the computational seeds except the one of
+    largest overlap, each orthogonalized twice against the columns before it."""
+    v = target / np.linalg.norm(target)
+    cols = [v]
+    for i in range(v.size):
+        if i == int(np.argmax(np.abs(v))):
+            continue
+        w = np.eye(v.size, dtype=complex)[i]
+        for _ in range(2):
+            for c in cols:
+                w = w - np.vdot(c, w) * c
+        cols.append(w / np.linalg.norm(w))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_orthonormal_frame_matches_gram_schmidt(n):
+    rng = np.random.default_rng(100 + n)
+    targets = [graph_state(GraphSpec.path(n)).amplitudes] + [
+        random_complex(2**n, rng) for _ in range(3)
+    ]
+    for target in targets:
+        assert np.max(np.abs(orthonormal_frame(target) - _gram_schmidt_frame(target))) < 1e-14
+
+
+def test_orthonormal_frame_rejects_a_zero_target():
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="collapsed"):
+        orthonormal_frame(np.zeros(4))
 
 
 # ---------------------------------------------------------------- stock operators

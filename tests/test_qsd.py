@@ -149,6 +149,16 @@ def test_ensemble_dark_state_constant():
     assert np.max(res.rho_se) == 0.0
 
 
+def test_ensemble_zero_spread_reads_exactly_zero():
+    # sigma- from |1>: psi_1 = c_k is the same on every trajectory, while psi_0
+    # and the coherences spread; t_max = 10 takes psi_1 down to e^-5, where the
+    # closed form's cancellation is far above the moments' round-off
+    cfg = TrajectoryConfig(n_traj=600, dt=1e-3, t_max=10.0, master_seed=7)
+    res = ensemble_average(SIGMA_MINUS, cfg, KET1)
+    assert np.all(res.rho_se[:, 1, 1] == 0.0)
+    assert np.all(res.rho_se[1:, 0, 0] > 0.0) and np.all(res.rho_se[1:, 0, 1] > 0.0)
+
+
 def test_ensemble_bit_identical_reruns():
     cfg = TrajectoryConfig(n_traj=300, dt=1e-3, t_max=0.5, master_seed=5)
     a = ensemble_average(SIGMA_MINUS, cfg, KET1)
