@@ -10,11 +10,11 @@ columns, so vec(A X B) = (B^T kron A) vec(X).
 
 Jumps of rank one, L_j = u_j v_j^dag (every synthesized operator, the stock
 Bell set and the single-operator route), are used in closed form:
-gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j,
-gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, and
-gamma_j L_j* kron L_j = gamma_j (u_j* kron u_j)(v_j* kron v_j)^dag, so the
-jump term costs O(m d^2) per evaluation instead of O(m d^3). Each jump is
-tested for rank one once per model; any other jump is applied densely.
+gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j
+and gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, so the jump term
+costs O(m d^2) per evaluation instead of O(m d^3). Each jump is tested for
+rank one once per model; any other jump is applied densely. Only `h_eff` and
+`rhs` apply jumps: both matrices below are read off `rhs` column by column.
 
 Both time-stepping routes, `integrate` here and the trajectory ensembles of
 `qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps (with a relative
@@ -37,7 +37,7 @@ MAX_DENSE_BYTES.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -48,11 +48,11 @@ from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, pu
 NULL_TOL = 1e-9  # relative singular-value cut of steady_states
 CERT_TOL = 1e-12  # relative invariance residual accepted by the certificate
 CERT_MARGIN = 1e-6  # relative decay rate the certificate requires of the complement
-SCALE_LIMIT = 1e100  # steady_states rescales rates or |H| entries beyond this factor of 1
+SCALE_LIMIT = 1e100  # steady_states rescales a generator whose |H_eff| peak lies beyond this
 
-# Cap on the largest dense array of one run (1 GiB): the 16 d^4-byte
-# Liouvillian of the steady-state fallback up to 6 qubits, and the bound of
-# the CLI's size estimates.
+# Cap on the largest dense array of one run (1 GiB): the steady-state
+# fallback's real d^2 x d^2 matrix and singular vectors, 16 d^4 bytes, up to 6
+# qubits, and the bound of the CLI's size estimates.
 MAX_DENSE_BYTES = 1 << 30
 
 
@@ -204,28 +204,15 @@ def rhs(model: LindbladModel, rho) -> np.ndarray:
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
     """N^2 x N^2 matrix M with M vec(rho) = vec(rhs(rho)), columns stacked.
 
-    M = -i (I kron H_eff - H_eff* kron I) + sum_j gamma_j L_j* kron L_j; the
-    rank-one jumps enter through one product of (N^2, m1) column matrices.
+    M = -i (I kron H_eff - H_eff* kron I) + sum_j gamma_j L_j* kron L_j; its
+    column a + b N is vec(rhs(E_ab)) for the matrix unit E_ab.
     """
     d = model.dim
-    jumps = model._jumps
-    if jumps.U is not None:
-        A = (jumps.U.conj()[:, None, :] * jumps.U[None, :, :]).reshape(d * d, -1)
-        B = (jumps.V.conj()[:, None, :] * jumps.V[None, :, :]).reshape(d * d, -1)
-        M = (A * jumps.rates) @ dag(B)
-    else:
-        M = np.zeros((d * d, d * d), dtype=complex)
-    if jumps.gL is not None:
-        for gL, Ld in zip(jumps.gL, jumps.Ld):
-            M += np.kron(gL.conj(), dag(Ld))
-    # M4[a, b, c, e] is the entry of row a d + b, column c d + e; I kron H_eff
-    # lives where a = c and H_eff* kron I where b = e, so both are added in
-    # place, d blocks at a time, without an N^2 x N^2 temporary
-    M4 = M.reshape(d, d, d, d)
-    left, right = -1j * model.h_eff, 1j * model.h_eff.conj()
-    for a in range(d):
-        M4[a, :, a, :] += left
-        M4[:, a, :, a] += right
+    M = np.empty((d * d, d * d), dtype=complex)
+    for k in range(d * d):
+        E = np.zeros((d, d), dtype=complex)
+        E[k % d, k // d] = 1.0
+        M[:, k] = vec(rhs(model, E))
     return M
 
 
@@ -245,45 +232,17 @@ class SteadyStateResult:
     route: str
 
 
+@cache
 def _hermitian_basis_indices(d: int):
-    """vec positions of the diagonal, of (a, b) and of (b, a), a < b.
+    """vec positions of the diagonal, of (a, b) and of (b, a), a < b, read-only.
 
     They index the orthonormal Hermitian basis E_aa, (E_ab + E_ba)/sqrt2,
     i(E_ab - E_ba)/sqrt2, in that order of blocks.
     """
     a, b = np.triu_indices(d, 1)
-    return np.arange(d) * (d + 1), a + b * d, b + a * d
-
-
-def _real_liouvillian(M: np.ndarray, d: int) -> np.ndarray:
-    """Real d^2 x d^2 matrix T^dag M T of a Hermiticity-preserving M.
-
-    T is the unitary from the Hermitian basis to column-stacked vec, so the
-    columns of M T are D = M[:, diag], (U + L)/sqrt2 and i(U - L)/sqrt2 with
-    U = M[:, upper] and L = M[:, lower]. Each column is the vec of a Hermitian
-    matrix, whose (b, a) entries conjugate its (a, b) entries, so only the
-    diagonal and upper rows are read: T^dag takes Re of the diagonal rows and
-    sqrt2 Re and sqrt2 Im of the upper rows.
-    """
-    diag, upper, lower = _hermitian_basis_indices(d)
-    p = d + len(upper)
-    rows = np.concatenate((diag, upper))
-    D, U, L = (M[np.ix_(rows, cols)] for cols in (diag, upper, lower))
-    h = 1.0 / math.sqrt(2.0)
-    # rows and columns in basis order: d diagonal, then the (E_ab + E_ba)
-    # elements up to p, then the i(E_ab - E_ba) elements
-    out = np.empty((d * d, d * d))
-    out[:d, :d] = D[:d].real
-    out[:d, d:p] = h * (U[:d].real + L[:d].real)
-    out[:d, p:] = h * (L[:d].imag - U[:d].imag)
-    out[d:p, :d] = D[d:].real / h
-    out[p:, :d] = D[d:].imag / h
-    # the sqrt2 of the upper rows cancels the 1/sqrt2 of the columns
-    U, L = U[d:], L[d:]
-    np.add(U.real, L.real, out=out[d:p, d:p])
-    np.subtract(L.imag, U.imag, out=out[d:p, p:])
-    np.add(U.imag, L.imag, out=out[p:, d:p])
-    np.subtract(U.real, L.real, out=out[p:, p:])
+    out = np.arange(d) * (d + 1), a + b * d, b + a * d
+    for idx in out:
+        idx.setflags(write=False)
     return out
 
 
@@ -296,6 +255,22 @@ def _hermitian_matrix(x: np.ndarray, d: int) -> np.ndarray:
     v[upper] = (x[d:p] + 1j * x[p:]) / math.sqrt(2.0)
     v[lower] = v[upper].conj()
     return unvec(v, d)
+
+
+def _real_generator(model: LindbladModel) -> np.ndarray:
+    """Real d^2 x d^2 matrix of the generator in the orthonormal Hermitian basis:
+    column k holds the coordinates of the Hermitian rhs(B_k), B_k =
+    _hermitian_matrix(e_k, d), read from its diagonal and upper entries."""
+    d = model.dim
+    diag, upper, _ = _hermitian_basis_indices(d)
+    columns = np.empty((d * d, d * d))  # filled as rows, which are contiguous
+    for k in range(d * d):
+        e = np.zeros(d * d)
+        e[k] = 1.0
+        v = vec(rhs(model, _hermitian_matrix(e, d)))
+        up = math.sqrt(2.0) * v[upper]
+        columns[k] = np.concatenate((v[diag].real, up.real, up.imag))
+    return columns.T
 
 
 def _certified_state(model: LindbladModel) -> np.ndarray | None:
@@ -345,18 +320,39 @@ def _certified_state(model: LindbladModel) -> np.ndarray | None:
     return t if np.all(lam[1:] > CERT_MARGIN * scale) else None
 
 
+def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
+    """x 2^k for a complex array, exact while its entries stay normal floats."""
+    return np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+
+
 def _unit_scaled(model: LindbladModel) -> LindbladModel:
-    """model itself, or, when its largest rate or |H| entry lies beyond SCALE_LIMIT
-    of 1, the model with every rate and H divided by a power of two near that
-    value. The generator's kernel does not change, and the operators are shared."""
-    H, rates = model.hamiltonian, model.dissipators.rates
-    peak = max(rates + (() if H is None else (float(np.max(np.abs(H))),)))
-    if peak == 0.0 or 1.0 / SCALE_LIMIT <= peak <= SCALE_LIMIT:
+    """model itself when its largest |H_eff| entry (at least half the largest
+    gamma_j max|L_j|^2 or |H| entry) lies within SCALE_LIMIT of 1; otherwise the
+    generator over a power of two near its scale, each operator beyond SCALE_LIMIT
+    over one near its largest entry, with exponents compared and ldexp applied."""
+    with np.errstate(all="ignore"):  # operators beyond the float range overflow H_eff
+        peak = float(np.max(np.abs(model.h_eff)))
+    if 1.0 / SCALE_LIMIT <= peak <= SCALE_LIMIT:
         return model
-    factor = 2.0 ** -min(max(math.frexp(peak)[1], -1000), 1000)  # exact; finite if subnormal
-    if min(rates, default=1.0) * factor == 0.0:
-        raise SteadyStateError(f"rates span {min(rates):.3g} to {peak:.3g}, too wide to rescale")
-    return LindbladModel(model.dissipators.scaled(factor), None if H is None else H * factor)
+    jumps = []  # (rate, operator, exponent of its largest entry, exponent it is divided by)
+    for g, L in model.dissipators:
+        top = np.max(np.abs(L))
+        if top > 0.0:
+            e = math.frexp(top)[1]
+            jumps.append((g, L, e, 0 if 1.0 / SCALE_LIMIT <= top <= SCALE_LIMIT else e))
+    terms = [math.frexp(g)[1] + 2 * e for g, _, e, _ in jumps]
+    H = model.hamiltonian
+    if H is not None and np.any(H):
+        terms.append(math.frexp(np.max(np.abs(H)))[1])
+    if not terms:  # the zero generator
+        return model
+    s = max(terms)
+    rates = [math.ldexp(g, 2 * k - s) for g, _, _, k in jumps]
+    if 0.0 in rates:
+        raise SteadyStateError(f"generator terms span 2^{min(terms)} to 2^{s}, too wide to rescale")
+    ops = [_times_power_of_two(L, -k) if k else L for _, L, _, k in jumps]
+    return LindbladModel(DissipatorSet(tuple(zip(rates, ops))),
+                         None if H is None else _times_power_of_two(H, -s))
 
 
 def steady_states(model: LindbladModel) -> SteadyStateResult:
@@ -384,20 +380,21 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     (vec) null vector, with route "certificate".
 
     SVD route, taken otherwise. A Lindblad generator maps Hermitian matrices
-    to Hermitian matrices, so in an orthonormal Hermitian basis its matrix is
-    real and has the singular values of the complex Liouvillian; the null
-    space comes from the SVD of that real matrix. The representative state is
-    the maximally mixed state projected onto the null space (orthogonal
-    projection in the Hilbert-Schmidt inner product) and normalized; for a
-    one-dimensional null space this is the unique steady state. A singular
-    value counts as zero at most NULL_TOL times the largest. When the
-    16 d^4-byte Liouvillian would exceed MAX_DENSE_BYTES, SizeLimitError is
-    raised before anything is allocated. A representative that is not a
-    density matrix, as when rates spread so widely that the null space is
-    resolved only to about eps / sigma_2 and its minimum eigenvalue falls
-    below -1e-10, raises SteadyStateError naming that eigenvalue.
-    Both routes run on the model with every rate and H divided by a power of
-    two when the largest lies beyond SCALE_LIMIT of 1, so no rate scale matters.
+    to Hermitian matrices, so in an orthonormal Hermitian basis its matrix,
+    read off `rhs`, is real and has the singular values of the complex
+    Liouvillian; the null space comes from the SVD of that real matrix. The
+    representative state is the maximally mixed state projected onto the
+    null space (orthogonal projection in the Hilbert-Schmidt inner product)
+    and normalized; for a one-dimensional null space this is the unique
+    steady state. A singular value counts as zero at most NULL_TOL times the
+    largest. When that matrix and its singular vectors, 16 d^4 bytes, would
+    exceed MAX_DENSE_BYTES, SizeLimitError is raised before anything is
+    allocated. A representative that is not a density matrix, as when rates
+    spread so widely that the null space is resolved only to about
+    eps / sigma_2 and its minimum eigenvalue falls below -1e-10, raises
+    SteadyStateError naming that eigenvalue. Both routes run on
+    `_unit_scaled(model)`, so neither the rates' nor the operators' scale
+    matters.
     """
     model = _unit_scaled(model)
     t = _certified_state(model)
@@ -408,10 +405,10 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     d = model.dim
     if 16 * d**4 > MAX_DENSE_BYTES:
         raise SizeLimitError(
-            f"no pure steady state certified, and the {16 * d**4 / 2**30:g} GiB "
-            f"Liouvillian of the dense fallback exceeds the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
+            f"no pure steady state certified, and the dense fallback's {16 * d**4 / 2**30:g} GiB "
+            f"real matrix and singular vectors exceed the {MAX_DENSE_BYTES / 2**30:g} GiB limit"
         )
-    xs = null_space(_real_liouvillian(liouvillian_matrix(model), d), NULL_TOL)
+    xs = null_space(_real_generator(model), NULL_TOL)
     if not xs:
         raise SteadyStateError("no null vector found; a Lindblad generator always has one")
     X = np.array(xs)

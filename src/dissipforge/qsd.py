@@ -13,9 +13,10 @@ The Euler-Maruyama recursion is psi_{k+1} = psi_k + dt [z_k L - (gamma/2)
 L^dag L] psi_k, with z_k the k-th increment `sample_noise` draws (the z*_t
 above) (Gisin & Percival, J. Phys. A 25, 5677 (1992); the linear form:
 Goetsch & Graham, PRA 50, 5242 (1994)). Path rule: `ensemble_average`
-factors L once through the one-jump model's rank-one test; a rank-one L
-runs in the closed form below, any other L through the stepper `_steps`,
-which also serves `evolve_trajectory`. The two agree to round-off.
+builds the one-jump model (gamma, L) once and factors L through its
+rank-one test; a rank-one L runs in the closed form below, any other L
+through the stepper `_steps`, which takes that model and also serves
+`evolve_trajectory`. The two agree to round-off.
 
 Closed form for L = u v^dag. With c_k = v^dag psi_k, a = v^dag u,
 b' = (gamma/2) ||u||^2 and b = b' ||v||^2, L psi = c u and
@@ -127,18 +128,18 @@ class Trajectory:
     states: np.ndarray  # (n_steps + 1, d)
 
 
-def _prepare(L, psi0):
-    """Validated (operator, normalized start vector) pair."""
+def _prepare(L, cfg, psi0):
+    """The one-jump model (cfg.gamma, L) and the normalized start vector, validated."""
     L = np.asarray(L, dtype=complex)
     psi = as_vector(psi0)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
         raise ValueError("initial state must be normalized")
     if L.shape != (psi.size, psi.size):
         raise ValueError(f"operator shape {L.shape} does not match state dimension {psi.size}")
-    return L, psi
+    return LindbladModel(DissipatorSet(((cfg.gamma, L),))), psi
 
 
-def _steps(L, cfg, Psi, noise):
+def _steps(model, cfg, Psi, noise):
     """Euler-Maruyama steps of a batch of trajectories, one per row of Psi.
 
     psi_{k+1} = psi_k + dt [L z*_k - i H_eff] psi_k, where -i H_eff =
@@ -147,8 +148,8 @@ def _steps(L, cfg, Psi, noise):
     steps 0..n_steps; a row whose norm exceeds NORM_LIMIT raises
     TrajectoryOverflow with the offending row indices.
     """
-    drift = -1j * LindbladModel(DissipatorSet(((cfg.gamma, L),))).h_eff
-    LT = L.T.copy()
+    drift = -1j * model.h_eff
+    LT = model.dissipators.operators[0].T.copy()
     DT = drift.T.copy()
     prob = Psi.real**2 + Psi.imag**2
     yield Psi, prob
@@ -180,10 +181,10 @@ def evolve_trajectory(L: np.ndarray, cfg: TrajectoryConfig, psi0, noise: NoisePa
     Runs the ensemble's stepper on a batch of one; norms above NORM_LIMIT
     abort with TrajectoryOverflow.
     """
-    L, psi = _prepare(L, psi0)
+    model, psi = _prepare(L, cfg, psi0)
     if noise.increments.size != cfg.n_steps:
         raise ValueError("noise path length does not match the configured step count")
-    states = [Psi[0] for Psi, _ in _steps(L, cfg, psi[None, :], noise.increments[None, :])]
+    states = [Psi[0] for Psi, _ in _steps(model, cfg, psi[None, :], noise.increments[None, :])]
     return Trajectory(cfg.times, np.array(states))
 
 
@@ -211,7 +212,7 @@ class EnsembleResult:
         }
 
 
-def _chunk_sums(L, cfg, psi0, lo, hi, excluded):
+def _chunk_sums(model, cfg, psi0, lo, hi, excluded):
     """Evolve trajectories [lo, hi) together, accumulating projector sums.
 
     The stepper's path, for any L: returns the (T, d, d) sums of psi psi^dag
@@ -225,7 +226,7 @@ def _chunk_sums(L, cfg, psi0, lo, hi, excluded):
     T = cfg.n_steps + 1
     s_outer = np.empty((T, d, d), dtype=complex)
     s_abs2 = np.empty((T, d, d))
-    for k, (Psi, prob) in enumerate(_steps(L, cfg, Psi, noise)):
+    for k, (Psi, prob) in enumerate(_steps(model, cfg, Psi, noise)):
         s_outer[k] = Psi.T @ Psi.conj()
         s_abs2[k] = prob.T @ prob
     return s_outer, s_abs2
@@ -378,10 +379,10 @@ def ensemble_average(L: np.ndarray, cfg: TrajectoryConfig, psi0) -> EnsembleResu
     are dropped and counted, and more than 1% exclusions raises
     EnsembleError.
     """
-    L, psi0 = _prepare(L, psi0)
-    jumps = LindbladModel(DissipatorSet(((cfg.gamma, L),)))._jumps
+    model, psi0 = _prepare(L, cfg, psi0)
+    jumps = model._jumps
     if jumps.U is None:
-        return _average(cfg, partial(_chunk_sums, L, cfg, psi0))
+        return _average(cfg, partial(_chunk_sums, model, cfg, psi0))
     u, v = jumps.U[:, 0], jumps.V[:, 0]
     E = np.stack((psi0, u, v))
     R = _rank_one_weights(E)

@@ -288,7 +288,7 @@ def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("probe, reason", [
-    pytest.param({**_STEADY, "target": "cluster", "gamma": [1e-8, 1, 1]}, "minimum eigenvalue",
+    pytest.param({**_STEADY, "target": "cluster", "gamma": [7e-9, 1, 1]}, "minimum eigenvalue",
                  id="steady-representative-negative"),
     pytest.param({**_STEADY, "target": "cluster", "gamma": [1e-300, 1e300, 1]},
                  "too wide to rescale", id="steady-rates-beyond-one-scale"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from dissipforge.lindblad import (
     LindbladModel,
     SizeLimitError,
     SteadyStateError,
-    _real_liouvillian,
+    _real_generator,
+    _unit_scaled,
     integrate,
     liouvillian_matrix,
     propagate_exact,
@@ -93,13 +95,24 @@ def test_model_validation():
 # ---------------------------------------------------------------- vectorization
 
 
+def _textbook_liouvillian(H, jumps):
+    """-i (I kron H_eff - H_eff* kron I) + sum_j gamma_j L_j* kron L_j, from np.kron."""
+    d = H.shape[0]
+    H_eff = H - 0.5j * sum(gamma * (dag(L) @ L) for gamma, L in jumps)
+    M = -1j * (np.kron(np.eye(d), H_eff) - np.kron(H_eff.conj(), np.eye(d)))
+    return M + sum(gamma * np.kron(L.conj(), L) for gamma, L in jumps)
+
+
 def test_liouvillian_matches_rhs_on_random_states():
     rng = np.random.default_rng(21)
     full_rank = DissipatorSet(((0.3, random_complex((4, 4), rng)),
                                (2.5, random_complex((4, 4), rng))))
-    for jumps in (preset_lfor2(), full_rank):
+    mixed = DissipatorSet(preset_lfor2().items + ((1.7, random_complex((4, 4), rng)),))
+    for jumps in (preset_lfor2(), full_rank, mixed):
         model = LindbladModel(jumps, hamiltonian=random_hermitian(4, rng))
         M = liouvillian_matrix(model)
+        textbook = _textbook_liouvillian(model.hamiltonian, jumps.items)
+        assert np.max(np.abs(M - textbook)) < 1e-12
         # trace preservation ties the H_eff rates to the jump-term rates
         assert np.max(np.abs(vec(np.eye(4)).conj() @ M)) < 1e-12
         for _ in range(10):
@@ -272,6 +285,19 @@ def _oracle_models():
     yield pytest.param(LindbladModel(weak), 4, "svd", id="cluster-3-rate-1e-12")
 
 
+def _hermitian_basis(d):
+    """Unitary T whose columns are vec(E_aa), then vec((E_ab + E_ba) / sqrt2),
+    then vec(i (E_ab - E_ba) / sqrt2), a < b in row order."""
+    E = np.eye(d)
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    cols = [np.outer(E[a], E[a]) for a in range(d)]
+    cols += [(np.outer(E[a], E[b]) + np.outer(E[b], E[a])) / math.sqrt(2) for a, b in pairs]
+    cols += [1j * (np.outer(E[a], E[b]) - np.outer(E[b], E[a])) / math.sqrt(2) for a, b in pairs]
+    T = np.column_stack([vec(c) for c in cols])
+    assert np.allclose(dag(T) @ T, np.eye(d * d), rtol=0, atol=1e-15)
+    return T
+
+
 def _oracle(model):
     """Null-space projector and representative state from the complex SVD."""
     d = model.dim
@@ -291,8 +317,11 @@ def test_steady_states_match_complex_svd_oracle(model, expected, route):
     result = steady_states(model)
     assert result.dimension == dimension == expected
     assert result.route == route
+    R = _real_generator(model)
+    T = _hermitian_basis(d)
+    assert np.max(np.abs(R - dag(T) @ M @ T)) <= 1e-12 * np.max(np.abs(R))
     s_complex = np.linalg.svd(M, compute_uv=False)
-    s_real = np.linalg.svd(_real_liouvillian(M, d), compute_uv=False)
+    s_real = np.linalg.svd(R, compute_uv=False)
     assert np.max(np.abs(s_real - s_complex)) <= 1e-12 * s_complex[0]
     ours = sum(np.outer(v, v.conj()) for v in result.null_vectors)
     assert np.max(np.abs(ours - projector)) < 1e-10
@@ -330,11 +359,52 @@ def test_steady_states_refuses_a_fallback_above_the_size_limit():
     assert peak < 64 << 20
 
 
+def _scaled_operators(ds, scale):
+    return DissipatorSet(tuple((gamma, scale * L) for gamma, L in ds))
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-80, 1e80, 1e160])
+@pytest.mark.parametrize("name", ["sigma-", "bell"])
+def test_steady_states_do_not_depend_on_the_operator_scale(name, scale):
+    # |H_eff| grows as the squared operator scale, so it overflows or leaves
+    # SCALE_LIMIT; the generator is then divided by a power of two near its
+    # scale (and at 1e+-160 each operator by one near its largest entry),
+    # without an overflow warning on the way
+    if name == "sigma-":
+        ds, target = DissipatorSet(((1.0, SIGMA_MINUS),)), basis_state(1, 0)
+    else:
+        ds, target = preset_lfor2(), bell_state()
+    plain = LindbladModel(ds)
+    assert _unit_scaled(plain) is plain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = steady_states(LindbladModel(_scaled_operators(ds, scale)))
+    assert (result.route, result.dimension) == ("certificate", 1)
+    assert fidelity(result.state, target) > 1 - 1e-12
+
+
+def test_steady_states_rescale_a_small_rate_on_a_large_operator():
+    # gamma |L|^2 is 1e20, but |L|^2 alone overflows
+    model = LindbladModel(DissipatorSet(((1e-300, 1e160 * SIGMA_MINUS),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = steady_states(model)
+    assert (result.route, result.dimension) == ("certificate", 1)
+
+
+def test_steady_states_refuse_operator_scales_beyond_one_float_range():
+    ds = DissipatorSet(((1.0, 1e-160 * SIGMA_MINUS), (1.0, 1e160 * SIGMA_MINUS.T)))
+    with pytest.raises(SteadyStateError, match="too wide to rescale"):
+        steady_states(LindbladModel(ds))
+
+
 def test_steady_states_reports_a_representative_that_is_not_a_state():
-    # rates spread by 1e8 defeat the certificate's margin, and the fallback's
-    # null space is resolved only to about eps / sigma_2, so the projected
-    # representative has a negative eigenvalue far below round-off
-    model = LindbladModel(_synthesized(graph_state(GraphSpec.path(2)), [1e-8, 1.0, 1.0]))
+    # rates spread by about 1e8 defeat the certificate's margin, and the
+    # fallback's null space is resolved only to about eps / sigma_2, so the
+    # projected representative has a negative eigenvalue far below round-off
+    # (-4.7e-9 here; whether a given spread fails depends on the SVD's
+    # round-off, and 7e-9 fails by at least 10x the -1e-10 bound)
+    model = LindbladModel(_synthesized(graph_state(GraphSpec.path(2)), [7e-9, 1.0, 1.0]))
     with pytest.raises(SteadyStateError, match="minimum eigenvalue -"):
         steady_states(model)
 

@@ -233,8 +233,8 @@ def test_ensemble_json_summary():
 
 def _stepper_average(L, cfg, psi0):
     """The ensemble of the stepper's chunk function, for any L."""
-    L, psi0 = dissipforge.qsd._prepare(L, psi0)
-    return dissipforge.qsd._average(cfg, partial(dissipforge.qsd._chunk_sums, L, cfg, psi0))
+    model, psi0 = dissipforge.qsd._prepare(L, cfg, psi0)
+    return dissipforge.qsd._average(cfg, partial(dissipforge.qsd._chunk_sums, model, cfg, psi0))
 
 
 def _cluster_operator(n):
