@@ -290,32 +290,36 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     normalized or Hermitian, so ||T|| can grow as e^{theta ||B||} and an
     absolute bound would reject correct sequences on large baths. The
     sequence passes when every deviation is at most VERIFY_TOL.
-    Each conjugator exp(i pi/4 A) = (I + iA)/sqrt2 (a Pauli word squares to
-    I) is built where it is applied, so the gate count does not add memory.
     """
-    seed = seq.seed
-    if seed is None or any(
+    if seq.seed is None or any(
         not isinstance(g, (SeedCoupling, Conjugation)) for g in seq.gates
     ):
         raise ValueError("verify_sequence handles seed + conjugation sequences only")
-    n = seq.target.n
-    B = bath.operator
-    eye_bath = np.eye(bath.dimension, dtype=complex)
-    seed_word = PauliString.single(n, seed.qubit, "Y").dense()
+    thetas = tuple(float(t) for t in theta_samples)
     target_word = seq.target.dense()
     devs = []
-    for theta in theta_samples:
-        V = matexp(1j * theta * kron(seed_word, B))
-        for g in seq.conjugations:
-            U = kron((np.eye(1 << n) + 1j * g.axis.dense()) * math.sqrt(0.5), eye_bath)
-            V = U @ V @ dag(U)
-        target = matexp(1j * theta * kron(target_word, B))
+    for theta, V in zip(thetas, _realized_couplings(seq, bath, thetas)):
+        target = matexp(1j * theta * kron(target_word, bath.operator))
         devs.append(float(np.linalg.norm(V - target) / np.linalg.norm(target)))
     max_dev = float(np.max(devs))  # NaN propagates, and fails the bound below
-    return VerificationReport(
-        max_dev <= VERIFY_TOL, max_dev, tuple(devs), tuple(float(t) for t in theta_samples),
-        VERIFY_TOL,
-    )
+    return VerificationReport(max_dev <= VERIFY_TOL, max_dev, tuple(devs), thetas, VERIFY_TOL)
+
+
+def _realized_couplings(seq: GateSequence, bath: BathTestSpec, thetas):
+    """U e^{i theta Y_seed (x) B} U^dag for each theta, U = C (x) I_bath.
+
+    C = U_g ... U_1 multiplies the conjugators exp(i pi/4 A) = (I + iA)/sqrt2
+    (a Pauli word squares to I) in list order, on the system alone, so U is
+    formed once per call, not once per gate and theta.
+    """
+    dim = 1 << seq.target.n
+    C = np.eye(dim, dtype=complex)
+    for g in seq.conjugations:
+        C = ((np.eye(dim) + 1j * g.axis.dense()) * math.sqrt(0.5)) @ C
+    U = kron(C, np.eye(bath.dimension, dtype=complex))
+    seed_word = PauliString.single(seq.target.n, seq.seed.qubit, "Y").dense()
+    for theta in thetas:
+        yield U @ matexp(1j * theta * kron(seed_word, bath.operator)) @ dag(U)
 
 
 def ms_decompose(p: int, q: int, theta: float) -> GateSequence:

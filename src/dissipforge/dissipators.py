@@ -8,21 +8,12 @@ as every coefficient is nonzero.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import PauliSum, complex_pairs, dag
 from .states import as_vector
-
-
-def _unitary(m, dim: int, what: str) -> np.ndarray:
-    """A complex copy of m; ValueError unless it is (dim, dim) and unitary to 1e-12."""
-    m = np.array(m, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"{what} shape {m.shape} is not ({dim}, {dim})")
-    if np.max(np.abs(dag(m) @ m - np.eye(dim))) > 1e-12:
-        raise ValueError(f"{what} is not unitary to 1e-12")
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +37,11 @@ class SynthesisSpec:
         if self.basis is None:
             basis = np.eye(self.dim, dtype=complex)
         else:
-            basis = _unitary(self.basis, self.dim, "basis")
+            basis = np.array(self.basis, dtype=complex)
+            if basis.shape != (self.dim, self.dim):
+                raise ValueError(f"basis shape {basis.shape} is not ({self.dim}, {self.dim})")
+            if np.max(np.abs(dag(basis) @ basis - np.eye(self.dim))) > 1e-12:
+                raise ValueError("basis is not unitary to 1e-12")
         coeffs = np.asarray(self.coeffs, dtype=complex).copy()
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
@@ -114,6 +109,11 @@ class DissipatorSet:
     def operators(self) -> tuple[np.ndarray, ...]:
         return tuple(op for _, op in self.items)
 
+    @cached_property
+    def peaks(self) -> tuple[float, ...]:
+        """Largest |entry| of each operator, found on first use."""
+        return tuple(float(np.max(np.abs(op))) for _, op in self.items)
+
     def scaled(self, factor: float) -> "DissipatorSet":
         """Same operators with every rate multiplied by factor."""
         return DissipatorSet(tuple((g * factor, op) for g, op in self.items))
@@ -155,15 +155,15 @@ def synth_subspace(spec: SynthesisSpec) -> DissipatorSet:
     return DissipatorSet(tuple(ops))
 
 
-def synth_single(spec: SynthesisSpec, frame: np.ndarray | None = None) -> DissipatorSet:
-    """Single jump operator |phi_0>(sum_b a_b <phi_b|), conjugated into `frame`.
+def synth_single(spec: SynthesisSpec) -> DissipatorSet:
+    """Single jump operator |phi_0>(sum_b a_b <phi_b|), |phi_b> the columns of spec.basis.
 
     Requires k = 1 with every coefficient nonzero. The operator annihilates
-    frame^dag |phi_0| and drains every diagonal population into it, but on
-    its own it also leaves the (N-2)-dimensional slice of the complement
-    orthogonal to the coefficient vector dark, so the generator kernel has
-    dimension (N-1)^2. Pair it with splitting_hamiltonian to lift that
-    degeneracy; the unique steady state is then the pure frame^dag |phi_0>.
+    |phi_0> and drains every diagonal population into it, but on its own it
+    also leaves the (N-2)-dimensional slice of the complement orthogonal to
+    the coefficient vector dark, so the generator kernel has dimension
+    (N-1)^2. Pair it with splitting_hamiltonian to lift that degeneracy; the
+    unique steady state is then the pure |phi_0>.
     """
     if spec.k != 1:
         raise ValueError(f"single-operator synthesis needs k = 1, got k = {spec.k}")
@@ -171,25 +171,16 @@ def synth_single(spec: SynthesisSpec, frame: np.ndarray | None = None) -> Dissip
         raise ValueError("all coefficients must be nonzero or the steady state is not unique")
     phi0 = spec.basis[:, 0]
     bra = spec.basis[:, 1:].conj() @ spec.coeffs[:, 0]
-    L = np.outer(phi0, bra)
-    if frame is not None:
-        frame = _unitary(frame, spec.dim, "frame")
-        L = dag(frame) @ L @ frame
-    return DissipatorSet(((1.0, L),))
+    return DissipatorSet(((1.0, np.outer(phi0, bra)),))
 
 
-def splitting_hamiltonian(
-    spec: SynthesisSpec,
-    frame: np.ndarray | None = None,
-    energies=None,
-) -> np.ndarray:
-    """Hamiltonian with the frame vectors as nondegenerate eigenstates.
+def splitting_hamiltonian(spec: SynthesisSpec, energies=None) -> np.ndarray:
+    """Hamiltonian with the columns of spec.basis as nondegenerate eigenstates.
 
     Coherences among the extra dark directions of a single synthesized
     operator are stationary by themselves; distinct energies on the frame
     vectors make them rotate, leaving the target as the unique steady
-    state. Energies default to 0, 1, ..., N-1; `frame` must match the one
-    passed to synth_single.
+    state. Energies default to 0, 1, ..., N-1.
     """
     if energies is None:
         energies = np.arange(spec.dim, dtype=float)
@@ -199,9 +190,6 @@ def splitting_hamiltonian(
     if np.unique(energies).size != spec.dim:
         raise ValueError("energies must be pairwise distinct to split the frame")
     H = spec.basis @ np.diag(energies).astype(complex) @ dag(spec.basis)
-    if frame is not None:
-        frame = _unitary(frame, spec.dim, "frame")
-        H = dag(frame) @ H @ frame
     return (H + dag(H)) / 2.0
 
 

@@ -14,7 +14,8 @@ gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j
 and gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, so the jump term
 costs O(m d^2) per evaluation instead of O(m d^3). Each jump is tested for
 rank one once per model; any other jump is applied densely. Only `h_eff` and
-`rhs` apply jumps: both matrices below are read off `rhs` column by column.
+`rhs` apply the generator: both matrices below are read off `rhs` column by
+column.
 
 Both time-stepping routes, `integrate` here and the trajectory ensembles of
 `qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps (with a relative
@@ -36,7 +37,7 @@ MAX_DENSE_BYTES.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -48,7 +49,7 @@ from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, pu
 NULL_TOL = 1e-9  # relative singular-value cut of steady_states
 CERT_TOL = 1e-12  # relative invariance residual accepted by the certificate
 CERT_MARGIN = 1e-6  # relative decay rate the certificate requires of the complement
-SCALE_LIMIT = 1e100  # steady_states rescales a generator whose |H_eff| peak lies beyond this
+SCALE_LIMIT = 1e100  # steady_states rescales a generator with a term or operator beyond this
 
 # Cap on the largest dense array of one run (1 GiB): the steady-state
 # fallback's real d^2 x d^2 matrix and singular vectors, 16 d^4 bytes, up to 6
@@ -96,6 +97,7 @@ class LindbladModel:
 
     dissipators: DissipatorSet
     hamiltonian: np.ndarray | None = None
+    dim: int = field(init=False, repr=False)
 
     def __post_init__(self):
         H = self.hamiltonian
@@ -111,12 +113,8 @@ class LindbladModel:
             object.__setattr__(self, "hamiltonian", H)
         elif self.dissipators.dim is None:
             raise ValueError("model needs a Hamiltonian or at least one jump operator")
-
-    @property
-    def dim(self) -> int:
-        if self.dissipators.dim is not None:
-            return self.dissipators.dim
-        return self.hamiltonian.shape[0]
+        dim = self.dissipators.dim
+        object.__setattr__(self, "dim", H.shape[0] if dim is None else dim)
 
     @cached_property
     def h_eff(self) -> np.ndarray:
@@ -221,15 +219,18 @@ class SteadyStateResult:
     """Null space of the generator plus a positive representative.
 
     basis_matrices are Hermitian and orthonormal in the Hilbert-Schmidt inner
-    product; null_vectors holds their column-stacked vec forms. route names
-    what decided the result: "certificate" or "svd".
+    product. route names what decided the result: "certificate" or "svd".
     """
 
     dimension: int
     state: DensityMatrix
-    null_vectors: list
     basis_matrices: list
     route: str
+
+    @property
+    def null_vectors(self) -> list:
+        """The column-stacked vec forms of basis_matrices."""
+        return [vec(b) for b in self.basis_matrices]
 
 
 @cache
@@ -326,25 +327,22 @@ def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _unit_scaled(model: LindbladModel) -> LindbladModel:
-    """model itself when its largest |H_eff| entry (at least half the largest
-    gamma_j max|L_j|^2 or |H| entry) lies within SCALE_LIMIT of 1; otherwise the
-    generator over a power of two near its scale, each operator beyond SCALE_LIMIT
-    over one near its largest entry, with exponents compared and ldexp applied."""
-    with np.errstate(all="ignore"):  # operators beyond the float range overflow H_eff
-        peak = float(np.max(np.abs(model.h_eff)))
-    if 1.0 / SCALE_LIMIT <= peak <= SCALE_LIMIT:
-        return model
+    """model itself when every nonzero operator's largest entry, and every term
+    gamma_j max|L_j|^2 or max|H|, lies within SCALE_LIMIT of 1; otherwise the
+    generator over a power of two near its largest term, each operator beyond
+    SCALE_LIMIT over one near its largest entry. Only binary exponents are
+    compared, so no product overflows, and ldexp scales exactly."""
+    limit = math.frexp(SCALE_LIMIT)[1]
     jumps = []  # (rate, operator, exponent of its largest entry, exponent it is divided by)
-    for g, L in model.dissipators:
-        top = np.max(np.abs(L))
+    for (g, L), top in zip(model.dissipators, model.dissipators.peaks):
         if top > 0.0:
             e = math.frexp(top)[1]
-            jumps.append((g, L, e, 0 if 1.0 / SCALE_LIMIT <= top <= SCALE_LIMIT else e))
+            jumps.append((g, L, e, e if abs(e) > limit else 0))
     terms = [math.frexp(g)[1] + 2 * e for g, _, e, _ in jumps]
     H = model.hamiltonian
     if H is not None and np.any(H):
         terms.append(math.frexp(np.max(np.abs(H)))[1])
-    if not terms:  # the zero generator
+    if all(abs(t) <= limit for t in terms) and not any(k for *_, k in jumps):
         return model
     s = max(terms)
     rates = [math.ldexp(g, 2 * k - s) for g, _, _, k in jumps]
@@ -401,7 +399,7 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     if t is not None:
         p = np.outer(t, t.conj())
         p = (p + dag(p)) / 2.0
-        return SteadyStateResult(1, DensityMatrix(p), [vec(p)], [p], "certificate")
+        return SteadyStateResult(1, DensityMatrix(p), [p], "certificate")
     d = model.dim
     if 16 * d**4 > MAX_DENSE_BYTES:
         raise SizeLimitError(
@@ -421,8 +419,7 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
         state = DensityMatrix(m / tr)
     except ValueError as exc:  # round-off of an ill-conditioned null space
         raise SteadyStateError(f"steady-state representative is not a state: {exc}") from None
-    basis = [_hermitian_matrix(x, d) for x in xs]
-    return SteadyStateResult(len(xs), state, [vec(b) for b in basis], basis, "svd")
+    return SteadyStateResult(len(xs), state, [_hermitian_matrix(x, d) for x in xs], "svd")
 
 
 @dataclass(eq=False)

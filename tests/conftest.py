@@ -23,3 +23,22 @@ def random_hermitian(dim, rng):
 
 def random_complex(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def skew_null_space(monkeypatch):
+    """Make the steady-state fallback's representative miss the state cone.
+
+    1e-6 (E_00 - E_11), in the Hermitian-basis coordinates the fallback
+    works in (diagonal first), is added to its first null vector. The
+    projected representative of a pure steady state then has a negative
+    eigenvalue near -1e-6, whatever the round-off of the SVD.
+    """
+    from dissipforge.algebra import null_space
+
+    def skewed(A, tol):
+        xs = null_space(A, tol)
+        delta = np.zeros_like(xs[0])
+        delta[:2] = 1e-6, -1e-6
+        return [xs[0] + delta, *xs[1:]]
+
+    monkeypatch.setattr("dissipforge.lindblad.null_space", skewed)

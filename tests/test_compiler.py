@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from dissipforge.compiler import (
     Conjugation,
     GateSequence,
     SeedCoupling,
+    _realized_couplings,
     compile_coupling,
     conjugation_step,
     coupling_generator,
@@ -185,6 +187,41 @@ def test_verify_is_bath_neutral():
     reports = [verify_sequence(seq, b, THETAS) for b in baths]
     assert all(r.passed for r in reports)
     assert max(r.max_deviation for r in reports) <= 1e-10
+
+
+def _per_gate_coupling(seq, bath, theta):
+    """Oracle: the seed coupling conjugated by one (I + iA)/sqrt2 (x) I at a time."""
+    n = seq.target.n
+    seed = PauliString.single(n, seq.seed.qubit, "Y").dense()
+    V = matexp(1j * theta * np.kron(seed, bath.operator))
+    for g in seq.conjugations:
+        U = np.kron((np.eye(1 << n) + 1j * g.axis.dense()) / math.sqrt(2), np.eye(bath.dimension))
+        V = U @ V @ U.conj().T
+    return V
+
+
+_ORACLE_WORDS = ["Y", "X", "ZX", "YY", "XYZ", "ZIX", "YXZY", "XZIZ", "ZZZZ"]
+
+
+@pytest.mark.parametrize("letters", _ORACLE_WORDS)
+def test_composed_conjugators_match_the_per_gate_oracle(letters):
+    word = PauliString(letters)
+    seq = compile_coupling(word, 0.7)
+    for bath in (BathTestSpec.random(2, seed=50), BathTestSpec.random(3, seed=51)):
+        for theta, V in zip(THETAS, _realized_couplings(seq, bath, THETAS)):
+            oracle = _per_gate_coupling(seq, bath, theta)
+            assert np.linalg.norm(V - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("letters", [w for w in _ORACLE_WORDS if PauliString(w).weight > 1])
+def test_verify_rejects_a_dropped_or_duplicated_conjugation(letters):
+    seq = compile_coupling(PauliString(letters), 0.7)
+    gates = seq.gates
+    for i in range(1, len(gates)):
+        for wrong in (gates[:i] + gates[i + 1:], gates[:i + 1] + gates[i:]):
+            for bath in (BathTestSpec.random(2, seed=50), BathTestSpec.random(3, seed=51)):
+                report = verify_sequence(GateSequence(wrong, seq.target, seq.theta), bath, THETAS)
+                assert not report.passed and report.max_deviation > 0.5
 
 
 def test_verify_working_set_does_not_grow_with_the_gate_count():

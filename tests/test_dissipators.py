@@ -142,9 +142,9 @@ def test_splitting_hamiltonian_validation():
     with pytest.raises(ValueError):
         splitting_hamiltonian(spec, energies=np.zeros(3))
     with pytest.raises(ValueError, match="not unitary"):
-        splitting_hamiltonian(spec, frame=np.diag([1.0, 1.0, 1.0, 2.0]))
+        SynthesisSpec(dim=4, k=1, coeffs=np.ones((3, 1)), basis=np.diag([1.0, 1.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="shape"):
-        splitting_hamiltonian(spec, frame=np.eye(3))
+        SynthesisSpec(dim=4, k=1, coeffs=np.ones((3, 1)), basis=np.eye(3))
 
 
 def test_single_operator_two_level_is_lowering():
@@ -156,11 +156,10 @@ def test_single_operator_two_level_is_lowering():
 def test_single_operator_drives_into_bell_state():
     rng = np.random.default_rng(14)
     target = bell_state()
-    frame = dag(orthonormal_frame(target))  # frame^dag |e0> is the Bell state
     coeffs = random_complex((3, 1), rng)
-    spec = SynthesisSpec(dim=4, k=1, coeffs=coeffs)
-    ds = synth_single(spec, frame=frame)
-    model = LindbladModel(ds, hamiltonian=splitting_hamiltonian(spec, frame=frame))
+    spec = SynthesisSpec(dim=4, k=1, coeffs=coeffs, basis=orthonormal_frame(target))
+    ds = synth_single(spec)
+    model = LindbladModel(ds, hamiltonian=splitting_hamiltonian(spec))
     result = steady_states(model)
     assert result.dimension == 1
     assert fidelity(result.state, target) >= 1.0 - 1e-10
@@ -184,9 +183,8 @@ def test_single_operator_rejections():
         synth_single(SynthesisSpec(dim=4, k=2, coeffs=np.ones((2, 2))))
     with pytest.raises(ValueError):  # zero coefficient
         synth_single(SynthesisSpec(dim=3, k=1, coeffs=np.array([[1.0], [0.0]])))
-    spec = SynthesisSpec(dim=2, k=1, coeffs=np.array([[1.0]]))
-    with pytest.raises(ValueError):  # non-unitary frame
-        synth_single(spec, frame=np.ones((2, 2)))
+    with pytest.raises(ValueError):  # non-unitary basis
+        synth_single(SynthesisSpec(dim=2, k=1, coeffs=np.array([[1.0]]), basis=np.ones((2, 2))))
 
 
 def test_orthonormal_frame_properties():

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_complex, random_density, random_hermitian, random_unitary
+from conftest import (
+    random_complex,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    skew_null_space,
+)
 from dissipforge.algebra import dag, null_space
 from dissipforge.cli import ScenarioConfig, _combined_operator
 from dissipforge.dissipators import (
@@ -13,6 +19,7 @@ from dissipforge.dissipators import (
     SynthesisSpec,
     orthonormal_frame,
     preset_lfor2,
+    splitting_hamiltonian,
     synth_single,
     synth_subspace,
 )
@@ -198,8 +205,8 @@ def test_factored_generator_matches_textbook_form():
 def test_structured_jump_sets_are_factored():
     rng = np.random.default_rng(31)
     spec = SynthesisSpec(dim=8, k=1, coeffs=random_complex((7, 1), rng))
-    sets = [preset_lfor2(), synth_subspace(spec), synth_single(spec),
-            synth_single(spec, frame=random_unitary(8, rng))]
+    rotated = SynthesisSpec(dim=8, k=1, coeffs=spec.coeffs, basis=random_unitary(8, rng))
+    sets = [preset_lfor2(), synth_subspace(spec), synth_single(spec), synth_single(rotated)]
     for n in (2, 3, 4):  # the CLI's single trajectory operator
         L, gamma, _ = _combined_operator(
             ScenarioConfig(scenario="qsd", n_qubits=n, target=f"cluster-{n}"))
@@ -398,12 +405,37 @@ def test_steady_states_refuse_operator_scales_beyond_one_float_range():
         steady_states(LindbladModel(ds))
 
 
-def test_steady_states_reports_a_representative_that_is_not_a_state():
-    # rates spread by about 1e8 defeat the certificate's margin, and the
-    # fallback's null space is resolved only to about eps / sigma_2, so the
-    # projected representative has a negative eigenvalue far below round-off
-    # (-4.7e-9 here; whether a given spread fails depends on the SVD's
-    # round-off, and 7e-9 fails by at least 10x the -1e-10 bound)
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_steady_states_rescale_a_hamiltonian_with_the_rates(scale):
+    # the single operator with its splitting Hamiltonian on cluster-3, rates
+    # and H scaled together, so max|H| is one of the terms the scale reads
+    target = graph_state(GraphSpec.path(3))
+    spec = SynthesisSpec(dim=8, k=1, coeffs=np.ones((7, 1)), basis=orthonormal_frame(target))
+    ds, H = synth_single(spec), splitting_hamiltonian(spec)
+    plain = steady_states(LindbladModel(ds, hamiltonian=H))
+    model = LindbladModel(ds.scaled(scale), hamiltonian=scale * H)
+    assert _unit_scaled(model) is not model
+    result = steady_states(model)
+    assert (result.route, result.dimension) == (plain.route, plain.dimension) == ("svd", 1)
+    assert fidelity(result.state, target) > 1 - 1e-12
+
+
+def test_steady_states_drop_a_zero_operator_out_of_the_scale_window():
+    ds = DissipatorSet(((1e200, SIGMA_MINUS), (1.0, np.zeros((2, 2)))))
+    scaled = _unit_scaled(LindbladModel(ds))
+    assert len(scaled.dissipators) == 1
+    result = steady_states(LindbladModel(ds))
+    plain = steady_states(LindbladModel(DissipatorSet(ds.items[:1])))
+    assert (result.route, result.dimension) == (plain.route, plain.dimension)
+    assert np.array_equal(result.state.matrix, plain.state.matrix)
+
+
+def test_steady_states_reports_a_representative_that_is_not_a_state(monkeypatch):
+    # rates spread by about 1e8 defeat the certificate's margin, which does
+    # not depend on round-off, so the SVD decides; its first null vector is
+    # skewed off the state cone, and the projected representative's minimum
+    # eigenvalue reads about -7e-7
+    skew_null_space(monkeypatch)
     model = LindbladModel(_synthesized(graph_state(GraphSpec.path(2)), [7e-9, 1.0, 1.0]))
     with pytest.raises(SteadyStateError, match="minimum eigenvalue -"):
         steady_states(model)
