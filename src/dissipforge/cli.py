@@ -292,12 +292,12 @@ def _log2_largest_array(cfg: ScenarioConfig):
     Liouvillian; synth: the d^4 complex Liouvillian, since dissipators.json
     holds every jump entry as a Python list; evolve: the larger of the stack
     and the (T, d, d) complex record of T = t_max/dt + 1 samples; qsd: the
-    largest of those two and the (chunk, T) complex noise block; compile: the
-    12 (D, D) complex arrays verify_sequence holds at once on D = 2^n * bath_dim
-    levels; graph-state: the (2^n, n) int64 bit table.
+    largest of those two and the (chunk, T) complex noise block; compile: 5
+    (D, D) complex arrays, D = 2^n * bath_dim, over the 4.0-4.6 verify_sequence
+    holds at once; graph-state: the (2^n, n) int64 bit table.
     """
     if cfg.scenario == "compile":
-        return 4 + math.log2(12) + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
+        return 4 + math.log2(5) + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
     # the target's qubit count was checked against n_qubits at parse time
     n = cfg.graph.n if cfg.scenario == "graph-state" else cfg.n_qubits
     if n > 64:  # far above the limit, and a count this large can overflow a float

@@ -4,9 +4,10 @@ A conjugation gate T_A wraps the current coupling V as U_A V U_A^dag with
 U_A = exp(i pi/4 A); when A and G anticommute this maps e^{i theta G} to
 e^{i theta (iAG)}. Chains of such gates grow a single-qubit seed coupling
 e^{i theta Y_q (x) B} into e^{i theta W (x) B} for an arbitrary Pauli word W,
-touching at most two qubits per gate. The module also lowers e^{i theta XX}
-to a pair of Molmer-Sorensen pulses around an ancilla rotation, and builds
-first-order Trotter products of multi-term couplings.
+touching at most two qubits per gate; verify_sequence exponentiates only the
+bath, as exp(i theta P (x) B) = P+ (x) e^{i theta B} + P- (x) e^{-i theta B}
+with P+- = (I +- P)/2 when P^2 = I. The module also lowers e^{i theta XX} to
+Molmer-Sorensen pulses around an ancilla rotation and builds Trotter products.
 """
 
 import math
@@ -281,45 +282,45 @@ class VerificationReport:
 
 
 def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> VerificationReport:
-    """Check e^{i theta W (x) B} against the realized sequence at each theta.
+    """Check T = e^{i theta W (x) B} against the realized sequence at each theta.
 
-    The seed gate becomes e^{i theta Y_seed (x) B_test} on the combined
-    system-bath space; conjugation unitaries act as identity on the bath
-    factor. Reports the Frobenius deviation relative to the target,
-    ||V - T||_F / ||T||_F, at each sample: the test bath need not be
-    normalized or Hermitian, so ||T|| can grow as e^{theta ||B||} and an
-    absolute bound would reject correct sequences on large baths. The
-    sequence passes when every deviation is at most VERIFY_TOL.
+    The conjugators act as identity on the bath, so the sequence realizes
+    V = e^{i theta Q (x) B}, Q = C Y_seed C^dag. V and T are built as
+    P+ (x) e^{i theta B} + P- (x) e^{-i theta B} of P = Q and W: only the bath
+    factor is exponentiated. Each deviation is ||V - T||_F / ||T||_F: the test
+    bath need not be normalized or Hermitian, so ||T|| can grow as
+    e^{theta ||B||} and an absolute bound would reject correct sequences on
+    large baths. The sequence passes when every deviation is at most VERIFY_TOL.
     """
     if seq.seed is None or any(
         not isinstance(g, (SeedCoupling, Conjugation)) for g in seq.gates
     ):
         raise ValueError("verify_sequence handles seed + conjugation sequences only")
     thetas = tuple(float(t) for t in theta_samples)
-    target_word = seq.target.dense()
+    Q, W = _realized_word(seq), seq.target.dense()
     devs = []
-    for theta, V in zip(thetas, _realized_couplings(seq, bath, thetas)):
-        target = matexp(1j * theta * kron(target_word, bath.operator))
-        devs.append(float(np.linalg.norm(V - target) / np.linalg.norm(target)))
+    for theta in thetas:
+        E = matexp(1j * theta * bath.operator), matexp(-1j * theta * bath.operator)
+        V, T = _word_coupling(Q, *E), _word_coupling(W, *E)
+        devs.append(float(np.linalg.norm(V - T) / np.linalg.norm(T)))
+        del V, T  # the next theta's pair is built without them
     max_dev = float(np.max(devs))  # NaN propagates, and fails the bound below
     return VerificationReport(max_dev <= VERIFY_TOL, max_dev, tuple(devs), thetas, VERIFY_TOL)
 
 
-def _realized_couplings(seq: GateSequence, bath: BathTestSpec, thetas):
-    """U e^{i theta Y_seed (x) B} U^dag for each theta, U = C (x) I_bath.
-
-    C = U_g ... U_1 multiplies the conjugators exp(i pi/4 A) = (I + iA)/sqrt2
-    (a Pauli word squares to I) in list order, on the system alone, so U is
-    formed once per call, not once per gate and theta.
-    """
+def _realized_word(seq: GateSequence) -> np.ndarray:
+    """Q = C Y_seed C^dag, C the conjugators (I + iA)/sqrt2 multiplied in list order."""
     dim = 1 << seq.target.n
     C = np.eye(dim, dtype=complex)
     for g in seq.conjugations:
         C = ((np.eye(dim) + 1j * g.axis.dense()) * math.sqrt(0.5)) @ C
-    U = kron(C, np.eye(bath.dimension, dtype=complex))
-    seed_word = PauliString.single(seq.target.n, seq.seed.qubit, "Y").dense()
-    for theta in thetas:
-        yield U @ matexp(1j * theta * kron(seed_word, bath.operator)) @ dag(U)
+    return C @ PauliString.single(seq.target.n, seq.seed.qubit, "Y").dense() @ dag(C)
+
+
+def _word_coupling(P, plus, minus) -> np.ndarray:
+    """exp(i theta P (x) B) from plus, minus = e^{+-i theta B}, for P^2 = I."""
+    eye = np.eye(len(P))
+    return kron((eye + P) / 2, plus) + kron((eye - P) / 2, minus)
 
 
 def ms_decompose(p: int, q: int, theta: float) -> GateSequence:

@@ -7,8 +7,7 @@ frame vector at once, which pins the steady state to one pure state as long
 as every coefficient is nonzero.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,14 +78,15 @@ class DissipatorSet:
     """Ordered collection of (decay rate, jump operator) pairs."""
 
     items: tuple  # of (gamma, operator)
+    peaks: tuple = field(init=False)  # largest |entry| of each operator
 
     def __post_init__(self):
-        norm = []
+        norm, peaks = [], []
         dim = None
         for gamma, op in self.items:
             gamma = float(gamma)
-            if gamma <= 0:
-                raise ValueError(f"decay rates must be positive, got {gamma}")
+            if not 0 < gamma < np.inf:  # NaN fails both comparisons
+                raise ValueError(f"decay rates must be positive and finite, got {gamma}")
             op = _frozen(op)
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise ValueError(f"jump operator must be square, got shape {op.shape}")
@@ -94,8 +94,12 @@ class DissipatorSet:
                 dim = op.shape[0]
             elif op.shape[0] != dim:
                 raise ValueError("jump operators act on different dimensions")
+            peaks.append(float(np.max(np.abs(op))))
+            if not np.isfinite(peaks[-1]):  # an inf or NaN entry
+                raise ValueError(f"jump operator entries must be finite, got {peaks[-1]}")
             norm.append((gamma, op))
         object.__setattr__(self, "items", tuple(norm))
+        object.__setattr__(self, "peaks", tuple(peaks))
 
     @property
     def dim(self) -> int | None:
@@ -108,11 +112,6 @@ class DissipatorSet:
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
         return tuple(op for _, op in self.items)
-
-    @cached_property
-    def peaks(self) -> tuple[float, ...]:
-        """Largest |entry| of each operator, found on first use."""
-        return tuple(float(np.max(np.abs(op))) for _, op in self.items)
 
     def scaled(self, factor: float) -> "DissipatorSet":
         """Same operators with every rate multiplied by factor."""

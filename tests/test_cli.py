@@ -194,7 +194,7 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
                  id="evolve-10-qubits-one-step"),
     pytest.param({**_QSD, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01,
                   "n_traj": 1}, id="qsd-10-qubits-one-step"),
-    # verify_sequence holds 12 arrays of D x D, D = 2^10 * 4: 3 GiB
+    # verify_sequence is charged 5 arrays of D x D, D = 2^10 * 4: 1.25 GiB
     pytest.param({**_COMPILE, "pauli_word": "XYZXYZXYZX", "bath_dim": 4},
                  id="compile-D-4096"),
 ])
@@ -232,8 +232,8 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
     # 255 MiB at 8 qubits, 2 GiB at 9
     pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 8, 9, "2 GiB", id="evolve"),
     pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 8, 9, "2 GiB", id="qsd"),
-    # compile holds 12 (D, D) arrays: 768 MiB at D = 2^9 * 4, 3 GiB at 2^10 * 4
-    pytest.param(_COMPILE, "pauli_word", "XYZXYZXYZ", "XYZXYZXYZX", "3 GiB", id="compile"),
+    # compile is charged 5 (D, D) arrays: 320 MiB at D = 2^9 * 4, 1.25 GiB at 2^10 * 4
+    pytest.param(_COMPILE, "pauli_word", "XYZXYZXYZ", "XYZXYZXYZX", "1.25 GiB", id="compile"),
 ])
 def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
     cfg = parse_config(_write(tmp_path, "fits.json", {**probe, key: fits}))

@@ -11,7 +11,8 @@ from dissipforge.compiler import (
     Conjugation,
     GateSequence,
     SeedCoupling,
-    _realized_couplings,
+    _realized_word,
+    _word_coupling,
     compile_coupling,
     conjugation_step,
     coupling_generator,
@@ -203,14 +204,48 @@ def _per_gate_coupling(seq, bath, theta):
 _ORACLE_WORDS = ["Y", "X", "ZX", "YY", "XYZ", "ZIX", "YXZY", "XZIZ", "ZZZZ"]
 
 
+def _closed_form_coupling(P, bath, theta):
+    B = bath.operator
+    return _word_coupling(P, matexp(1j * theta * B), matexp(-1j * theta * B))
+
+
 @pytest.mark.parametrize("letters", _ORACLE_WORDS)
 def test_composed_conjugators_match_the_per_gate_oracle(letters):
     word = PauliString(letters)
     seq = compile_coupling(word, 0.7)
+    Q = _realized_word(seq)
     for bath in (BathTestSpec.random(2, seed=50), BathTestSpec.random(3, seed=51)):
-        for theta, V in zip(THETAS, _realized_couplings(seq, bath, THETAS)):
+        for theta in THETAS:
+            V = _closed_form_coupling(Q, bath, theta)
             oracle = _per_gate_coupling(seq, bath, theta)
             assert np.linalg.norm(V - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("letters", _ORACLE_WORDS)
+def test_closed_form_target_matches_the_dense_exponential(letters):
+    # the bath_dim-16 bath makes ||T||_F 2e6 to 7e6 at theta = 2.7
+    W = PauliString(letters).dense()
+    baths = (BathTestSpec.random(2, seed=50), BathTestSpec.random(3, seed=51),
+             BathTestSpec.random(16, seed=0))
+    for bath in baths:
+        for theta in THETAS:
+            T = _closed_form_coupling(W, bath, theta)
+            dense = matexp(1j * theta * np.kron(W, bath.operator))
+            assert np.linalg.norm(T - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_verify_exponentiates_only_the_bath_factor(monkeypatch):
+    shapes = []
+
+    def recording_matexp(A):
+        shapes.append(np.shape(A))
+        return matexp(A)
+
+    monkeypatch.setattr("dissipforge.compiler.matexp", recording_matexp)
+    seq = compile_coupling(PauliString("XYZX"), 0.7, GraphSpec.path(4))
+    report = verify_sequence(seq, BathTestSpec.random(3, seed=52), THETAS)
+    assert report.passed
+    assert shapes == [(3, 3)] * (2 * len(THETAS))
 
 
 @pytest.mark.parametrize("letters", [w for w in _ORACLE_WORDS if PauliString(w).weight > 1])
@@ -226,7 +261,7 @@ def test_verify_rejects_a_dropped_or_duplicated_conjugation(letters):
 
 def test_verify_working_set_does_not_grow_with_the_gate_count():
     # 15 conjugations on D = 2^8 * 4 = 1024 levels: a conjugator kept per gate
-    # would add 15 (D, D) arrays to a working set of about 12
+    # would add 15 (D, D) arrays to a working set of about 4
     word = PauliString("XYZXYZXY")
     seq = compile_coupling(word, 0.7, GraphSpec.path(word.n))
     assert len(seq.conjugations) == 15
@@ -235,12 +270,12 @@ def test_verify_working_set_does_not_grow_with_the_gate_count():
     matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
     tracemalloc.start()
     try:
-        report = verify_sequence(seq, bath, (0.3,))
+        report = verify_sequence(seq, bath, THETAS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 13 * 16 * D * D
+    assert peak < 5 * 16 * D * D
 
 
 def test_verify_rejects_ms_sequences():

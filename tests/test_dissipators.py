@@ -303,6 +303,22 @@ def test_dissipator_set_validation_and_json():
     assert ds.scaled(2.0).rates == (2.0, 2.0, 2.0)
 
 
+_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("gamma, entry", [
+    pytest.param(np.inf, 1.0, id="rate-inf"),
+    pytest.param(np.nan, 1.0, id="rate-nan"),
+    pytest.param(1.0, np.inf, id="entry-inf"),
+    pytest.param(1.0, np.nan, id="entry-nan"),
+])
+def test_dissipator_set_rejects_non_finite_rates_and_entries(gamma, entry):
+    op = _SIGMA_MINUS.copy()
+    op[0, 1] = entry
+    with pytest.raises(ValueError, match="finite"):
+        DissipatorSet(((gamma, op),))
+
+
 def test_dissipator_set_shares_only_frozen_operators():
     frozen = np.eye(2, dtype=complex)
     frozen.setflags(write=False)
