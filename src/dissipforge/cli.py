@@ -24,7 +24,6 @@ import numpy as np
 from .algebra import PauliString, complex_pairs
 from .compiler import BathTestSpec, compile_coupling, verify_sequence
 from .dissipators import (
-    DissipatorSet,
     SynthesisSpec,
     is_dark,
     orthonormal_frame,
@@ -335,8 +334,7 @@ def _build_model(cfg: ScenarioConfig):
         )
         base = synth_subspace(spec)
     rates = cfg.gamma if isinstance(cfg.gamma, list) else [cfg.gamma] * len(base)
-    ds = DissipatorSet(tuple((r, op) for r, (_, op) in zip(rates, base, strict=True)))
-    return LindbladModel(ds), target
+    return LindbladModel(base._with_rates(rates)), target
 
 
 def _combined_operator(cfg: ScenarioConfig):

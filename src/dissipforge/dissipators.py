@@ -61,9 +61,9 @@ class SynthesisSpec:
 def _frozen(op) -> np.ndarray:
     """op as a read-only complex array that owns its data.
 
-    Such an array is kept as it is, so sets that share operators (rates
-    applied to a synthesized set, `scaled`) hold one copy of each; anything
-    else is copied.
+    Such an array is kept as it is, so a set built from another set's
+    operators (a synthesized set, `_unit_scaled` in `lindblad`) holds one copy
+    of each; anything else is copied.
     """
     if (isinstance(op, np.ndarray) and op.dtype == complex
             and op.flags.owndata and not op.flags.writeable):
@@ -71,6 +71,13 @@ def _frozen(op) -> np.ndarray:
     op = np.array(op, dtype=complex)
     op.setflags(write=False)
     return op
+
+
+def _rate(gamma) -> float:
+    gamma = float(gamma)
+    if not 0 < gamma < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"decay rates must be positive and finite, got {gamma}")
+    return gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +91,7 @@ class DissipatorSet:
         norm, peaks = [], []
         dim = None
         for gamma, op in self.items:
-            gamma = float(gamma)
-            if not 0 < gamma < np.inf:  # NaN fails both comparisons
-                raise ValueError(f"decay rates must be positive and finite, got {gamma}")
+            gamma = _rate(gamma)
             op = _frozen(op)
             if op.ndim != 2 or op.shape[0] != op.shape[1]:
                 raise ValueError(f"jump operator must be square, got shape {op.shape}")
@@ -115,7 +120,17 @@ class DissipatorSet:
 
     def scaled(self, factor: float) -> "DissipatorSet":
         """Same operators with every rate multiplied by factor."""
-        return DissipatorSet(tuple((g * factor, op) for g, op in self.items))
+        return self._with_rates(g * factor for g, _ in self.items)
+
+    def _with_rates(self, rates) -> "DissipatorSet":
+        """Same operators at new rates, one per operator and checked as the
+        constructor checks them. The operators and their `peaks` are carried
+        over, so no operator is scanned again."""
+        items = tuple((_rate(g), op) for g, (_, op) in zip(rates, self.items, strict=True))
+        out = object.__new__(DissipatorSet)
+        object.__setattr__(out, "items", items)
+        object.__setattr__(out, "peaks", self.peaks)
+        return out
 
     def to_json_obj(self) -> list:
         return [{"gamma": gamma, "matrix": complex_pairs(op)} for gamma, op in self.items]

@@ -105,6 +105,8 @@ class LindbladModel:
             H = np.asarray(H, dtype=complex).copy()
             if H.ndim != 2 or H.shape[0] != H.shape[1]:
                 raise ValueError(f"Hamiltonian must be square, got shape {H.shape}")
+            if not np.all(np.isfinite(H)):  # NaN would pass the Hermiticity test below
+                raise ValueError("Hamiltonian entries must be finite")
             if np.max(np.abs(H - H.conj().T)) > 1e-12:
                 raise ValueError("Hamiltonian is not Hermitian to 1e-12")
             if self.dissipators.dim is not None and H.shape[0] != self.dissipators.dim:
@@ -274,13 +276,42 @@ def _real_generator(model: LindbladModel) -> np.ndarray:
     return columns.T
 
 
-def _certified_state(model: LindbladModel) -> np.ndarray | None:
-    """The unit |t> of the certificate described in `steady_states`, or None."""
-    H = model.h_eff
-    jumps = model._jumps
-    scale = np.linalg.norm(H)
+def _screen(T: np.ndarray, jumps: _JumpFactors, u_norm: np.ndarray, v_norm: np.ndarray,
+            uv_bound: np.ndarray) -> np.ndarray:
+    """Mask of the columns t of T that the rank-one part of the invariance
+    test may accept, from the two products U^dag T and V^dag T.
+
+    The part of L_j t = u_j (v_j^dag t) off t has norm |v_j^dag t| ||u_j - t
+    t^dag u_j||, and ||u_j - t t^dag u_j||^2 = ||u_j||^2 - (2 - ||t||^2)
+    |t^dag u_j|^2. An entry of either product, a sum of d complex terms, is
+    off by at most e ||x|| ||t|| (x = u_j or v_j), e = 2 (d + 2) eps, four
+    times Higham's gamma_{d+2}, and the per-candidate test rounds its own
+    products by as much. So |v_j^dag t| is lowered by 3 e ||v_j|| ||t|| and
+    ||u_j||^2 - |t^dag u_j|^2 by slack_j = (8 e + 3 | ||t|| - 1 |) ||u_j||^2
+    (eig's columns have unit norm to rounding): a column whose lower bound
+    exceeds uv_bound for some j fails the test as computed too, so dropping
+    it changes no result.
+    """
+    e = 2 * (T.shape[0] + 2) * np.finfo(float).eps
+    n = np.linalg.norm(T, axis=0)
+    uu = u_norm[:, None] ** 2
+    slack = (8 * e + 3 * np.abs(n - 1.0)) * uu
+    off_u = np.sqrt(np.maximum(uu - np.abs(jumps.Ud @ T) ** 2 - slack, 0.0))
+    vt = np.maximum(np.abs(dag(jumps.V) @ T) - 3 * e * v_norm[:, None] * n, 0.0)
+    return ~np.any(vt * off_u > uv_bound[:, None], axis=0)
+
+
+def _invariant_eigenvectors(H: np.ndarray, jumps: _JumpFactors, scale: float) -> list:
+    """The eigenvectors t of H = H_eff that H_eff and every jump leave
+    invariant, as `steady_states` describes; `scale` is ||H_eff||_F. The
+    rank-one jumps screen every candidate at once (`_screen`) and
+    `invariant(t)` decides the survivors."""
+    T = np.linalg.eig(H)[1]
+    keep = np.ones(T.shape[1], dtype=bool)
     if jumps.U is not None:
-        uv_bound = CERT_TOL * np.linalg.norm(jumps.U, axis=0) * np.linalg.norm(jumps.V, axis=0)
+        u_norm, v_norm = np.linalg.norm(jumps.U, axis=0), np.linalg.norm(jumps.V, axis=0)
+        uv_bound = CERT_TOL * u_norm * v_norm
+        keep = _screen(T, jumps, u_norm, v_norm, uv_bound)
     if jumps.gL is not None:
         gL_bound = CERT_TOL * np.linalg.norm(jumps.gL, axis=(1, 2))
 
@@ -300,7 +331,15 @@ def _certified_state(model: LindbladModel) -> np.ndarray | None:
                 return False
         return True
 
-    found = [t for t in np.linalg.eig(H)[1].T if invariant(t)]
+    return [t for t, ok in zip(T.T, keep) if ok and invariant(t)]
+
+
+def _certified_state(model: LindbladModel) -> np.ndarray | None:
+    """The unit |t> of the certificate described in `steady_states`, or None."""
+    H = model.h_eff
+    jumps = model._jumps
+    scale = np.linalg.norm(H)
+    found = _invariant_eigenvectors(H, jumps, scale)
     if len(found) != 1:
         return None
     t = found[0] / np.linalg.norm(found[0])
@@ -360,7 +399,16 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     H_eff, so the candidates are the eigenvectors of one `eig(H_eff)`. With
     P = |t><t| and Q = I - P, a candidate is kept when L_j|t> is parallel to
     |t> for every jump and Q H_eff |t> = 0, each to CERT_TOL relative to the
-    norm of L_j and of H_eff. When exactly one candidate is kept and
+    norm of L_j and of H_eff. The rank-one jumps L_j = u_j v_j^dag first
+    screen every candidate in one array pass: the products U^dag T and
+    V^dag T, T the eigenvectors, give for each pair (j, t) the lower bound
+    |v_j^dag t| sqrt(max(||u_j||^2 - |t^dag u_j|^2 - slack_j, 0)) on the part
+    of L_j t off t, where slack_j covers the rounding of both products and
+    of the per-candidate test, plus | ||t|| - 1 | (see `_screen`). A candidate
+    whose bound exceeds the tolerance for some j is dropped; the exact
+    per-candidate test decides the survivors, so the screen changes no
+    result. On the synthesized sets only the target survives it. When
+    exactly one candidate is kept and
     W = sum_j gamma_j Q L_j^dag P L_j Q has every eigenvalue on the range of
     Q above CERT_MARGIN ||H_eff||_F, the null space is spanned by P:
 

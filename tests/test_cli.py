@@ -268,6 +268,17 @@ def test_build_model_holds_one_jump_stack(tmp_path):
     assert peak < 1.3 * stack
 
 
+def test_build_model_scans_the_operators_once(tmp_path, monkeypatch):
+    # the configured rates carry the synthesized set's peaks over
+    scans = []
+    scan = DissipatorSet.__post_init__
+    monkeypatch.setattr(DissipatorSet, "__post_init__", lambda ds: scans.append(scan(ds)))
+    cfg = parse_config(_write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": 3,
+                                                     "target": "cluster", "gamma": 2.0}))
+    model, _ = _build_model(cfg)
+    assert len(scans) == 1 and model.dissipators.rates == (2.0,) * 7
+
+
 def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
     # one rate at 1e-12 defeats the certificate, and the 4 GiB Liouvillian of
     # the dense fallback at 7 qubits is refused before it is allocated; the

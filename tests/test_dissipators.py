@@ -306,6 +306,19 @@ def test_dissipator_set_validation_and_json():
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
+def test_new_rates_carry_the_operators_and_their_peaks():
+    ds = preset_lfor2()
+    for out in (ds.scaled(2.0), ds._with_rates([0.5, 1.0, 2.0])):
+        assert out.peaks is ds.peaks == DissipatorSet(out.items).peaks
+        assert all(a is b for a, b in zip(out.operators, ds.operators))
+    assert ds._with_rates([0.5, 1, 2]).rates == (0.5, 1.0, 2.0)
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ds._with_rates([1.0, bad, 1.0])
+    with pytest.raises(ValueError):  # one rate per operator
+        ds._with_rates([1.0, 1.0])
+
+
 @pytest.mark.parametrize("gamma, entry", [
     pytest.param(np.inf, 1.0, id="rate-inf"),
     pytest.param(np.nan, 1.0, id="rate-nan"),

@@ -23,14 +23,18 @@ from dissipforge.dissipators import (
     synth_single,
     synth_subspace,
 )
+from dissipforge import lindblad
 from dissipforge.lindblad import (
+    CERT_TOL,
     MAX_DENSE_BYTES,
     EvolutionRecord,
     IntegrationError,
     LindbladModel,
     SizeLimitError,
     SteadyStateError,
+    _invariant_eigenvectors,
     _real_generator,
+    _screen,
     _unit_scaled,
     integrate,
     liouvillian_matrix,
@@ -97,6 +101,10 @@ def test_model_validation():
         LindbladModel(DissipatorSet(()))
     with pytest.raises(ValueError):  # mismatched dimensions
         LindbladModel(DissipatorSet(((1.0, SIGMA_MINUS),)), hamiltonian=np.eye(4))
+    for entry in (np.nan, np.inf):  # H - H^dag is NaN there, which no > test rejects
+        with pytest.raises(ValueError, match="finite"):
+            LindbladModel(DissipatorSet(((1.0, SIGMA_MINUS),)),
+                          hamiltonian=np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------- vectorization
@@ -337,18 +345,118 @@ def test_steady_states_match_complex_svd_oracle(model, expected, route):
     assert np.max(np.abs(result.state.matrix - state)) < 1e-10
 
 
-@pytest.mark.parametrize("eps", [1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
-def test_steady_states_of_a_perturbed_jump_match_the_oracle(eps):
-    # a perturbation breaks invariance by about eps: either route must agree
-    # with the SVD on the dimension and the state
+PERTURBATIONS = [1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8]
+
+
+def _perturbed_model(eps):
+    """Synthesized cluster-3 with its first jump perturbed by about eps."""
     rng = np.random.default_rng(28)
     ds = _synthesized(graph_state(GraphSpec.path(3)), rng.uniform(0.5, 2.0, 7))
     (rate, L), rest = ds.items[0], ds.items[1:]
-    model = LindbladModel(DissipatorSet(((rate, L + eps * random_complex((8, 8), rng)),) + rest))
+    return LindbladModel(DissipatorSet(((rate, L + eps * random_complex((8, 8), rng)),) + rest))
+
+
+@pytest.mark.parametrize("eps", PERTURBATIONS)
+def test_steady_states_of_a_perturbed_jump_match_the_oracle(eps):
+    # a perturbation breaks invariance by about eps: either route must agree
+    # with the SVD on the dimension and the state
+    model = _perturbed_model(eps)
     dimension, _, state = _oracle(model)
     result = steady_states(model)
     assert result.dimension == dimension == 1
     assert np.max(np.abs(result.state.matrix - state)) < 1e-9
+
+
+def _near_bound_model(factor):
+    """Sixteen levels in a random frame w_k. The jump (w_k + delta w_{k+1})
+    w_k^dag at rate k + 1, for even k >= 2, leaves the eigenvector w_k of
+    H_eff invariant up to an off-t residual of delta = factor CERT_TOL, which
+    is factor times CERT_TOL ||u|| ||v|| to 1e-24; the jump w_0 w_k^dag at
+    rate k + 1 drains each odd level k into the target w_0. Seven probes give
+    the rounding of ||u||^2 - |t^dag u|^2 both signs."""
+    W = random_unitary(16, np.random.default_rng(29))
+    delta = factor * CERT_TOL
+    jumps = [(k + 1.0, np.outer(W[:, k] + delta * W[:, k + 1], W[:, k].conj()) if k % 2 == 0
+              else np.outer(W[:, 0], W[:, k].conj())) for k in range(1, 16)]
+    return LindbladModel(DissipatorSet(tuple(jumps)))
+
+
+def _reference_search(model):
+    """The eigenvectors T of H_eff and, per column, the certificate's
+    per-candidate invariance test, run on every column without a screen."""
+    H, jumps = model.h_eff, model._jumps
+    scale = np.linalg.norm(H)
+    if jumps.U is not None:
+        uv_bound = CERT_TOL * np.linalg.norm(jumps.U, axis=0) * np.linalg.norm(jumps.V, axis=0)
+    if jumps.gL is not None:
+        gL_bound = CERT_TOL * np.linalg.norm(jumps.gL, axis=(1, 2))
+
+    def invariant(t):
+        Ht = H @ t
+        if np.linalg.norm(Ht - np.vdot(t, Ht) * t) > CERT_TOL * scale:
+            return False
+        if jumps.U is not None:
+            off = (jumps.U - np.outer(t, t.conj() @ jumps.U)) * np.conj(t.conj() @ jumps.V)
+            if np.any(np.linalg.norm(off, axis=0) > uv_bound):
+                return False
+        if jumps.gL is not None:
+            Lt = jumps.gL @ t
+            off = Lt - np.outer(Lt @ t.conj(), t)
+            if np.any(np.linalg.norm(off, axis=1) > gL_bound):
+                return False
+        return True
+
+    T = np.linalg.eig(H)[1]
+    return T, np.array([invariant(t) for t in T.T])
+
+
+def _screen_cases():
+    for case in _oracle_models():
+        yield pytest.param(case.values[0], id=case.id)
+    for eps in PERTURBATIONS:
+        yield pytest.param(_perturbed_model(eps), id=f"perturbed-{eps:g}")
+    for factor in (0.5, 2.0):
+        yield pytest.param(_near_bound_model(factor), id=f"near-bound-x{factor:g}")
+
+
+@pytest.mark.parametrize("model", list(_screen_cases()))
+def test_screen_drops_only_candidates_the_exact_test_rejects(model):
+    model = _unit_scaled(model)
+    H, jumps = model.h_eff, model._jumps
+    T, accepted = _reference_search(model)
+    found = _invariant_eigenvectors(H, jumps, np.linalg.norm(H))
+    reference = T.T[accepted]
+    assert len(found) == len(reference)
+    assert all(np.array_equal(t, r) for t, r in zip(found, reference))
+    if jumps.U is not None:
+        u_norm, v_norm = np.linalg.norm(jumps.U, axis=0), np.linalg.norm(jumps.V, axis=0)
+        keep = _screen(T, jumps, u_norm, v_norm, CERT_TOL * u_norm * v_norm)
+        assert np.all(keep[accepted])
+
+
+@pytest.mark.parametrize("factor, kept", [(0.5, 8), (2.0, 1)])
+def test_near_bound_model_straddles_the_invariance_tolerance(factor, kept):
+    # the probes pass at half the tolerance and fail at twice it; w_0 always passes
+    _, accepted = _reference_search(_near_bound_model(factor))
+    assert accepted.sum() == kept
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_only_the_target_reaches_the_exact_invariance_test(n, monkeypatch):
+    screened = []
+
+    def recording(T, *args):
+        keep = _screen(T, *args)
+        screened.append((T, keep))
+        return keep
+
+    monkeypatch.setattr(lindblad, "_screen", recording)
+    target = graph_state(GraphSpec.path(n))
+    result = steady_states(LindbladModel(_synthesized(target, np.ones(2**n - 1))))
+    assert result.route == "certificate"
+    [(T, keep)] = screened
+    assert keep.sum() == 1
+    assert abs(np.vdot(target.amplitudes, T[:, keep][:, 0])) > 1.0 - 1e-12
 
 
 def test_steady_states_refuses_a_fallback_above_the_size_limit():
