@@ -7,12 +7,16 @@ frame vector at once, which pins the steady state to one pure state as long
 as every coefficient is nonzero.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import PauliSum, complex_pairs, dag
 from .states import as_vector
+
+SCALE_LIMIT = 1e100  # is_dark and steady_states rescale an operator (or term) beyond this
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +77,75 @@ def _frozen(op) -> np.ndarray:
     return op
 
 
+def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
+    """x 2^k for a complex array, exact while its entries stay normal floats."""
+    return np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+
+
 def _rate(gamma) -> float:
     gamma = float(gamma)
     if not 0 < gamma < np.inf:  # NaN fails both comparisons
         raise ValueError(f"decay rates must be positive and finite, got {gamma}")
     return gamma
+
+
+def _rank_one(L: np.ndarray, peak: float):
+    """(u, v) with L = u v^dag to round-off, or None, in O(d^2) without an SVD.
+
+    u is the column of largest norm and v = L^dag u / ||u||^2; a rank-one L
+    is reproduced by u v^dag exactly up to rounding, any other L is not.
+    peak is max|L|, which sets the tolerance.
+    """
+    norms = np.sum(np.abs(L) ** 2, axis=0)
+    k = int(np.argmax(norms))
+    if norms[k] == 0.0:
+        return None
+    u = L[:, k]
+    v = (dag(L) @ u) / norms[k]
+    tol = 8 * L.shape[0] * np.finfo(float).eps * peak
+    if not np.max(np.abs(L - np.outer(u, v.conj()))) <= tol:  # NaN from an overflow fails too
+        return None
+    return u, v
+
+
+@dataclass(frozen=True, eq=False)
+class _JumpFactors:
+    """A jump set grouped by structure; a group with no members is None.
+
+    Rank-one jumps L_j = u_j v_j^dag are columns of U and V (d, m1), with
+    U^dag and gamma_j conj(V) precomputed. Every other jump is kept in the
+    stacks gL = gamma_j L_j and Ld = L_j^dag of shape (m2, d, d). `rates`
+    and `norms` (each jump's Frobenius norm) list the rank-one jumps first,
+    in the column order of `apply` and `apply_dag`, through which `is_dark`
+    and the steady-state certificate apply the jumps to vectors.
+    """
+
+    rates: np.ndarray
+    norms: np.ndarray
+    U: np.ndarray | None = None
+    Ud: np.ndarray | None = None
+    V: np.ndarray | None = None
+    gVc: np.ndarray | None = None
+    gL: np.ndarray | None = None
+    Ld: np.ndarray | None = None
+
+    def apply(self, t: np.ndarray) -> np.ndarray:
+        """The columns L_j t, (d, m)."""
+        cols = [np.empty((t.size, 0), dtype=complex)]
+        if self.U is not None:
+            cols.append(self.U * np.conj(t.conj() @ self.V))
+        if self.Ld is not None:
+            cols.append(np.conj(t.conj() @ self.Ld).T)
+        return np.hstack(cols)
+
+    def apply_dag(self, t: np.ndarray) -> np.ndarray:
+        """The columns L_j^dag t, (d, m)."""
+        cols = [np.empty((t.size, 0), dtype=complex)]
+        if self.U is not None:
+            cols.append(self.V * (self.Ud @ t))
+        if self.Ld is not None:
+            cols.append((self.Ld @ t).T)
+        return np.hstack(cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +185,30 @@ class DissipatorSet:
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
         return tuple(op for _, op in self.items)
+
+    @cached_property
+    def _jumps(self) -> _JumpFactors:
+        """The set split into rank-one factors and dense stacks, built on first use
+        and shared by every model over the set and by `is_dark`."""
+        rank_one, dense = [], []
+        for (gamma, L), peak in zip(self.items, self.peaks):
+            uv = _rank_one(L, peak)
+            if uv is None:
+                dense.append((gamma, L))
+            else:
+                rank_one.append((gamma, *uv))
+        rates = np.array([gamma for gamma, *_ in rank_one + dense])
+        norms, fields = [np.empty(0)], {}
+        if rank_one:
+            _, us, vs = zip(*rank_one)
+            U, V = np.column_stack(us), np.column_stack(vs)
+            fields.update(U=U, Ud=dag(U), V=V, gVc=rates[: len(us)] * V.conj())
+            norms.append(np.linalg.norm(U, axis=0) * np.linalg.norm(V, axis=0))
+        if dense:
+            L = np.stack([op for _, op in dense])
+            fields.update(gL=rates[len(rank_one):, None, None] * L, Ld=L.conj().transpose(0, 2, 1))
+            norms.append(np.linalg.norm(L, axis=(1, 2)))
+        return _JumpFactors(rates, np.concatenate(norms), **fields)
 
     def scaled(self, factor: float) -> "DissipatorSet":
         """Same operators with every rate multiplied by factor."""
@@ -249,11 +341,19 @@ def preset_lfor2() -> DissipatorSet:
 def is_dark(ds: DissipatorSet, phi) -> bool:
     """True when every jump operator annihilates |phi>: ||L phi|| <= 1e-10 ||L||_F ||phi||.
 
-    The bound is relative, so the answer does not change when the operators or
-    the state are rescaled.
+    L_j phi comes from the set's factorization (`_jumps`), after |phi> is
+    divided by a power of two near its largest entry and, if some operator's
+    largest entry (`peaks`) lies beyond SCALE_LIMIT of 1, every operator by
+    one near its own. Both scalings are exact and the bound is relative, so
+    no norm overflows or underflows and rescaling changes no answer.
     """
     v = as_vector(phi)
     if ds.dim is not None and ds.dim != v.size:
         raise ValueError(f"dimension mismatch: operators on {ds.dim}, state on {v.size}")
-    bound = 1e-10 * np.linalg.norm(v)
-    return all(np.linalg.norm(op @ v) <= bound * np.linalg.norm(op) for _, op in ds)
+    v = _times_power_of_two(v, -math.frexp(np.max(np.abs(v), initial=0.0))[1])
+    exps = [math.frexp(top)[1] for top in ds.peaks]
+    if any(abs(e) > math.frexp(SCALE_LIMIT)[1] for e in exps):
+        ds = DissipatorSet(tuple((g, _times_power_of_two(L, -e)) for (g, L), e in zip(ds, exps)))
+    jumps = ds._jumps
+    residuals = np.linalg.norm(jumps.apply(v), axis=0)
+    return bool(np.all(residuals <= 1e-10 * jumps.norms * np.linalg.norm(v)))

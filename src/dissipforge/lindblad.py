@@ -13,9 +13,10 @@ Bell set and the single-operator route), are used in closed form:
 gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j
 and gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, so the jump term
 costs O(m d^2) per evaluation instead of O(m d^3). Each jump is tested for
-rank one once per model; any other jump is applied densely. Only `h_eff` and
-`rhs` apply the generator: both matrices below are read off `rhs` column by
-column.
+rank one once per jump set (`DissipatorSet._jumps`); any other jump is
+applied densely. Only `h_eff` and `rhs` apply the generator: both matrices
+below are read off `rhs` column by column. The certificate and `is_dark`
+apply jumps to vectors through the set's actions L_j t and L_j^dag t.
 
 Both time-stepping routes, `integrate` here and the trajectory ensembles of
 `qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps (with a relative
@@ -43,13 +44,12 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import dag, matexp, null_space
-from .dissipators import DissipatorSet
+from .dissipators import SCALE_LIMIT, DissipatorSet, _JumpFactors, _times_power_of_two
 from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
 
 NULL_TOL = 1e-9  # relative singular-value cut of steady_states
 CERT_TOL = 1e-12  # relative invariance residual accepted by the certificate
 CERT_MARGIN = 1e-6  # relative decay rate the certificate requires of the complement
-SCALE_LIMIT = 1e100  # steady_states rescales a generator with a term or operator beyond this
 
 # Cap on the largest dense array of one run (1 GiB): the steady-state
 # fallback's real d^2 x d^2 matrix and singular vectors, 16 d^4 bytes, up to 6
@@ -71,24 +71,6 @@ class SizeLimitError(ContractError):
 
 class SteadyStateError(ContractError):
     """The steady-state fallback found no valid density-matrix representative."""
-
-
-@dataclass(frozen=True, eq=False)
-class _JumpFactors:
-    """Jump operators grouped by structure; a group with no members is None.
-
-    Rank-one jumps L_j = u_j v_j^dag are columns of U and V (d, m1), with
-    their rates, U^dag and gamma_j conj(V) precomputed. Every other jump is
-    kept in the stacks gL = gamma_j L_j and Ld = L_j^dag of shape (m2, d, d).
-    """
-
-    rates: np.ndarray | None = None
-    U: np.ndarray | None = None
-    Ud: np.ndarray | None = None
-    V: np.ndarray | None = None
-    gVc: np.ndarray | None = None
-    gL: np.ndarray | None = None
-    Ld: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +103,10 @@ class LindbladModel:
     @cached_property
     def h_eff(self) -> np.ndarray:
         """Read-only H - (i/2) sum_j gamma_j L_j^dag L_j, built on first use."""
-        jumps = self._jumps
+        jumps = self.dissipators._jumps
         K = np.zeros((self.dim, self.dim), dtype=complex)
         if jumps.U is not None:
-            weights = jumps.rates * np.sum(np.abs(jumps.U) ** 2, axis=0)
+            weights = jumps.rates[: jumps.U.shape[1]] * np.sum(np.abs(jumps.U) ** 2, axis=0)
             K += (jumps.V * weights) @ dag(jumps.V)
         if jumps.gL is not None:
             K += np.sum(jumps.Ld @ jumps.gL, axis=0)
@@ -133,47 +115,6 @@ class LindbladModel:
             H += self.hamiltonian
         H.setflags(write=False)
         return H
-
-    @cached_property
-    def _jumps(self) -> _JumpFactors:
-        """The jump set split into rank-one factors and dense stacks, built on first use."""
-        rank_one, dense = [], []
-        for gamma, L in self.dissipators:
-            uv = _rank_one(L)
-            if uv is None:
-                dense.append((gamma, L))
-            else:
-                rank_one.append((gamma, *uv))
-        fields = {}
-        if rank_one:
-            rates, us, vs = zip(*rank_one)
-            rates = np.array(rates)
-            U, V = np.column_stack(us), np.column_stack(vs)
-            fields.update(rates=rates, U=U, Ud=dag(U), V=V, gVc=rates * V.conj())
-        if dense:
-            rates, ops = zip(*dense)
-            L = np.stack(ops)
-            fields.update(gL=np.array(rates)[:, None, None] * L, Ld=L.conj().transpose(0, 2, 1))
-        return _JumpFactors(**fields)
-
-
-def _rank_one(L: np.ndarray):
-    """(u, v) with L = u v^dag to round-off, or None, in O(d^2) without an SVD.
-
-    u is the column of largest norm and v = L^dag u / ||u||^2; a rank-one L
-    is reproduced by u v^dag exactly up to rounding, any other L is not.
-    """
-    mag = np.abs(L)
-    norms = np.sum(mag**2, axis=0)
-    k = int(np.argmax(norms))
-    if norms[k] == 0.0:
-        return None
-    u = L[:, k]
-    v = (dag(L) @ u) / norms[k]
-    tol = 8 * L.shape[0] * np.finfo(float).eps * mag.max()
-    if np.max(np.abs(L - np.outer(u, v.conj()))) > tol:
-        return None
-    return u, v
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -192,7 +133,7 @@ def rhs(model: LindbladModel, rho) -> np.ndarray:
         raise ValueError(f"state shape {m.shape} does not match model dimension {model.dim}")
     H = model.h_eff
     out = -1j * (H @ m - m @ dag(H))
-    jumps = model._jumps
+    jumps = model.dissipators._jumps
     if jumps.U is not None:
         c = (jumps.gVc * (m @ jumps.V)).sum(axis=0)
         out += (jumps.U * c) @ jumps.Ud
@@ -276,27 +217,30 @@ def _real_generator(model: LindbladModel) -> np.ndarray:
     return columns.T
 
 
-def _screen(T: np.ndarray, jumps: _JumpFactors, u_norm: np.ndarray, v_norm: np.ndarray,
-            uv_bound: np.ndarray) -> np.ndarray:
+def _screen(T: np.ndarray, jumps: _JumpFactors, uv_bound: np.ndarray) -> np.ndarray:
     """Mask of the columns t of T that the rank-one part of the invariance
-    test may accept, from the two products U^dag T and V^dag T.
+    test may accept, from the two products U^dag T and V^dag T; uv_bound
+    holds the test's bounds for the rank-one jumps.
 
     The part of L_j t = u_j (v_j^dag t) off t has norm |v_j^dag t| ||u_j - t
     t^dag u_j||, and ||u_j - t t^dag u_j||^2 = ||u_j||^2 - (2 - ||t||^2)
     |t^dag u_j|^2. An entry of either product, a sum of d complex terms, is
     off by at most e ||x|| ||t|| (x = u_j or v_j), e = 2 (d + 2) eps, four
-    times Higham's gamma_{d+2}, and the per-candidate test rounds its own
-    products by as much. So |v_j^dag t| is lowered by 3 e ||v_j|| ||t|| and
-    ||u_j||^2 - |t^dag u_j|^2 by slack_j = (8 e + 3 | ||t|| - 1 |) ||u_j||^2
-    (eig's columns have unit norm to rounding): a column whose lower bound
-    exceeds uv_bound for some j fails the test as computed too, so dropping
-    it changes no result.
+    times Higham's gamma_{d+2}. The per-candidate test rounds v_j^dag t and
+    t^dag L_j t as much, and its other roundings (L_j t = u_j (v_j^dag t)
+    first, the subtraction, the norm) add at most 8 eps + (d + 1) eps <= 1.5 e
+    of ||u_j|| |v_j^dag t|. So |v_j^dag t| is lowered by 3 e ||v_j|| ||t|| and
+    ||u_j||^2 - |t^dag u_j|^2 by slack_j = (8 e + 3 | ||t|| - 1 |) ||u_j||^2,
+    of which the rounding needs about 7 e (eig's columns have unit norm to
+    rounding): a column whose lower bound exceeds uv_bound for some j fails
+    the test as computed too, so dropping it changes no result.
     """
     e = 2 * (T.shape[0] + 2) * np.finfo(float).eps
     n = np.linalg.norm(T, axis=0)
-    uu = u_norm[:, None] ** 2
+    uu = np.linalg.norm(jumps.U, axis=0)[:, None] ** 2
     slack = (8 * e + 3 * np.abs(n - 1.0)) * uu
     off_u = np.sqrt(np.maximum(uu - np.abs(jumps.Ud @ T) ** 2 - slack, 0.0))
+    v_norm = np.linalg.norm(jumps.V, axis=0)
     vt = np.maximum(np.abs(dag(jumps.V) @ T) - 3 * e * v_norm[:, None] * n, 0.0)
     return ~np.any(vt * off_u > uv_bound[:, None], axis=0)
 
@@ -307,29 +251,16 @@ def _invariant_eigenvectors(H: np.ndarray, jumps: _JumpFactors, scale: float) ->
     rank-one jumps screen every candidate at once (`_screen`) and
     `invariant(t)` decides the survivors."""
     T = np.linalg.eig(H)[1]
+    bound = CERT_TOL * np.concatenate(([scale], jumps.norms))
     keep = np.ones(T.shape[1], dtype=bool)
     if jumps.U is not None:
-        u_norm, v_norm = np.linalg.norm(jumps.U, axis=0), np.linalg.norm(jumps.V, axis=0)
-        uv_bound = CERT_TOL * u_norm * v_norm
-        keep = _screen(T, jumps, u_norm, v_norm, uv_bound)
-    if jumps.gL is not None:
-        gL_bound = CERT_TOL * np.linalg.norm(jumps.gL, axis=(1, 2))
+        keep = _screen(T, jumps, bound[1 : 1 + jumps.U.shape[1]])
 
     def invariant(t):
-        Ht = H @ t
-        if np.linalg.norm(Ht - np.vdot(t, Ht) * t) > CERT_TOL * scale:
-            return False
-        if jumps.U is not None:
-            # L_j t = u_j (v_j^dag t), whose part off t is (v_j^dag t)(u_j - t t^dag u_j)
-            off = (jumps.U - np.outer(t, t.conj() @ jumps.U)) * np.conj(t.conj() @ jumps.V)
-            if np.any(np.linalg.norm(off, axis=0) > uv_bound):
-                return False
-        if jumps.gL is not None:
-            Lt = jumps.gL @ t
-            off = Lt - np.outer(Lt @ t.conj(), t)
-            if np.any(np.linalg.norm(off, axis=1) > gL_bound):
-                return False
-        return True
+        # the parts of H_eff t and of every L_j t off t
+        X = np.column_stack((H @ t, jumps.apply(t)))
+        off = X - np.outer(t, t.conj() @ X)
+        return np.all(np.linalg.norm(off, axis=0) <= bound)
 
     return [t for t, ok in zip(T.T, keep) if ok and invariant(t)]
 
@@ -337,32 +268,19 @@ def _invariant_eigenvectors(H: np.ndarray, jumps: _JumpFactors, scale: float) ->
 def _certified_state(model: LindbladModel) -> np.ndarray | None:
     """The unit |t> of the certificate described in `steady_states`, or None."""
     H = model.h_eff
-    jumps = model._jumps
+    jumps = model.dissipators._jumps
     scale = np.linalg.norm(H)
     found = _invariant_eigenvectors(H, jumps, scale)
     if len(found) != 1:
         return None
     t = found[0] / np.linalg.norm(found[0])
-
-    def off_t(X):  # Q X for a stack of columns X
-        return X - np.outer(t, t.conj() @ X)
-
     # W = sum_j gamma_j Q L_j^dag |t><t| L_j Q, from the columns Q L_j^dag t
-    W = np.zeros_like(H)
-    if jumps.U is not None:
-        QV = off_t(jumps.V)
-        W += (QV * (jumps.rates * np.abs(t.conj() @ jumps.U) ** 2)) @ dag(QV)
-    if jumps.gL is not None:
-        # columns gamma_j L_j^dag t and L_j^dag t
-        W += off_t(np.conj(t.conj() @ jumps.gL).T) @ dag(off_t((jumps.Ld @ t).T))
+    X = jumps.apply_dag(t)
+    QX = X - np.outer(t, t.conj() @ X)
+    W = (QX * jumps.rates) @ dag(QX)
     # Q W Q maps t to 0, so the lowest eigenvalue is t's and the rest are W's on Q
     lam = np.linalg.eigvalsh((W + dag(W)) / 2.0)
     return t if np.all(lam[1:] > CERT_MARGIN * scale) else None
-
-
-def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
-    """x 2^k for a complex array, exact while its entries stay normal floats."""
-    return np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
 
 
 def _unit_scaled(model: LindbladModel) -> LindbladModel:
@@ -507,6 +425,8 @@ def step_count(t_max: float, dt: float) -> int:
     or after t_max. The ratio is first shrunk by a relative 1e-12, which absorbs
     its round-off at any size, so an exact multiple k dt takes k steps. Shared by
     integrate and the trajectory ensembles of `qsd`, so both sample the same times."""
+    if not (math.isfinite(t_max) and math.isfinite(dt)):
+        raise ValueError(f"t_max and dt must be finite, got t_max = {t_max}, dt = {dt}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_max < dt:

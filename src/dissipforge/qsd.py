@@ -40,13 +40,14 @@ add up across chunks, since E is shared, and are expanded into (T, d, d)
 arrays once, at the end.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .algebra import complex_pairs
-from .dissipators import DissipatorSet
+from .dissipators import DissipatorSet, _rate
 from .lindblad import ContractError, LindbladModel, step_count
 from .states import as_vector
 
@@ -79,11 +80,11 @@ class TrajectoryConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.n_traj < 1:
-            raise ValueError(f"n_traj must be at least 1, got {self.n_traj}")
-        step_count(self.t_max, self.dt)  # checks dt > 0 and t_max >= dt
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        n = self.n_traj
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"n_traj must be an integer of at least 1, got {self.n_traj!r}")
+        step_count(self.t_max, self.dt)  # checks finite dt > 0 and t_max >= dt
+        _rate(self.gamma)
 
     @property
     def n_steps(self) -> int:
@@ -380,7 +381,7 @@ def ensemble_average(L: np.ndarray, cfg: TrajectoryConfig, psi0) -> EnsembleResu
     EnsembleError.
     """
     model, psi0 = _prepare(L, cfg, psi0)
-    jumps = model._jumps
+    jumps = model.dissipators._jumps
     if jumps.U is None:
         return _average(cfg, partial(_chunk_sums, model, cfg, psi0))
     u, v = jumps.U[:, 0], jumps.V[:, 0]

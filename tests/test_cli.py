@@ -32,7 +32,7 @@ from dissipforge.cli import (
     parse_config,
     run,
 )
-from dissipforge.compiler import GateSequence
+from dissipforge.compiler import GateSequence, VerificationReport
 from dissipforge.dissipators import DissipatorSet
 from dissipforge.lindblad import steady_states
 from dissipforge.qsd import EnsembleResult
@@ -316,6 +316,35 @@ def test_main_reports_numerical_failures_with_exit_3(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("[dissipforge] numerical contract failure:") and err.count("\n") == 1
     assert reason in err
+
+
+def test_synth_exits_3_when_the_target_is_not_dark(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dissipforge.cli, "is_dark", lambda ds, phi: False)
+    out = tmp_path / "out"
+    assert main([str(CONFIG_DIR / "synth_cluster4.json"), "--output", str(out), "--quiet"]) \
+        == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err == ("[dissipforge] numerical contract failure: "
+                   "synthesized operators do not annihilate the target\n")
+    assert (out / "dissipators.json").exists() and not (out / "summary.json").exists()
+
+
+def test_compile_exits_3_when_verification_fails(tmp_path, capsys, monkeypatch):
+    def failing(seq, bath, thetas):
+        deviations = tuple(0.25 * (k + 1) for k in range(len(thetas)))
+        return VerificationReport(False, max(deviations), deviations, tuple(thetas), 1e-10)
+
+    monkeypatch.setattr(dissipforge.cli, "verify_sequence", failing)
+    out = tmp_path / "out"
+    assert main([str(CONFIG_DIR / "compile_xxx.json"), "--output", str(out), "--quiet"]) \
+        == EXIT_CONTRACT
+    err = capsys.readouterr().err
+    assert err == ("[dissipforge] numerical contract failure: compiled sequence failed "
+                   "verification (max relative deviation 7.500e-01)\n")
+    verification = json.loads((out / "verification.json").read_text())
+    assert verification["passed"] is False and verification["max_deviation"] == 0.75
+    assert verification["deviations"] == [[0.25, 0.5, 0.75]] * 2
+    assert not (out / "summary.json").exists()
 
 
 def test_every_numerical_failure_is_one_contract_error():

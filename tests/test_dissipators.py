@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dissipforge.dissipators
 from conftest import random_complex, random_density, random_unitary
 from dissipforge.dissipators import (
     DissipatorSet,
@@ -285,6 +286,125 @@ def test_is_dark_is_scale_aware():
     assert is_dark(ds, phi) and is_dark(big, phi) and is_dark(ds, 1e8 * phi)
     tiny = DissipatorSet(((1.0, 1e-12 * random_complex((8, 8), rng)),))
     assert not is_dark(tiny, phi)
+
+
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |0><1|
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_is_dark_does_not_depend_on_the_operator_or_state_scale(scale):
+    # ||L phi|| and ||L||_F overflow at 1e160 (inf <= inf) and underflow at
+    # 1e-170 (0 <= 0) unless both are scaled by powers of two first
+    unit = DissipatorSet(((1.0, SIGMA_MINUS),))
+    scaled = DissipatorSet(((1.0, scale * SIGMA_MINUS),))
+    for phi, dark in (([1.0, 0.0], True), ([0.0, 1.0], False), ([1.0, 1.0], False)):
+        phi = np.array(phi, dtype=complex) / np.linalg.norm(phi)
+        assert is_dark(unit, phi) is dark
+        assert is_dark(scaled, phi) is dark
+        assert is_dark(unit, scale * phi) is dark
+
+
+def _reference_is_dark(ds, phi):
+    """The per-operator dense formula is_dark had before it read the set's
+    factorization: ||L phi|| <= 1e-10 ||phi|| ||L||_F for every operator."""
+    v = np.asarray(phi, dtype=complex).reshape(-1)
+    bound = 1e-10 * np.linalg.norm(v)
+    return all(np.linalg.norm(op @ v) <= bound * np.linalg.norm(op) for _, op in ds)
+
+
+def _mixed_set(rng):
+    """Seven synthesized rank-one jumps at n = 3, one full-rank jump and one
+    rank-one jump perturbed by 1e-9 R, which stays dense."""
+    spec = SynthesisSpec(dim=8, k=1, coeffs=random_complex((7, 1), rng),
+                         basis=random_unitary(8, rng))
+    near = np.outer(random_complex(8, rng), random_complex(8, rng).conj())
+    extra = ((0.7, random_complex((8, 8), rng)), (1.3, near + 1e-9 * random_complex((8, 8), rng)))
+    return DissipatorSet(tuple(synth_subspace(spec)) + extra)
+
+
+def _cluster_set(n):
+    target = graph_state(GraphSpec.path(n))
+    spec = SynthesisSpec(dim=target.dim, k=1, coeffs=np.ones((target.dim - 1, 1)),
+                         basis=orthonormal_frame(target))
+    return synth_subspace(spec), spec.basis
+
+
+def test_models_over_one_set_share_its_factorization():
+    ds = _mixed_set(np.random.default_rng(40))
+    first, second = LindbladModel(ds), LindbladModel(ds, hamiltonian=np.eye(8))
+    assert first.dissipators._jumps is second.dissipators._jumps is ds._jumps
+    assert not hasattr(first, "_jumps")
+
+
+def test_is_dark_and_steady_states_factor_each_operator_once(monkeypatch):
+    calls = []
+
+    def counting(L, peak):
+        calls.append(L)
+        return rank_one(L, peak)
+
+    rank_one = dissipforge.dissipators._rank_one
+    monkeypatch.setattr(dissipforge.dissipators, "_rank_one", counting)
+    ds, frame = _cluster_set(3)
+    assert is_dark(ds, frame[:, 0])
+    assert steady_states(LindbladModel(ds)).route == "certificate"
+    assert len(calls) == len(ds) and all(a is L for a, (_, L) in zip(calls, ds))
+
+
+def test_both_vector_actions_match_the_dense_operators():
+    rng = np.random.default_rng(41)
+    ds = _mixed_set(rng)
+    jumps = ds._jumps
+    assert jumps.U.shape == (8, 7) and jumps.Ld.shape == (2, 8, 8)
+    # the factored jumps come first, in set order, then the dense ones
+    ops = [L for _, L in ds]
+    rates = [g for g, _ in ds]
+    assert np.array_equal(jumps.rates, rates)
+    assert np.allclose(jumps.norms, [np.linalg.norm(L) for L in ops], rtol=1e-14, atol=0)
+    for t in (random_complex(8, rng), 1e-3 * random_complex(8, rng)):
+        scale = np.linalg.norm(t) * max(np.linalg.norm(L) for L in ops)
+        dense = np.column_stack([L @ t for L in ops])
+        dense_dag = np.column_stack([dag(L) @ t for L in ops])
+        assert np.max(np.abs(jumps.apply(t) - dense)) < 1e-14 * scale
+        assert np.max(np.abs(jumps.apply_dag(t) - dense_dag)) < 1e-14 * scale
+
+
+def test_a_factor_lost_to_overflow_leaves_the_jump_dense():
+    # ||u||^2 overflows at 1e160, so v = L^dag u / ||u||^2 holds NaN; the
+    # reproduction check must reject it rather than pass NaN factors on
+    with np.errstate(over="ignore", invalid="ignore"):
+        jumps = DissipatorSet(((1.0, 1e160 * SIGMA_MINUS),))._jumps
+    assert jumps.U is None and jumps.Ld.shape == (1, 2, 2)
+    assert np.array_equal(jumps.apply(np.array([0.0, 1.0])), [[1e160], [0.0]])
+
+
+def _is_dark_cases():
+    rng = np.random.default_rng(42)
+    for n in (3, 4):
+        ds, frame = _cluster_set(n)
+        states = [frame[:, 0], frame[:, 1], random_complex(2**n, rng), 1e8 * frame[:, 0]]
+        yield pytest.param(ds, states, id=f"cluster-{n}")
+    yield pytest.param(preset_lfor2(), [bell_state(), np.array([1.0, 0, 0, 0]),
+                                        random_complex(4, rng)], id="bell-preset")
+    yield pytest.param(_mixed_set(rng), [random_complex(8, rng), np.eye(8)[0]], id="mixed")
+    yield pytest.param(DissipatorSet(()), [np.eye(4)[2], random_complex(4, rng)], id="empty")
+    # the residual of phi = t + delta f_1 is delta ||L_1||_F ||phi|| to 1e-20
+    # relative, at half and at twice the 1e-10 bound
+    ds, frame = _cluster_set(3)
+    yield pytest.param(ds, [frame[:, 0] + f * 1e-10 * frame[:, 1] for f in (0.5, 2.0)],
+                       id="cluster-3-near-bound")
+
+
+@pytest.mark.parametrize("ds, states", list(_is_dark_cases()))
+def test_is_dark_agrees_with_the_per_operator_formula(ds, states):
+    answers = [is_dark(ds, phi) for phi in states]
+    assert answers == [_reference_is_dark(ds, getattr(phi, "amplitudes", phi)) for phi in states]
+
+
+def test_is_dark_near_the_bound_straddles_it():
+    ds, frame = _cluster_set(3)
+    for f, dark in ((0.5, True), (2.0, False)):
+        assert is_dark(ds, frame[:, 0] + f * 1e-10 * frame[:, 1]) is dark
 
 
 # ---------------------------------------------------------------- container

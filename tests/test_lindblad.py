@@ -199,7 +199,8 @@ def test_factored_generator_matches_textbook_form():
     model, jumps = _mixed_model(rng)
     H = model.hamiltonian
     # the synthesized jumps are factored; the full-rank and perturbed ones stay dense
-    assert model._jumps.U.shape == (8, 7) and model._jumps.gL.shape == (2, 8, 8)
+    factors = model.dissipators._jumps
+    assert factors.U.shape == (8, 7) and factors.gL.shape == (2, 8, 8)
     K = sum(gamma * (dag(L) @ L) for gamma, L in jumps)
     assert np.max(np.abs(model.h_eff - (H - 0.5j * K))) < 1e-12
     M = liouvillian_matrix(model)
@@ -220,7 +221,7 @@ def test_structured_jump_sets_are_factored():
             ScenarioConfig(scenario="qsd", n_qubits=n, target=f"cluster-{n}"))
         sets.append(DissipatorSet(((gamma, L),)))
     for ds in sets:
-        jumps = LindbladModel(ds)._jumps
+        jumps = LindbladModel(ds).dissipators._jumps
         assert jumps.gL is None and jumps.U.shape == (ds.dim, len(ds))
 
 
@@ -384,7 +385,7 @@ def _near_bound_model(factor):
 def _reference_search(model):
     """The eigenvectors T of H_eff and, per column, the certificate's
     per-candidate invariance test, run on every column without a screen."""
-    H, jumps = model.h_eff, model._jumps
+    H, jumps = model.h_eff, model.dissipators._jumps
     scale = np.linalg.norm(H)
     if jumps.U is not None:
         uv_bound = CERT_TOL * np.linalg.norm(jumps.U, axis=0) * np.linalg.norm(jumps.V, axis=0)
@@ -422,15 +423,14 @@ def _screen_cases():
 @pytest.mark.parametrize("model", list(_screen_cases()))
 def test_screen_drops_only_candidates_the_exact_test_rejects(model):
     model = _unit_scaled(model)
-    H, jumps = model.h_eff, model._jumps
+    H, jumps = model.h_eff, model.dissipators._jumps
     T, accepted = _reference_search(model)
     found = _invariant_eigenvectors(H, jumps, np.linalg.norm(H))
     reference = T.T[accepted]
     assert len(found) == len(reference)
     assert all(np.array_equal(t, r) for t, r in zip(found, reference))
     if jumps.U is not None:
-        u_norm, v_norm = np.linalg.norm(jumps.U, axis=0), np.linalg.norm(jumps.V, axis=0)
-        keep = _screen(T, jumps, u_norm, v_norm, CERT_TOL * u_norm * v_norm)
+        keep = _screen(T, jumps, CERT_TOL * jumps.norms[: jumps.U.shape[1]])
         assert np.all(keep[accepted])
 
 
@@ -613,6 +613,15 @@ def test_step_count_takes_k_steps_to_an_exact_multiple():
         assert all(step_count(k * dt, dt) == k for k in range(1, 20001))
     assert step_count(4916.1, 0.3) == 16387
     assert step_count(1.0, 0.3) == 4 and step_count(0.14, 0.1) == 2
+
+
+@pytest.mark.parametrize("t_max, dt", [(math.inf, 0.1), (1.0, math.inf), (math.nan, 0.1),
+                                       (-math.inf, 0.1)])
+def test_step_count_rejects_non_finite_values(t_max, dt):
+    with pytest.raises(ValueError, match="finite"):
+        step_count(t_max, dt)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(_sigma_minus_model(), np.diag([0.0, 1.0]), t_max, dt=dt)
 
 
 def test_integrate_argument_validation():

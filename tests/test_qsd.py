@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -66,6 +67,19 @@ def test_trajectory_config_validation():
     with pytest.raises(ValueError):
         TrajectoryConfig(n_traj=1, dt=0.1, t_max=1.0, gamma=0.0)
 
+
+
+@pytest.mark.parametrize("bad", [
+    {"gamma": math.nan}, {"gamma": math.inf}, {"n_traj": 2.5}, {"n_traj": True},
+    {"t_max": math.inf}, {"dt": math.inf}, {"dt": math.nan},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_trajectory_config_rejects_non_finite_and_non_integer_values(bad):
+    with pytest.raises(ValueError):
+        TrajectoryConfig(**{"n_traj": 2, "dt": 0.1, "t_max": 1.0, **bad})
+
+
+def test_trajectory_config_takes_a_numpy_integer_count():
+    assert TrajectoryConfig(n_traj=np.int64(3), dt=0.1, t_max=1.0).n_traj == 3
 
 @pytest.mark.parametrize("t_max, dt", [(1.0, 0.3), (0.14, 0.1)])
 def test_ensemble_and_integrate_share_the_time_grid(t_max, dt):
