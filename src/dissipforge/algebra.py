@@ -102,10 +102,6 @@ class PauliString:
         return len(self.letters)
 
     @property
-    def dim(self) -> int:
-        return 1 << len(self.letters)
-
-    @property
     def weight(self) -> int:
         return sum(1 for c in self.letters if c != "I")
 
@@ -113,10 +109,6 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         """1-based indices of the non-identity qubits."""
         return tuple(q for q, c in enumerate(self.letters, start=1) if c != "I")
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls("I" * n)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliString":
@@ -136,12 +128,6 @@ class PauliString:
         for c in self.letters:
             out = np.kron(out, PAULIS[c])
         return out
-
-    def adjoint(self) -> "PauliString":
-        return PauliString(self.letters, self.phase.conjugate())
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_mul(self, other)
 
     def __str__(self):
         prefix = {1 + 0j: "+", 1j: "+i", -1 + 0j: "-", -1j: "-i"}[self.phase]

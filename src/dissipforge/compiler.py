@@ -147,6 +147,8 @@ class GateSequence:
                 lines.append(f"rotation    q0  exp(-i {g.angle:.15g} Z0)")
             elif isinstance(g, MSGate):
                 lines.append(f"ms          all  U_MS({g.mu:.15g}, {g.nu:.15g})")
+            else:
+                raise TypeError(f"unknown gate {g!r}")
         return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,7 @@ as every coefficient is nonzero.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,7 @@ class SynthesisSpec:
             basis = np.array(self.basis, dtype=complex)
             if basis.shape != (self.dim, self.dim):
                 raise ValueError(f"basis shape {basis.shape} is not ({self.dim}, {self.dim})")
-            if np.max(np.abs(dag(basis) @ basis - np.eye(self.dim))) > 1e-12:
+            if not np.max(np.abs(dag(basis) @ basis - np.eye(self.dim))) <= 1e-12:  # NaN fails
                 raise ValueError("basis is not unitary to 1e-12")
         coeffs = np.asarray(self.coeffs, dtype=complex).copy()
         if coeffs.ndim == 1:
@@ -52,6 +52,8 @@ class SynthesisSpec:
             raise ValueError(
                 f"coeffs shape {coeffs.shape} is not ({self.dim - self.k}, {self.k})"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
         rows = np.linalg.norm(coeffs, axis=1)
         if np.any(rows == 0):
             dead = int(np.nonzero(rows == 0)[0][0]) + self.k + 1
@@ -110,24 +112,47 @@ def _rank_one(L: np.ndarray, peak: float):
 
 @dataclass(frozen=True, eq=False)
 class _JumpFactors:
-    """A jump set grouped by structure; a group with no members is None.
+    """A jump set grouped by structure; this class alone reads the layout.
 
     Rank-one jumps L_j = u_j v_j^dag are columns of U and V (d, m1), with
-    U^dag and gamma_j conj(V) precomputed. Every other jump is kept in the
-    stacks gL = gamma_j L_j and Ld = L_j^dag of shape (m2, d, d). `rates`
-    and `norms` (each jump's Frobenius norm) list the rank-one jumps first,
-    in the column order of `apply` and `apply_dag`, through which `is_dark`
-    and the steady-state certificate apply the jumps to vectors.
+    U^dag precomputed. Every other jump is kept in the stack Ld = L_j^dag of
+    shape (m2, d, d). An empty group is None. `order` holds each jump's index
+    in the set. Only `rates` and the products gVc = gamma_j conj(V) and
+    gL = gamma_j L_j (built on first use) depend on the rates, so
+    `with_rates` shares everything else.
+
+    Interface: `rates` and `norms` (Frobenius), rank-one jumps first, in the
+    column order of the actions `apply` (L_j t) and `apply_dag` (L_j^dag t);
+    the generator's jump terms `decay` and `add_sandwich`; the certificate's
+    `screen`; `factors`, (U, V) when every jump is rank one and None
+    otherwise, the path rule of `qsd.ensemble_average`; and `with_rates`.
     """
 
     rates: np.ndarray
     norms: np.ndarray
+    order: np.ndarray  # the set's item index of each jump
     U: np.ndarray | None = None
     Ud: np.ndarray | None = None
     V: np.ndarray | None = None
-    gVc: np.ndarray | None = None
-    gL: np.ndarray | None = None
     Ld: np.ndarray | None = None
+
+    @cached_property
+    def gVc(self) -> np.ndarray | None:
+        return None if self.U is None else self.rates[: self.U.shape[1]] * self.V.conj()
+
+    @cached_property
+    def gL(self) -> np.ndarray | None:
+        if self.Ld is None:
+            return None
+        return self.rates[-len(self.Ld):, None, None] * self.Ld.conj().transpose(0, 2, 1)
+
+    def with_rates(self, rates) -> "_JumpFactors":
+        """The same factors at new rates, given in the set's item order."""
+        return replace(self, rates=np.array(rates)[self.order])
+
+    @property
+    def factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return None if self.U is None or self.Ld is not None else (self.U, self.V)
 
     def apply(self, t: np.ndarray) -> np.ndarray:
         """The columns L_j t, (d, m)."""
@@ -146,6 +171,53 @@ class _JumpFactors:
         if self.Ld is not None:
             cols.append((self.Ld @ t).T)
         return np.hstack(cols)
+
+    def decay(self, d: int) -> np.ndarray:
+        """sum_j gamma_j L_j^dag L_j, (d, d), the jump part of H_eff."""
+        K = np.zeros((d, d), dtype=complex)
+        if self.U is not None:
+            weights = self.rates[: self.U.shape[1]] * np.sum(np.abs(self.U) ** 2, axis=0)
+            K += (self.V * weights) @ dag(self.V)
+        if self.gL is not None:
+            K += np.sum(self.Ld @ self.gL, axis=0)
+        return K
+
+    def add_sandwich(self, rho: np.ndarray, out: np.ndarray) -> None:
+        """Add sum_j gamma_j L_j rho L_j^dag, the jump term of rhs, to out."""
+        if self.U is not None:
+            c = (self.gVc * (rho @ self.V)).sum(axis=0)
+            out += (self.U * c) @ self.Ud
+        if self.gL is not None:
+            out += (self.gL @ rho @ self.Ld).sum(axis=0)
+
+    def screen(self, T: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Mask of the columns t of T that `invariant(t)` in `lindblad._invariant_eigenvectors`
+        may accept, from the products U^dag T and V^dag T; bounds holds that test's
+        bound for every jump. With no rank-one jump every column is kept.
+
+        The part of L_j t = u_j (v_j^dag t) off t has norm |v_j^dag t| ||u_j - t
+        t^dag u_j||, and ||u_j - t t^dag u_j||^2 = ||u_j||^2 - (2 - ||t||^2)
+        |t^dag u_j|^2. An entry of either product, a sum of d complex terms, is
+        off by at most e ||x|| ||t|| (x = u_j or v_j), e = 2 (d + 2) eps, four
+        times Higham's gamma_{d+2}. The per-candidate test rounds v_j^dag t and
+        t^dag L_j t as much, and its other roundings (L_j t = u_j (v_j^dag t)
+        first, the subtraction, the norm) add at most 8 eps + (d + 1) eps <= 1.5 e
+        of ||u_j|| |v_j^dag t|. So |v_j^dag t| is lowered by 3 e ||v_j|| ||t|| and
+        ||u_j||^2 - |t^dag u_j|^2 by slack_j = (8 e + 3 | ||t|| - 1 |) ||u_j||^2,
+        of which the rounding needs about 7 e (eig's columns have unit norm to
+        rounding): a column whose lower bound exceeds its bound for some j fails
+        the test as computed too, so dropping it changes no result.
+        """
+        if self.U is None:
+            return np.ones(T.shape[1], dtype=bool)
+        e = 2 * (T.shape[0] + 2) * np.finfo(float).eps
+        n = np.linalg.norm(T, axis=0)
+        uu = np.linalg.norm(self.U, axis=0)[:, None] ** 2
+        slack = (8 * e + 3 * np.abs(n - 1.0)) * uu
+        off_u = np.sqrt(np.maximum(uu - np.abs(self.Ud @ T) ** 2 - slack, 0.0))
+        v_norm = np.linalg.norm(self.V, axis=0)
+        vt = np.maximum(np.abs(dag(self.V) @ T) - 3 * e * v_norm[:, None] * n, 0.0)
+        return ~np.any(vt * off_u > bounds[: self.U.shape[1], None], axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,25 +262,21 @@ class DissipatorSet:
     def _jumps(self) -> _JumpFactors:
         """The set split into rank-one factors and dense stacks, built on first use
         and shared by every model over the set and by `is_dark`."""
-        rank_one, dense = [], []
-        for (gamma, L), peak in zip(self.items, self.peaks):
-            uv = _rank_one(L, peak)
-            if uv is None:
-                dense.append((gamma, L))
-            else:
-                rank_one.append((gamma, *uv))
-        rates = np.array([gamma for gamma, *_ in rank_one + dense])
+        uvs = [_rank_one(L, peak) for L, peak in zip(self.operators, self.peaks)]
+        order = np.argsort([uv is None for uv in uvs], kind="stable")  # rank one first
+        rank_one = [uvs[i] for i in order if uvs[i] is not None]
+        dense = [self.items[i][1] for i in order if uvs[i] is None]
         norms, fields = [np.empty(0)], {}
         if rank_one:
-            _, us, vs = zip(*rank_one)
+            us, vs = zip(*rank_one)
             U, V = np.column_stack(us), np.column_stack(vs)
-            fields.update(U=U, Ud=dag(U), V=V, gVc=rates[: len(us)] * V.conj())
+            fields.update(U=U, Ud=dag(U), V=V)
             norms.append(np.linalg.norm(U, axis=0) * np.linalg.norm(V, axis=0))
         if dense:
-            L = np.stack([op for _, op in dense])
-            fields.update(gL=rates[len(rank_one):, None, None] * L, Ld=L.conj().transpose(0, 2, 1))
+            L = np.stack(dense)
+            fields.update(Ld=L.conj().transpose(0, 2, 1))
             norms.append(np.linalg.norm(L, axis=(1, 2)))
-        return _JumpFactors(rates, np.concatenate(norms), **fields)
+        return _JumpFactors(np.array(self.rates)[order], np.concatenate(norms), order, **fields)
 
     def scaled(self, factor: float) -> "DissipatorSet":
         """Same operators with every rate multiplied by factor."""
@@ -216,12 +284,15 @@ class DissipatorSet:
 
     def _with_rates(self, rates) -> "DissipatorSet":
         """Same operators at new rates, one per operator and checked as the
-        constructor checks them. The operators and their `peaks` are carried
-        over, so no operator is scanned again."""
+        constructor checks them. The operators, their `peaks` and, once built,
+        their factors `_jumps` are carried over, so no operator is scanned or
+        factored again."""
         items = tuple((_rate(g), op) for g, (_, op) in zip(rates, self.items, strict=True))
         out = object.__new__(DissipatorSet)
         object.__setattr__(out, "items", items)
         object.__setattr__(out, "peaks", self.peaks)
+        if "_jumps" in self.__dict__:
+            out.__dict__["_jumps"] = self._jumps.with_rates(out.rates)
         return out
 
     def to_json_obj(self) -> list:

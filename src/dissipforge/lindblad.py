@@ -14,9 +14,12 @@ gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j
 and gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, so the jump term
 costs O(m d^2) per evaluation instead of O(m d^3). Each jump is tested for
 rank one once per jump set (`DissipatorSet._jumps`); any other jump is
-applied densely. Only `h_eff` and `rhs` apply the generator: both matrices
-below are read off `rhs` column by column. The certificate and `is_dark`
-apply jumps to vectors through the set's actions L_j t and L_j^dag t.
+applied densely. That layout is private to `dissipators`: `h_eff` and `rhs`
+still assemble the generator, from the set's two kernels `decay` and
+`add_sandwich`, and both matrices below are read off `rhs` column by
+column. The certificate and `is_dark` apply jumps to vectors through the
+set's actions L_j t and L_j^dag t, and the certificate screens its
+candidates with the set's `screen`.
 
 Both time-stepping routes, `integrate` here and the trajectory ensembles of
 `qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps (with a relative
@@ -44,7 +47,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .algebra import dag, matexp, null_space
-from .dissipators import SCALE_LIMIT, DissipatorSet, _JumpFactors, _times_power_of_two
+from .dissipators import SCALE_LIMIT, DissipatorSet, _times_power_of_two
 from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
 
 NULL_TOL = 1e-9  # relative singular-value cut of steady_states
@@ -103,14 +106,7 @@ class LindbladModel:
     @cached_property
     def h_eff(self) -> np.ndarray:
         """Read-only H - (i/2) sum_j gamma_j L_j^dag L_j, built on first use."""
-        jumps = self.dissipators._jumps
-        K = np.zeros((self.dim, self.dim), dtype=complex)
-        if jumps.U is not None:
-            weights = jumps.rates[: jumps.U.shape[1]] * np.sum(np.abs(jumps.U) ** 2, axis=0)
-            K += (jumps.V * weights) @ dag(jumps.V)
-        if jumps.gL is not None:
-            K += np.sum(jumps.Ld @ jumps.gL, axis=0)
-        H = -0.5j * K
+        H = -0.5j * self.dissipators._jumps.decay(self.dim)
         if self.hamiltonian is not None:
             H += self.hamiltonian
         H.setflags(write=False)
@@ -133,12 +129,7 @@ def rhs(model: LindbladModel, rho) -> np.ndarray:
         raise ValueError(f"state shape {m.shape} does not match model dimension {model.dim}")
     H = model.h_eff
     out = -1j * (H @ m - m @ dag(H))
-    jumps = model.dissipators._jumps
-    if jumps.U is not None:
-        c = (jumps.gVc * (m @ jumps.V)).sum(axis=0)
-        out += (jumps.U * c) @ jumps.Ud
-    if jumps.gL is not None:
-        out += (jumps.gL @ m @ jumps.Ld).sum(axis=0)
+    model.dissipators._jumps.add_sandwich(m, out)
     return out
 
 
@@ -217,44 +208,13 @@ def _real_generator(model: LindbladModel) -> np.ndarray:
     return columns.T
 
 
-def _screen(T: np.ndarray, jumps: _JumpFactors, uv_bound: np.ndarray) -> np.ndarray:
-    """Mask of the columns t of T that the rank-one part of the invariance
-    test may accept, from the two products U^dag T and V^dag T; uv_bound
-    holds the test's bounds for the rank-one jumps.
-
-    The part of L_j t = u_j (v_j^dag t) off t has norm |v_j^dag t| ||u_j - t
-    t^dag u_j||, and ||u_j - t t^dag u_j||^2 = ||u_j||^2 - (2 - ||t||^2)
-    |t^dag u_j|^2. An entry of either product, a sum of d complex terms, is
-    off by at most e ||x|| ||t|| (x = u_j or v_j), e = 2 (d + 2) eps, four
-    times Higham's gamma_{d+2}. The per-candidate test rounds v_j^dag t and
-    t^dag L_j t as much, and its other roundings (L_j t = u_j (v_j^dag t)
-    first, the subtraction, the norm) add at most 8 eps + (d + 1) eps <= 1.5 e
-    of ||u_j|| |v_j^dag t|. So |v_j^dag t| is lowered by 3 e ||v_j|| ||t|| and
-    ||u_j||^2 - |t^dag u_j|^2 by slack_j = (8 e + 3 | ||t|| - 1 |) ||u_j||^2,
-    of which the rounding needs about 7 e (eig's columns have unit norm to
-    rounding): a column whose lower bound exceeds uv_bound for some j fails
-    the test as computed too, so dropping it changes no result.
-    """
-    e = 2 * (T.shape[0] + 2) * np.finfo(float).eps
-    n = np.linalg.norm(T, axis=0)
-    uu = np.linalg.norm(jumps.U, axis=0)[:, None] ** 2
-    slack = (8 * e + 3 * np.abs(n - 1.0)) * uu
-    off_u = np.sqrt(np.maximum(uu - np.abs(jumps.Ud @ T) ** 2 - slack, 0.0))
-    v_norm = np.linalg.norm(jumps.V, axis=0)
-    vt = np.maximum(np.abs(dag(jumps.V) @ T) - 3 * e * v_norm[:, None] * n, 0.0)
-    return ~np.any(vt * off_u > uv_bound[:, None], axis=0)
-
-
-def _invariant_eigenvectors(H: np.ndarray, jumps: _JumpFactors, scale: float) -> list:
-    """The eigenvectors t of H = H_eff that H_eff and every jump leave
-    invariant, as `steady_states` describes; `scale` is ||H_eff||_F. The
-    rank-one jumps screen every candidate at once (`_screen`) and
-    `invariant(t)` decides the survivors."""
+def _invariant_eigenvectors(H: np.ndarray, jumps, scale: float) -> list:
+    """The eigenvectors t of H = H_eff that H_eff and every jump of the set's
+    `_jumps` leave invariant, as `steady_states` describes; `scale` is ||H_eff||_F.
+    `jumps.screen` drops candidates in one pass and `invariant(t)` decides the rest."""
     T = np.linalg.eig(H)[1]
     bound = CERT_TOL * np.concatenate(([scale], jumps.norms))
-    keep = np.ones(T.shape[1], dtype=bool)
-    if jumps.U is not None:
-        keep = _screen(T, jumps, bound[1 : 1 + jumps.U.shape[1]])
+    keep = jumps.screen(T, bound[1:])
 
     def invariant(t):
         # the parts of H_eff t and of every L_j t off t
@@ -305,9 +265,14 @@ def _unit_scaled(model: LindbladModel) -> LindbladModel:
     rates = [math.ldexp(g, 2 * k - s) for g, _, _, k in jumps]
     if 0.0 in rates:
         raise SteadyStateError(f"generator terms span 2^{min(terms)} to 2^{s}, too wide to rescale")
-    ops = [_times_power_of_two(L, -k) if k else L for _, L, _, k in jumps]
-    return LindbladModel(DissipatorSet(tuple(zip(rates, ops))),
-                         None if H is None else _times_power_of_two(H, -s))
+    ds = model.dissipators
+    if len(jumps) == len(ds) and not any(k for *_, k in jumps):  # the same operators
+        ds._jumps  # factored once, here, and carried to the rescaled set
+        ds = ds._with_rates(rates)
+    else:
+        ds = DissipatorSet(tuple((r, _times_power_of_two(L, -k) if k else L)
+                                 for r, (_, L, _, k) in zip(rates, jumps)))
+    return LindbladModel(ds, None if H is None else _times_power_of_two(H, -s))
 
 
 def steady_states(model: LindbladModel) -> SteadyStateResult:
@@ -322,11 +287,11 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     V^dag T, T the eigenvectors, give for each pair (j, t) the lower bound
     |v_j^dag t| sqrt(max(||u_j||^2 - |t^dag u_j|^2 - slack_j, 0)) on the part
     of L_j t off t, where slack_j covers the rounding of both products and
-    of the per-candidate test, plus | ||t|| - 1 | (see `_screen`). A candidate
-    whose bound exceeds the tolerance for some j is dropped; the exact
-    per-candidate test decides the survivors, so the screen changes no
-    result. On the synthesized sets only the target survives it. When
-    exactly one candidate is kept and
+    of the per-candidate test, plus | ||t|| - 1 | (see `_JumpFactors.screen`
+    in `dissipators`). A candidate whose bound exceeds the tolerance for some
+    j is dropped; the exact per-candidate test decides the survivors, so the
+    screen changes no result. On the synthesized sets only the target
+    survives it. When exactly one candidate is kept and
     W = sum_j gamma_j Q L_j^dag P L_j Q has every eigenvalue on the range of
     Q above CERT_MARGIN ||H_eff||_F, the null space is spanned by P:
 

@@ -80,9 +80,10 @@ class TrajectoryConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        n = self.n_traj
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"n_traj must be an integer of at least 1, got {self.n_traj!r}")
+        for name, least in (("n_traj", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         step_count(self.t_max, self.dt)  # checks finite dt > 0 and t_max >= dt
         _rate(self.gamma)
 
@@ -381,10 +382,10 @@ def ensemble_average(L: np.ndarray, cfg: TrajectoryConfig, psi0) -> EnsembleResu
     EnsembleError.
     """
     model, psi0 = _prepare(L, cfg, psi0)
-    jumps = model.dissipators._jumps
-    if jumps.U is None:
+    factors = model.dissipators._jumps.factors
+    if factors is None:
         return _average(cfg, partial(_chunk_sums, model, cfg, psi0))
-    u, v = jumps.U[:, 0], jumps.V[:, 0]
+    u, v = factors[0][:, 0], factors[1][:, 0]
     E = np.stack((psi0, u, v))
     R = _rank_one_weights(E)
 

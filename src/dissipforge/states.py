@@ -87,7 +87,7 @@ class PureState:
         if amp.size < 2 or amp.size != 1 << n:
             raise ValueError(f"amplitude count {amp.size} is not 2^n for n >= 1")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"state is not normalized: ||amp|| = {norm!r}")
         amp.setflags(write=False)
         self.amplitudes = amp
@@ -114,6 +114,8 @@ class DensityMatrix:
         n = int(m.shape[0]).bit_length() - 1
         if m.shape[0] < 2 or m.shape[0] != 1 << n:
             raise ValueError(f"dimension {m.shape[0]} is not 2^n for n >= 1")
+        if not np.all(np.isfinite(m)):  # NaN would pass every test below
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian to 1e-12")
         tr = np.trace(m)

@@ -385,3 +385,19 @@ def test_render_text_one_gate_per_line():
     assert len(lines) == 1 + len(seq.gates)  # header plus gates
     assert lines[1].startswith("seed")
     assert "conjugation" in lines[2]
+
+
+def test_render_text_writes_the_ms_pulses_and_the_ancilla_rotation():
+    lines = ms_decompose(1, 2, 0.3).render_text().splitlines()
+    assert lines[1:] == [
+        "ms          all  U_MS(1.5707963267949, 0)",
+        "rotation    q0  exp(-i 0.3 Z0)",
+        "ms          all  U_MS(-1.5707963267949, 0)",
+    ]
+
+
+@pytest.mark.parametrize("method", ["render_text", "to_json_obj"])
+def test_a_gate_of_unknown_type_is_refused(method):
+    seq = GateSequence((SeedCoupling(1), "junk"), PauliString("Y"), 0.3)
+    with pytest.raises(TypeError, match="junk"):
+        getattr(seq, method)()

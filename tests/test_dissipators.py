@@ -13,7 +13,15 @@ from dissipforge.dissipators import (
     synth_single,
     synth_subspace,
 )
-from dissipforge.lindblad import LindbladModel, liouvillian_matrix, rhs, steady_states, vec
+from dissipforge.cli import ScenarioConfig, _build_model
+from dissipforge.lindblad import (
+    LindbladModel,
+    _unit_scaled,
+    liouvillian_matrix,
+    rhs,
+    steady_states,
+    vec,
+)
 from dissipforge.states import GraphSpec, bell_state, fidelity, graph_state, purity
 from dissipforge.algebra import dag, null_space
 
@@ -188,6 +196,16 @@ def test_single_operator_rejections():
         synth_single(SynthesisSpec(dim=2, k=1, coeffs=np.array([[1.0]]), basis=np.ones((2, 2))))
 
 
+def test_synthesis_spec_rejects_a_nan_basis():
+    with pytest.raises(ValueError, match="unitary"):
+        SynthesisSpec(dim=2, k=1, coeffs=[1.0], basis=[[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_synthesis_spec_rejects_nan_coefficients():
+    with pytest.raises(ValueError, match="finite"):
+        SynthesisSpec(dim=2, k=1, coeffs=[np.nan])
+
+
 def test_orthonormal_frame_properties():
     rng = np.random.default_rng(16)
     v = random_complex(8, rng)
@@ -336,19 +354,62 @@ def test_models_over_one_set_share_its_factorization():
     assert not hasattr(first, "_jumps")
 
 
-def test_is_dark_and_steady_states_factor_each_operator_once(monkeypatch):
+def _counting_rank_one(monkeypatch):
     calls = []
+    rank_one = dissipforge.dissipators._rank_one
 
     def counting(L, peak):
         calls.append(L)
         return rank_one(L, peak)
 
-    rank_one = dissipforge.dissipators._rank_one
     monkeypatch.setattr(dissipforge.dissipators, "_rank_one", counting)
+    return calls
+
+
+def test_is_dark_and_steady_states_factor_each_operator_once(monkeypatch):
+    calls = _counting_rank_one(monkeypatch)
     ds, frame = _cluster_set(3)
     assert is_dark(ds, frame[:, 0])
     assert steady_states(LindbladModel(ds)).route == "certificate"
     assert len(calls) == len(ds) and all(a is L for a, (_, L) in zip(calls, ds))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e200])
+def test_a_rate_outside_the_scale_window_factors_each_operator_once(gamma, monkeypatch):
+    # the CLI's synth scenario: steady_states, then is_dark on the configured set
+    calls = _counting_rank_one(monkeypatch)
+    model, target = _build_model(ScenarioConfig("synth", n_qubits=3, target="cluster-3",
+                                                gamma=gamma))
+    assert steady_states(model).route == "certificate"
+    assert is_dark(model.dissipators, target)
+    assert len(calls) == len(model.dissipators) == 7
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_carried_factors_equal_a_fresh_factorization(scale):
+    ds = _mixed_set(np.random.default_rng(43)).scaled(scale)
+    rescaled = _unit_scaled(LindbladModel(ds)).dissipators
+    assert rescaled is not ds and rescaled.operators == ds.operators
+    assert rescaled._jumps.Ld is ds._jumps.Ld
+    carried, fresh = rescaled._jumps, DissipatorSet(rescaled.items)._jumps
+    for name in ("rates", "norms", "order", "U", "Ud", "V", "Ld", "gVc", "gL"):
+        assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
+
+
+def test_a_zero_operator_changes_no_result():
+    # the zero operator is the one jump `_rank_one` leaves dense for its zero column
+    ds, frame = _cluster_set(3)
+    with_zero = DissipatorSet(ds.items + ((1.0, np.zeros((8, 8))),))
+    assert with_zero._jumps.Ld.shape == (1, 8, 8)
+    plain, zero = LindbladModel(ds), LindbladModel(with_zero)
+    rho = random_density(8, np.random.default_rng(44))
+    assert np.array_equal(zero.h_eff, plain.h_eff)
+    assert np.array_equal(rhs(zero, rho), rhs(plain, rho))
+    for phi in (frame[:, 0], frame[:, 1]):
+        assert is_dark(with_zero, phi) == is_dark(ds, phi)
+    got, want = steady_states(zero), steady_states(plain)
+    assert (got.route, got.dimension) == (want.route, want.dimension) == ("certificate", 1)
+    assert np.array_equal(got.state.matrix, want.state.matrix)
 
 
 def test_both_vector_actions_match_the_dense_operators():

@@ -17,13 +17,13 @@ from dissipforge.cli import ScenarioConfig, _combined_operator
 from dissipforge.dissipators import (
     DissipatorSet,
     SynthesisSpec,
+    _JumpFactors,
     orthonormal_frame,
     preset_lfor2,
     splitting_hamiltonian,
     synth_single,
     synth_subspace,
 )
-from dissipforge import lindblad
 from dissipforge.lindblad import (
     CERT_TOL,
     MAX_DENSE_BYTES,
@@ -34,7 +34,6 @@ from dissipforge.lindblad import (
     SteadyStateError,
     _invariant_eigenvectors,
     _real_generator,
-    _screen,
     _unit_scaled,
     integrate,
     liouvillian_matrix,
@@ -429,9 +428,8 @@ def test_screen_drops_only_candidates_the_exact_test_rejects(model):
     reference = T.T[accepted]
     assert len(found) == len(reference)
     assert all(np.array_equal(t, r) for t, r in zip(found, reference))
-    if jumps.U is not None:
-        keep = _screen(T, jumps, CERT_TOL * jumps.norms[: jumps.U.shape[1]])
-        assert np.all(keep[accepted])
+    keep = jumps.screen(T, CERT_TOL * jumps.norms)
+    assert np.all(keep[accepted])
 
 
 @pytest.mark.parametrize("factor, kept", [(0.5, 8), (2.0, 1)])
@@ -444,13 +442,14 @@ def test_near_bound_model_straddles_the_invariance_tolerance(factor, kept):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_only_the_target_reaches_the_exact_invariance_test(n, monkeypatch):
     screened = []
+    screen = _JumpFactors.screen
 
-    def recording(T, *args):
-        keep = _screen(T, *args)
+    def recording(jumps, T, bounds):
+        keep = screen(jumps, T, bounds)
         screened.append((T, keep))
         return keep
 
-    monkeypatch.setattr(lindblad, "_screen", recording)
+    monkeypatch.setattr(_JumpFactors, "screen", recording)
     target = graph_state(GraphSpec.path(n))
     result = steady_states(LindbladModel(_synthesized(target, np.ones(2**n - 1))))
     assert result.route == "certificate"

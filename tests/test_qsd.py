@@ -81,6 +81,20 @@ def test_trajectory_config_rejects_non_finite_and_non_integer_values(bad):
 def test_trajectory_config_takes_a_numpy_integer_count():
     assert TrajectoryConfig(n_traj=np.int64(3), dt=0.1, t_max=1.0).n_traj == 3
 
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True], ids=repr)
+def test_trajectory_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # numpy would raise only when the first noise path is drawn
+    with pytest.raises(ValueError, match="master_seed"):
+        TrajectoryConfig(n_traj=2, dt=0.1, t_max=0.2, master_seed=seed)
+
+
+def test_trajectory_config_takes_a_numpy_integer_seed():
+    cfg = TrajectoryConfig(n_traj=2, dt=0.1, t_max=0.2, master_seed=np.uint32(7))
+    assert np.array_equal(sample_noise(cfg, 0).increments,
+                          sample_noise(TrajectoryConfig(2, 0.1, 0.2, master_seed=7), 0).increments)
+
+
 @pytest.mark.parametrize("t_max, dt", [(1.0, 0.3), (0.14, 0.1)])
 def test_ensemble_and_integrate_share_the_time_grid(t_max, dt):
     cfg = TrajectoryConfig(n_traj=2, dt=dt, t_max=t_max, master_seed=1)

@@ -160,6 +160,18 @@ def test_density_matrix_validation():
     DensityMatrix.maximally_mixed(2)
 
 
+def test_pure_state_rejects_a_nan_amplitude():
+    # ||amp|| is NaN, and abs(NaN - 1) > 1e-12 is False
+    with pytest.raises(ValueError, match="not normalized"):
+        PureState([np.nan, 0.0])
+
+
+def test_density_matrix_rejects_a_nan_entry():
+    # NaN passes the Hermiticity, trace and eigenvalue comparisons
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix([[np.nan, 0.0], [0.0, 0.5]])
+
+
 # ---------------------------------------------------------------- local equivalence
 
 
