@@ -177,19 +177,22 @@ class PauliSum:
             if word.letters in seen:
                 raise ValueError(f"duplicate word {word.letters}")
             seen.add(word.letters)
+            if not np.isfinite(complex(coeff)):
+                raise ValueError(f"coefficient of {word.letters} is not finite: {coeff}")
             norm.append((complex(coeff), word))
         object.__setattr__(self, "terms", tuple(norm))
 
     @classmethod
     def from_terms(cls, n: int, terms, tol: float = 1e-14) -> "PauliSum":
-        """Merge duplicate words, fold word phases into coefficients, drop zeros."""
+        """Merge duplicate words, fold word phases into coefficients, drop zeros
+        (|c| < tol); a non-finite coefficient is kept, so the constructor rejects it."""
         acc: dict[str, complex] = {}
         for coeff, word in terms:
             if isinstance(word, str):
                 word = PauliString(word)
             acc[word.letters] = acc.get(word.letters, 0j) + complex(coeff) * word.phase
         merged = tuple(
-            (c, PauliString(w)) for w, c in sorted(acc.items()) if abs(c) >= tol
+            (c, PauliString(w)) for w, c in sorted(acc.items()) if not abs(c) < tol
         )
         return cls(n, merged)
 
@@ -211,7 +214,8 @@ def pauli_decompose(M: np.ndarray, n: int, tol: float = 1e-14) -> PauliSum:
     """Expand a 2^n x 2^n matrix in the Pauli-word basis.
 
     Coefficients are Tr(W M) / 2^n for each Hermitian word W; terms with
-    magnitude below tol are dropped. The contraction runs one qubit at a
+    magnitude below tol are dropped. A non-finite entry of M, or a coefficient
+    that overflows, raises ValueError. The contraction runs one qubit at a
     time, so the cost is O(n 4^n) rather than O(16^n).
     """
     M = np.asarray(M, dtype=complex)
@@ -220,6 +224,8 @@ def pauli_decompose(M: np.ndarray, n: int, tol: float = 1e-14) -> PauliSum:
     dim = 1 << n
     if M.shape != (dim, dim):
         raise ValueError(f"matrix shape {M.shape} is not ({dim}, {dim})")
+    if not np.isfinite(M).all():  # NaN would be dropped as a zero coefficient
+        raise ValueError("matrix entries must be finite")
     T = M.reshape((2,) * (2 * n))
     for k in range(n):
         # contract column bit (axis n) and row bit (axis k) of the next qubit
@@ -228,7 +234,7 @@ def pauli_decompose(M: np.ndarray, n: int, tol: float = 1e-14) -> PauliSum:
     terms = []
     for idx in np.ndindex(coeffs.shape):
         c = coeffs[idx]
-        if abs(c) >= tol:
+        if not abs(c) < tol:  # NaN is kept, and rejected by PauliSum
             word = "".join(_LETTER_ORDER[i] for i in idx)
             terms.append((complex(c), PauliString(word)))
     return PauliSum(n, tuple(terms))

@@ -68,8 +68,8 @@ def _frozen(op) -> np.ndarray:
     """op as a read-only complex array that owns its data.
 
     Such an array is kept as it is, so a set built from another set's
-    operators (a synthesized set, `_unit_scaled` in `lindblad`) holds one copy
-    of each; anything else is copied.
+    operators (a synthesized set, the `_rescaled` set) holds one copy of each;
+    anything else is copied.
     """
     if (isinstance(op, np.ndarray) and op.dtype == complex
             and op.flags.owndata and not op.flags.writeable):
@@ -278,6 +278,19 @@ class DissipatorSet:
             norms.append(np.linalg.norm(L, axis=(1, 2)))
         return _JumpFactors(np.array(self.rates)[order], np.concatenate(norms), order, **fields)
 
+    @cached_property
+    def _rescaled(self) -> tuple["DissipatorSet", tuple[int, ...]] | None:
+        """(set, ks) built on first use, or None when every ks[j] is 0: ks[j] is the
+        binary exponent of operator j's largest entry (`peaks`) beyond SCALE_LIMIT
+        of 1, else 0, and set holds operator j over 2^ks[j] at its rate, sharing the
+        rest. `is_dark` and `lindblad._unit_scaled` share it and its `_jumps`."""
+        limit = math.frexp(SCALE_LIMIT)[1]
+        ks = tuple(e if abs(e) > limit else 0 for e in (math.frexp(p)[1] for p in self.peaks))
+        if not any(ks):
+            return None  # not self: a cached self-reference would keep the set alive in a cycle
+        ops = (_times_power_of_two(L, -k) if k else L for (_, L), k in zip(self.items, ks))
+        return DissipatorSet(tuple(zip(self.rates, ops))), ks
+
     def scaled(self, factor: float) -> "DissipatorSet":
         """Same operators with every rate multiplied by factor."""
         return self._with_rates(g * factor for g, _ in self.items)
@@ -412,19 +425,18 @@ def preset_lfor2() -> DissipatorSet:
 def is_dark(ds: DissipatorSet, phi) -> bool:
     """True when every jump operator annihilates |phi>: ||L phi|| <= 1e-10 ||L||_F ||phi||.
 
-    L_j phi comes from the set's factorization (`_jumps`), after |phi> is
-    divided by a power of two near its largest entry and, if some operator's
-    largest entry (`peaks`) lies beyond SCALE_LIMIT of 1, every operator by
-    one near its own. Both scalings are exact and the bound is relative, so
-    no norm overflows or underflows and rescaling changes no answer.
+    L_j phi comes from the factorization (`_jumps`) of the set's `_rescaled`
+    set, or of the set itself when no operator is rescaled, after |phi> is
+    divided by a power of two near its largest entry. Both scalings are exact
+    and the bound is relative, so no norm overflows or underflows and
+    rescaling changes no answer. A state with a non-finite entry raises ValueError.
     """
     v = as_vector(phi)
     if ds.dim is not None and ds.dim != v.size:
         raise ValueError(f"dimension mismatch: operators on {ds.dim}, state on {v.size}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state entries must be finite")
     v = _times_power_of_two(v, -math.frexp(np.max(np.abs(v), initial=0.0))[1])
-    exps = [math.frexp(top)[1] for top in ds.peaks]
-    if any(abs(e) > math.frexp(SCALE_LIMIT)[1] for e in exps):
-        ds = DissipatorSet(tuple((g, _times_power_of_two(L, -e)) for (g, L), e in zip(ds, exps)))
-    jumps = ds._jumps
+    jumps = (ds._rescaled or (ds,))[0]._jumps
     residuals = np.linalg.norm(jumps.apply(v), axis=0)
     return bool(np.all(residuals <= 1e-10 * jumps.norms * np.linalg.norm(v)))

@@ -244,35 +244,27 @@ def _certified_state(model: LindbladModel) -> np.ndarray | None:
 
 
 def _unit_scaled(model: LindbladModel) -> LindbladModel:
-    """model itself when every nonzero operator's largest entry, and every term
-    gamma_j max|L_j|^2 or max|H|, lies within SCALE_LIMIT of 1; otherwise the
-    generator over a power of two near its largest term, each operator beyond
-    SCALE_LIMIT over one near its largest entry. Only binary exponents are
-    compared, so no product overflows, and ldexp scales exactly."""
+    """model itself when no operator is rescaled (`DissipatorSet._rescaled`) and
+    every term gamma_j max|L_j|^2 of a nonzero L_j, and max|H|, lies within
+    SCALE_LIMIT of 1; otherwise the generator over a power of two 2^s near its
+    largest term: the `_rescaled` set (or the set) at rates gamma_j 2^(2 k_j - s),
+    but a zero operator, which adds nothing at any rate, keeps its own. Only
+    binary exponents are compared, so no product overflows; ldexp is exact."""
     limit = math.frexp(SCALE_LIMIT)[1]
-    jumps = []  # (rate, operator, exponent of its largest entry, exponent it is divided by)
-    for (g, L), top in zip(model.dissipators, model.dissipators.peaks):
-        if top > 0.0:
-            e = math.frexp(top)[1]
-            jumps.append((g, L, e, e if abs(e) > limit else 0))
-    terms = [math.frexp(g)[1] + 2 * e for g, _, e, _ in jumps]
+    ds = model.dissipators
+    unit, ks = ds._rescaled or (ds, (0,) * len(ds))
+    terms = [math.frexp(g)[1] + 2 * math.frexp(top)[1] for g, top in zip(ds.rates, ds.peaks) if top]
     H = model.hamiltonian
     if H is not None and np.any(H):
         terms.append(math.frexp(np.max(np.abs(H)))[1])
-    if all(abs(t) <= limit for t in terms) and not any(k for *_, k in jumps):
+    if unit is ds and all(abs(t) <= limit for t in terms):
         return model
     s = max(terms)
-    rates = [math.ldexp(g, 2 * k - s) for g, _, _, k in jumps]
+    rates = [math.ldexp(g, 2 * k - s) if top else g for g, top, k in zip(ds.rates, ds.peaks, ks)]
     if 0.0 in rates:
         raise SteadyStateError(f"generator terms span 2^{min(terms)} to 2^{s}, too wide to rescale")
-    ds = model.dissipators
-    if len(jumps) == len(ds) and not any(k for *_, k in jumps):  # the same operators
-        ds._jumps  # factored once, here, and carried to the rescaled set
-        ds = ds._with_rates(rates)
-    else:
-        ds = DissipatorSet(tuple((r, _times_power_of_two(L, -k) if k else L)
-                                 for r, (_, L, _, k) in zip(rates, jumps)))
-    return LindbladModel(ds, None if H is None else _times_power_of_two(H, -s))
+    unit._jumps  # factored once, here, and carried to the rescaled model
+    return LindbladModel(unit._with_rates(rates), None if H is None else _times_power_of_two(H, -s))
 
 
 def steady_states(model: LindbladModel) -> SteadyStateResult:
@@ -323,7 +315,8 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     eps / sigma_2 and its minimum eigenvalue falls below -1e-10, raises
     SteadyStateError naming that eigenvalue. Both routes run on
     `_unit_scaled(model)`, so neither the rates' nor the operators' scale
-    matters.
+    matters; out-of-window operators come from the set's `_rescaled` set,
+    whose factors `is_dark` shares.
     """
     model = _unit_scaled(model)
     t = _certified_state(model)
@@ -371,7 +364,7 @@ class EvolutionRecord:
         """Index of the sample closest to time t (must land within half a step)."""
         idx = int(np.argmin(np.abs(self.times - t)))
         step = self.times[1] - self.times[0] if len(self.times) > 1 else 0.0
-        if abs(self.times[idx] - t) > step / 2 + 1e-12:
+        if not abs(self.times[idx] - t) <= step / 2 + 1e-12:  # NaN fails too
             raise ValueError(f"no sample near t = {t}")
         return idx
 
@@ -416,16 +409,19 @@ def integrate(
 
     Samples k dt for k = 0..step_count(t_max, dt). After every step the trace
     drift is measured, then removed, and the state is re-hermitized; both
-    corrections are at round-off level for a stable step. Drift above 1e-4, negativity below -1e-4 or a non-finite
-    entry aborts with IntegrationError.
+    corrections are at round-off level for a stable step. Drift above 1e-4,
+    negativity below -1e-4 or a non-finite entry aborts with IntegrationError.
+    A non-finite entry of rho0 or target raises ValueError, before any step.
     """
     rho = as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):
         raise ValueError(f"initial state shape {rho.shape} does not match dimension {model.dim}")
+    tvec = None if target is None else as_vector(target)
+    if not (np.all(np.isfinite(rho)) and (tvec is None or np.all(np.isfinite(tvec)))):
+        raise ValueError("initial state and target entries must be finite")
     if dt is None:
         dt = default_step(model)
     steps = step_count(t_max, dt)
-    tvec = None if target is None else as_vector(target)
 
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, model.dim, model.dim), dtype=complex)

@@ -134,7 +134,7 @@ def _prepare(L, cfg, psi0):
     """The one-jump model (cfg.gamma, L) and the normalized start vector, validated."""
     L = np.asarray(L, dtype=complex)
     psi = as_vector(psi0)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-12:  # a NaN norm fails too
         raise ValueError("initial state must be normalized")
     if L.shape != (psi.size, psi.size):
         raise ValueError(f"operator shape {L.shape} does not match state dimension {psi.size}")

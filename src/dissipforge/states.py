@@ -208,12 +208,15 @@ def as_vector(phi) -> np.ndarray:
 
 
 def fidelity(rho, phi) -> float:
-    """Overlap <phi| rho |phi>, real, clipped to [0, 1]."""
+    """Overlap <phi| rho |phi>, real, clipped to [0, 1]; a non-finite entry raises ValueError."""
     m = as_matrix(rho)
     v = as_vector(phi)
     if m.shape[0] != v.size:
         raise ValueError(f"dimension mismatch: {m.shape[0]} vs {v.size}")
-    val = np.vdot(v, m @ v)
+    with np.errstate(invalid="ignore"):  # inf times 0 is NaN, refused below
+        val = np.vdot(v, m @ v)
+    if not np.isfinite(val):  # clipping would pass NaN and map inf to 1
+        raise ValueError("state and target entries must be finite")
     return float(min(max(val.real, 0.0), 1.0))
 
 

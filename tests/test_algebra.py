@@ -312,6 +312,21 @@ def test_decompose_roundtrip_on_sums():
         assert abs(got[w.letters] - c) < 1e-12
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_decompose_rejects_a_non_finite_matrix(entry):
+    # abs(NaN) >= tol is False, so every NaN coefficient used to be dropped
+    with pytest.raises(ValueError, match="finite"):
+        pauli_decompose(np.diag([entry, 1.0]), 1)
+
+
+def test_from_terms_rejects_a_nan_coefficient():
+    # it used to drop the NaN term and return Z alone
+    with pytest.raises(ValueError, match="not finite"):
+        PauliSum.from_terms(1, [(np.nan, "X"), (1.0, "Z")])
+    with pytest.raises(ValueError, match="not finite"):
+        PauliSum(1, ((np.inf, PauliString("X")),))
+
+
 def test_decompose_rejects_bad_dimension():
     with pytest.raises(ValueError):
         pauli_decompose(np.eye(3), 1)

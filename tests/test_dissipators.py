@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -289,6 +292,9 @@ def test_is_dark():
     assert is_dark(DissipatorSet(()), zero_zero)
     with pytest.raises(ValueError):
         is_dark(ds, np.array([1.0, 0.0]))
+    for entry in (np.nan, np.inf):  # NaN used to read not dark, as a bound compared false
+        with pytest.raises(ValueError, match="finite"):
+            is_dark(ds, np.array([entry, 0.0, 0.0, 0.0]))
 
 
 def test_is_dark_is_scale_aware():
@@ -374,15 +380,54 @@ def test_is_dark_and_steady_states_factor_each_operator_once(monkeypatch):
     assert len(calls) == len(ds) and all(a is L for a, (_, L) in zip(calls, ds))
 
 
-@pytest.mark.parametrize("gamma", [1.0, 1e200])
-def test_a_rate_outside_the_scale_window_factors_each_operator_once(gamma, monkeypatch):
-    # the CLI's synth scenario: steady_states, then is_dark on the configured set
+@pytest.mark.parametrize("gamma, scale", [
+    pytest.param(1.0, 1.0, id="1.0"),
+    pytest.param(1e200, 1.0, id="1e+200"),
+    pytest.param(1.0, 1e120, id="operators-x1e+120"),
+])
+def test_a_rate_outside_the_scale_window_factors_each_operator_once(gamma, scale, monkeypatch):
+    # the CLI's synth scenario: steady_states, then is_dark on the configured set;
+    # operators beyond SCALE_LIMIT are factored once, in the set's `_rescaled` set
     calls = _counting_rank_one(monkeypatch)
     model, target = _build_model(ScenarioConfig("synth", n_qubits=3, target="cluster-3",
                                                 gamma=gamma))
-    assert steady_states(model).route == "certificate"
-    assert is_dark(model.dissipators, target)
-    assert len(calls) == len(model.dissipators) == 7
+    ds = DissipatorSet(tuple((g, scale * L) for g, L in model.dissipators))
+    assert steady_states(LindbladModel(ds)).route == "certificate"
+    assert is_dark(ds, target)
+    assert len(calls) == len(ds) == 7
+
+
+def test_is_dark_and_the_rescaled_model_share_one_factorization():
+    ds, frame = _cluster_set(3)
+    big = DissipatorSet(tuple((g, 1e120 * L) for g, L in ds))
+    assert is_dark(big, frame[:, 0])
+    unit, ks = big._rescaled
+    assert "_jumps" in unit.__dict__ and "_jumps" not in big.__dict__
+    scaled = _unit_scaled(LindbladModel(big)).dissipators
+    assert all(a is b for a, b in zip(scaled.operators, unit.operators))
+    assert scaled._jumps.U is unit._jumps.U and scaled._jumps.V is unit._jumps.V
+    assert ks == tuple(np.frexp(big.peaks)[1])
+
+
+def test_the_rescaled_set_divides_only_operators_out_of_the_window():
+    ds, _ = _cluster_set(3)
+    assert ds._rescaled is None
+    mixed = DissipatorSet(((0.5, 1e-120 * ds.items[0][1]),) + ds.items[1:])
+    unit, ks = mixed._rescaled
+    assert ks[0] < 0 and not any(ks[1:])
+    assert unit.rates == mixed.rates
+    assert all(a is b for a, b in zip(unit.operators[1:], ds.operators[1:]))
+    assert np.array_equal(unit.operators[0], np.ldexp(mixed.operators[0].real, -ks[0])
+                          + 1j * np.ldexp(mixed.operators[0].imag, -ks[0]))
+    # the cached set does not refer back to its source, so the source is freed
+    # by reference counting alone, without waiting for the cyclic collector
+    source = weakref.ref(mixed)
+    gc.disable()
+    try:
+        del mixed
+        assert source() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])

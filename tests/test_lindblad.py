@@ -259,12 +259,14 @@ def _oracle_models():
     """Models with the null dimension of the complex SVD and the route that
     should decide it.
 
-    Certified: the Bell preset, path clusters with random rates, a random
-    amplitude target, rescaled rates, and a Hamiltonian H_Q + c|t><t| that
-    keeps the target invariant. Declined: a Hamiltonian with full-rank and
-    rank-one jumps at mixed rates for d = 2, 4, 8 (a mixed steady state), the
-    bare single operator, a k = 2 subspace synthesis, the synthesized set with
-    one jump dropped and one with a rate of 1e-12, which the SVD counts as null.
+    Certified: the Bell preset, three rank-two jumps on four levels (so the
+    certificate's screen has no rank-one jump and keeps every candidate), path
+    clusters with random rates, a random amplitude target, rescaled rates,
+    and a Hamiltonian H_Q + c|t><t| that keeps the target invariant.
+    Declined: a Hamiltonian with full-rank and rank-one jumps at mixed rates
+    for d = 2, 4, 8 (a mixed steady state), the bare single operator, a k = 2
+    subspace synthesis, the synthesized set with one jump dropped and one with
+    a rate of 1e-12, which the SVD counts as null.
     """
     rng = np.random.default_rng(26)
     for d in (2, 4, 8):
@@ -278,6 +280,11 @@ def _oracle_models():
     yield pytest.param(LindbladModel(synth_subspace(spec)), 4, "svd", id="subspace-k2")
 
     yield pytest.param(LindbladModel(preset_lfor2()), 1, "certificate", id="bell-preset")
+    # |0><1| + |1><2|, |0><2| + |2><3| and |0><3| + |3><1| drain every level into |0>
+    E = np.eye(4)
+    rank_two = [np.outer(E[0], E[a]) + np.outer(E[a], E[b]) for a, b in ((1, 2), (2, 3), (3, 1))]
+    ds = DissipatorSet(tuple(zip((1.0, 0.7, 1.3), rank_two)))
+    yield pytest.param(LindbladModel(ds), 1, "certificate", id="rank-two-jumps-d4")
     for n in (2, 3, 4):
         ds = _synthesized(graph_state(GraphSpec.path(n)), rng.uniform(0.5, 2.0, 2**n - 1))
         yield pytest.param(LindbladModel(ds), 1, "certificate", id=f"cluster-{n}")
@@ -530,7 +537,8 @@ def test_steady_states_rescale_a_hamiltonian_with_the_rates(scale):
 def test_steady_states_drop_a_zero_operator_out_of_the_scale_window():
     ds = DissipatorSet(((1e200, SIGMA_MINUS), (1.0, np.zeros((2, 2)))))
     scaled = _unit_scaled(LindbladModel(ds))
-    assert len(scaled.dissipators) == 1
+    # the zero operator adds nothing at any rate, so it is kept at rate 1
+    assert scaled.dissipators.items[1][0] == 1.0 and not scaled.dissipators.items[1][1].any()
     result = steady_states(LindbladModel(ds))
     plain = steady_states(LindbladModel(DissipatorSet(ds.items[:1])))
     assert (result.route, result.dimension) == (plain.route, plain.dimension)
@@ -634,6 +642,27 @@ def test_integrate_argument_validation():
         integrate(model, np.eye(4) / 4.0, 1.0)
 
 
+@pytest.mark.parametrize("rho0", [
+    pytest.param(np.full((2, 2), np.nan), id="all-nan"),
+    pytest.param(np.diag([np.inf, 0.0]), id="inf-entry"),
+])
+def test_integrate_rejects_a_non_finite_start_state(rho0):
+    # an all-NaN state used to fail inside eigvalsh, and an inf entry after a
+    # step, as a step-size instability
+    with pytest.raises(ValueError, match="finite"):
+        integrate(_sigma_minus_model(), rho0, 1.0, dt=0.1)
+
+
+def test_integrate_and_time_to_fidelity_reject_a_nan_target():
+    # the fidelities read NaN, and time_to_fidelity reported inf
+    model, rho0 = _sigma_minus_model(), np.diag([0.0, 1.0])
+    target = np.array([np.nan, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        integrate(model, rho0, 1.0, dt=0.1, target=target)
+    with pytest.raises(ValueError, match="finite"):
+        time_to_fidelity(model, rho0, target, 0.5, 1.0, dt=0.1)
+
+
 # ---------------------------------------------------------------- time to fidelity
 
 
@@ -698,5 +727,6 @@ def test_record_index_lookup():
         min_eigs=np.zeros(3),
     )
     assert record.index_at(0.1) == 1
-    with pytest.raises(ValueError):
-        record.index_at(0.5)
+    for t in (0.5, np.nan):  # NaN is no closer to any sample; it used to read index 0
+        with pytest.raises(ValueError, match="no sample"):
+            record.index_at(t)

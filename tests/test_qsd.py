@@ -156,6 +156,20 @@ def test_trajectory_input_validation():
         evolve_trajectory(SIGMA_MINUS, cfg, KET1, NoisePath(np.zeros(3)))
 
 
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda cfg, psi0: evolve_trajectory(SIGMA_MINUS, cfg, psi0, sample_noise(cfg, 0)),
+                 id="evolve_trajectory"),
+    pytest.param(lambda cfg, psi0: ensemble_average(SIGMA_MINUS, cfg, psi0),
+                 id="ensemble_average"),
+])
+def test_trajectories_reject_a_nan_start_state(run):
+    # ||psi0|| is NaN, and abs(NaN - 1) > 1e-12 is False: without the check
+    # every trajectory diverges and the run reports an overflow instead
+    cfg = TrajectoryConfig(n_traj=200, dt=0.1, t_max=1.0)
+    with pytest.raises(ValueError, match="normalized"):
+        run(cfg, np.array([np.nan, 0.0]))
+
+
 # ---------------------------------------------------------------- ensembles
 
 

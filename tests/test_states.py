@@ -134,6 +134,17 @@ def test_fidelity_cases():
         fidelity(DensityMatrix.maximally_mixed(1), phi)
 
 
+@pytest.mark.parametrize("rho, phi", [
+    pytest.param(np.diag([np.nan, 0.0]), [1.0, 0.0], id="nan-state"),
+    pytest.param(np.diag([np.inf, 0.0]), [1.0, 0.0], id="inf-state"),
+    pytest.param(np.diag([1.0, 0.0]), [np.nan, 0.0], id="nan-target"),
+])
+def test_fidelity_rejects_a_non_finite_overlap(rho, phi):
+    # clipping would turn inf into 1 and pass NaN through, outside [0, 1]
+    with pytest.raises(ValueError, match="finite"):
+        fidelity(rho, phi)
+
+
 def test_purity_cases():
     assert abs(purity(bell_state().density()) - 1.0) < 1e-14
     assert abs(purity(DensityMatrix.maximally_mixed(1)) - 0.5) < 1e-14
