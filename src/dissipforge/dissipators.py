@@ -91,23 +91,30 @@ def _rate(gamma) -> float:
     return gamma
 
 
-def _rank_one(L: np.ndarray, peak: float):
-    """(u, v) with L = u v^dag to round-off, or None, in O(d^2) without an SVD.
+def _outer_factors(X: np.ndarray, peak: float):
+    """(u, v) with X = u v^dag to round-off, or None, in O(d m) for X of shape
+    (d, m), without an SVD.
 
-    u is the column of largest norm and v = L^dag u / ||u||^2; a rank-one L
-    is reproduced by u v^dag exactly up to rounding, any other L is not.
-    peak is max|L|, which sets the tolerance.
+    u is the column of largest norm and v = X^dag u / ||u||^2; an X of rank
+    one is reproduced by u v^dag exactly up to rounding, any other X is not.
+    peak is max|X|, which sets the tolerance 8 d eps peak.
     """
-    norms = np.sum(np.abs(L) ** 2, axis=0)
+    norms = np.sum(np.abs(X) ** 2, axis=0)
     k = int(np.argmax(norms))
     if norms[k] == 0.0:
         return None
-    u = L[:, k]
-    v = (dag(L) @ u) / norms[k]
-    tol = 8 * L.shape[0] * np.finfo(float).eps * peak
-    if not np.max(np.abs(L - np.outer(u, v.conj()))) <= tol:  # NaN from an overflow fails too
+    u = X[:, k]
+    v = (dag(X) @ u) / norms[k]
+    tol = 8 * X.shape[0] * np.finfo(float).eps * peak
+    if not np.max(np.abs(X - np.outer(u, v.conj()))) <= tol:  # NaN from an overflow fails too
         return None
     return u, v
+
+
+def _rank_one(L: np.ndarray, peak: float):
+    """(u, v) with the jump L = u v^dag, or None: `_outer_factors` of one operator,
+    called once per operator by `DissipatorSet._jumps`."""
+    return _outer_factors(L, peak)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +123,14 @@ class _JumpFactors:
 
     Rank-one jumps L_j = u_j v_j^dag are columns of U and V (d, m1), with
     U^dag precomputed. Every other jump is kept in the stack Ld = L_j^dag of
-    shape (m2, d, d). An empty group is None. `order` holds each jump's index
-    in the set. Only `rates` and the products gVc = gamma_j conj(V) and
-    gL = gamma_j L_j (built on first use) depend on the rates, so
-    `with_rates` shares everything else.
+    shape (m2, d, d). When every u_j is parallel to one u, u_j = a_j u (every
+    synthesized set, the Bell preset), the rank-one jumps also form the
+    shared group: uu = u u^dag and the columns Vs of v'_j = conj(a_j) v_j,
+    so L_j = u v'_j^dag and the sandwich sum_j gamma_j L_j rho L_j^dag is
+    tr(rho K) uu with K = sum_j gamma_j v'_j v'_j^dag. An empty group is
+    None. `order` holds each jump's index in the set. Only `rates` and the
+    products gVc = gamma_j conj(V), K and gL = gamma_j L_j (built on first
+    use) depend on the rates, so `with_rates` shares everything else.
 
     Interface: `rates` and `norms` (Frobenius), rank-one jumps first, in the
     column order of the actions `apply` (L_j t) and `apply_dag` (L_j^dag t);
@@ -135,10 +146,20 @@ class _JumpFactors:
     Ud: np.ndarray | None = None
     V: np.ndarray | None = None
     Ld: np.ndarray | None = None
+    uu: np.ndarray | None = None
+    Vs: np.ndarray | None = None
 
     @cached_property
     def gVc(self) -> np.ndarray | None:
         return None if self.U is None else self.rates[: self.U.shape[1]] * self.V.conj()
+
+    @cached_property
+    def K(self) -> np.ndarray | None:
+        """sum_j gamma_j v'_j v'_j^dag of the shared group, Hermitian, or None."""
+        if self.Vs is None:
+            return None
+        K = (self.Vs * self.rates[: self.Vs.shape[1]]) @ dag(self.Vs)
+        return (K + dag(K)) / 2.0
 
     @cached_property
     def gL(self) -> np.ndarray | None:
@@ -183,8 +204,11 @@ class _JumpFactors:
         return K
 
     def add_sandwich(self, rho: np.ndarray, out: np.ndarray) -> None:
-        """Add sum_j gamma_j L_j rho L_j^dag, the jump term of rhs, to out."""
-        if self.U is not None:
+        """Add sum_j gamma_j L_j rho L_j^dag, the jump term of rhs, to out, for a
+        Hermitian rho; the shared group adds tr(rho K) uu, in O(d^2)."""
+        if self.K is not None:
+            out += np.vdot(self.K, rho).real * self.uu  # tr(rho K), K Hermitian
+        elif self.U is not None:
             c = (self.gVc * (rho @ self.V)).sum(axis=0)
             out += (self.U * c) @ self.Ud
         if self.gL is not None:
@@ -260,8 +284,9 @@ class DissipatorSet:
 
     @cached_property
     def _jumps(self) -> _JumpFactors:
-        """The set split into rank-one factors and dense stacks, built on first use
-        and shared by every model over the set and by `is_dark`."""
+        """The set split into rank-one factors, their shared group when every left
+        factor is parallel to one vector, and dense stacks, built on first use and
+        shared by every model over the set and by `is_dark`."""
         uvs = [_rank_one(L, peak) for L, peak in zip(self.operators, self.peaks)]
         order = np.argsort([uv is None for uv in uvs], kind="stable")  # rank one first
         rank_one = [uvs[i] for i in order if uvs[i] is not None]
@@ -272,6 +297,11 @@ class DissipatorSet:
             U, V = np.column_stack(us), np.column_stack(vs)
             fields.update(U=U, Ud=dag(U), V=V)
             norms.append(np.linalg.norm(U, axis=0) * np.linalg.norm(V, axis=0))
+            shared = _outer_factors(U, np.max(np.abs(U)))  # U = u w^dag: u_j = conj(w_j) u
+            if shared is not None:
+                u, w = shared
+                uu = np.outer(u, u.conj())
+                fields.update(uu=(uu + dag(uu)) / 2.0, Vs=V * w)
         if dense:
             L = np.stack(dense)
             fields.update(Ld=L.conj().transpose(0, 2, 1))
@@ -298,14 +328,17 @@ class DissipatorSet:
     def _with_rates(self, rates) -> "DissipatorSet":
         """Same operators at new rates, one per operator and checked as the
         constructor checks them. The operators, their `peaks` and, once built,
-        their factors `_jumps` are carried over, so no operator is scanned or
-        factored again."""
+        their factors `_jumps` and the `_rescaled` set (at the new rates) are
+        carried over, so no operator is scanned, rescaled or factored again."""
         items = tuple((_rate(g), op) for g, (_, op) in zip(rates, self.items, strict=True))
         out = object.__new__(DissipatorSet)
         object.__setattr__(out, "items", items)
         object.__setattr__(out, "peaks", self.peaks)
         if "_jumps" in self.__dict__:
             out.__dict__["_jumps"] = self._jumps.with_rates(out.rates)
+        if "_rescaled" in self.__dict__:
+            rescaled = self._rescaled
+            out.__dict__["_rescaled"] = rescaled and (rescaled[0]._with_rates(out.rates), rescaled[1])
         return out
 
     def to_json_obj(self) -> list:

@@ -4,22 +4,36 @@ The generator is d(rho)/dt = -i[H, rho] + sum_j gamma_j (L_j rho L_j^dag
 - {L_j^dag L_j, rho} / 2). It is evaluated through the non-Hermitian
 effective Hamiltonian H_eff = H - (i/2) sum_j gamma_j L_j^dag L_j as
 d(rho)/dt = -i(H_eff rho - rho H_eff^dag) + sum_j gamma_j L_j rho L_j^dag;
-the same H_eff gives the vectorized Liouvillian and the drift of the
-diffusion trajectories in `qsd`. Density matrices are vectorized by stacking
-columns, so vec(A X B) = (B^T kron A) vec(X).
+the same H_eff gives the vectorized Liouvillian, and its multiple -i H_eff
+(`LindbladModel.drift`, cached per model) the drift of the diffusion
+trajectories in `qsd`. Density matrices are vectorized by stacking columns,
+so vec(A X B) = (B^T kron A) vec(X).
+
+One function, `_hermitian_rhs`, evaluates the generator, on a Hermitian rho.
+There rho H_eff^dag = (H_eff rho)^dag, so the first term is A + A^dag with
+A = (-i H_eff) rho: one d x d x d product per evaluation. `integrate`'s RK4
+stages and the columns of `_real_generator` are Hermitian by construction
+and call it directly. `rhs` takes any matrix: an exactly Hermitian one goes
+straight to the kernel, any other is split as X + iY with X and Y Hermitian
+and gives kernel(X) + i kernel(Y), since the generator is linear.
 
 Jumps of rank one, L_j = u_j v_j^dag (every synthesized operator, the stock
 Bell set and the single-operator route), are used in closed form:
 gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j
 and gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, so the jump term
-costs O(m d^2) per evaluation instead of O(m d^3). Each jump is tested for
-rank one once per jump set (`DissipatorSet._jumps`); any other jump is
-applied densely. That layout is private to `dissipators`: `h_eff` and `rhs`
-still assemble the generator, from the set's two kernels `decay` and
-`add_sandwich`, and both matrices below are read off `rhs` column by
-column. The certificate and `is_dark` apply jumps to vectors through the
-set's actions L_j t and L_j^dag t, and the certificate screens its
-candidates with the set's `screen`.
+costs O(m d^2) per evaluation instead of O(m d^3). When every u_j is
+parallel to one u (every synthesized set, the Bell preset), u_j = a_j u and
+the whole sandwich is tr(rho K) u u^dag with K = sum_j gamma_j v'_j v'_j^dag,
+v'_j = conj(a_j) v_j, fixed per set: one O(d^2) inner product and one scaled
+d x d add. Each jump is tested for rank one, and the rank-one jumps for a
+shared u, once per jump set (`DissipatorSet._jumps`); any other jump is
+applied densely. That layout is private to `dissipators`: `h_eff` and
+`_hermitian_rhs` still assemble the generator, from the set's two kernels
+`decay` and `add_sandwich`, and both matrices below are read off the
+generator column by column, the Liouvillian off `rhs` and the fallback's
+real matrix off `_hermitian_rhs`. The certificate and `is_dark` apply
+jumps to vectors through the set's actions L_j t and L_j^dag t, and the
+certificate screens its candidates with the set's `screen`.
 
 Both time-stepping routes, `integrate` here and the trajectory ensembles of
 `qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps (with a relative
@@ -112,6 +126,14 @@ class LindbladModel:
         H.setflags(write=False)
         return H
 
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """Read-only -i H_eff, built on first use: the no-jump part of the generator
+        and the drift of the trajectories in `qsd`."""
+        D = -1j * self.h_eff
+        D.setflags(write=False)
+        return D
+
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacked vector of a matrix."""
@@ -122,15 +144,30 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v).reshape((dim, dim), order="F")
 
 
+def _hermitian_rhs(model: LindbladModel, rho: np.ndarray) -> np.ndarray:
+    """The generator on a Hermitian rho: A + A^dag with A = (-i H_eff) rho, plus
+    the jump sandwich. The one place the generator is evaluated."""
+    A = model.drift @ rho
+    out = A + dag(A)
+    model.dissipators._jumps.add_sandwich(rho, out)
+    return out
+
+
 def rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Generator applied to one state: -i(H_eff rho - rho H_eff^dag) + jump terms."""
+    """Generator applied to one matrix: -i(H_eff rho - rho H_eff^dag) + jump terms.
+
+    An exactly Hermitian rho goes to `_hermitian_rhs`. Any other rho, NaN
+    entries included, is split as X + iY with X = (rho + rho^dag)/2 and
+    Y = (rho - rho^dag)/2i, both Hermitian, and gives
+    _hermitian_rhs(X) + i _hermitian_rhs(Y).
+    """
     m = as_matrix(rho)
     if m.shape != (model.dim, model.dim):
         raise ValueError(f"state shape {m.shape} does not match model dimension {model.dim}")
-    H = model.h_eff
-    out = -1j * (H @ m - m @ dag(H))
-    model.dissipators._jumps.add_sandwich(m, out)
-    return out
+    md = dag(m)
+    if np.array_equal(m, md):
+        return _hermitian_rhs(model, m)
+    return _hermitian_rhs(model, (m + md) / 2.0) + 1j * _hermitian_rhs(model, (m - md) * -0.5j)
 
 
 def liouvillian_matrix(model: LindbladModel) -> np.ndarray:
@@ -202,7 +239,7 @@ def _real_generator(model: LindbladModel) -> np.ndarray:
     for k in range(d * d):
         e = np.zeros(d * d)
         e[k] = 1.0
-        v = vec(rhs(model, _hermitian_matrix(e, d)))
+        v = vec(_hermitian_rhs(model, _hermitian_matrix(e, d)))
         up = math.sqrt(2.0) * v[upper]
         columns[k] = np.concatenate((v[diag].real, up.real, up.imag))
     return columns.T
@@ -412,6 +449,9 @@ def integrate(
     corrections are at round-off level for a stable step. Drift above 1e-4,
     negativity below -1e-4 or a non-finite entry aborts with IntegrationError.
     A non-finite entry of rho0 or target raises ValueError, before any step.
+    rho0 is hermitized once, (rho0 + rho0^dag)/2, which leaves an exactly
+    Hermitian rho0 bit for bit, so every RK4 stage is Hermitian and goes to
+    `_hermitian_rhs`.
     """
     rho = as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):
@@ -419,6 +459,7 @@ def integrate(
     tvec = None if target is None else as_vector(target)
     if not (np.all(np.isfinite(rho)) and (tvec is None or np.all(np.isfinite(tvec)))):
         raise ValueError("initial state and target entries must be finite")
+    rho = (rho + dag(rho)) / 2.0
     if dt is None:
         dt = default_step(model)
     steps = step_count(t_max, dt)
@@ -438,10 +479,10 @@ def integrate(
 
     record(0, abs(np.trace(rho).real - 1.0))
     for step in range(1, steps + 1):
-        k1 = rhs(model, rho)
-        k2 = rhs(model, rho + 0.5 * dt * k1)
-        k3 = rhs(model, rho + 0.5 * dt * k2)
-        k4 = rhs(model, rho + dt * k3)
+        k1 = _hermitian_rhs(model, rho)
+        k2 = _hermitian_rhs(model, rho + 0.5 * dt * k1)
+        k3 = _hermitian_rhs(model, rho + 0.5 * dt * k2)
+        k4 = _hermitian_rhs(model, rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = (rho + dag(rho)) / 2.0
         tr = np.trace(rho).real

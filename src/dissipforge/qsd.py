@@ -145,14 +145,13 @@ def _steps(model, cfg, Psi, noise):
     """Euler-Maruyama steps of a batch of trajectories, one per row of Psi.
 
     psi_{k+1} = psi_k + dt [L z*_k - i H_eff] psi_k, where -i H_eff =
-    -(gamma/2) L^dag L is the drift of the one-jump model (gamma, L) and
-    noise[:, k] holds each row's z*_k. Yields (Psi, |Psi|^2 elementwise) at
-    steps 0..n_steps; a row whose norm exceeds NORM_LIMIT raises
-    TrajectoryOverflow with the offending row indices.
+    -(gamma/2) L^dag L is the drift (`model.drift`) of the one-jump model
+    (gamma, L) and noise[:, k] holds each row's z*_k. Yields (Psi, |Psi|^2
+    elementwise) at steps 0..n_steps; a row whose norm exceeds NORM_LIMIT
+    raises TrajectoryOverflow with the offending row indices.
     """
-    drift = -1j * model.h_eff
     LT = model.dissipators.operators[0].T.copy()
-    DT = drift.T.copy()
+    DT = model.drift.T.copy()
     prob = Psi.real**2 + Psi.imag**2
     yield Psi, prob
     for k in range(cfg.n_steps):

@@ -397,6 +397,20 @@ def test_a_rate_outside_the_scale_window_factors_each_operator_once(gamma, scale
     assert len(calls) == len(ds) == 7
 
 
+def test_new_rates_carry_the_rescaled_set_and_its_factors(monkeypatch):
+    calls = _counting_rank_one(monkeypatch)
+    ds, frame = _cluster_set(3)
+    big = DissipatorSet(tuple((g, 1e120 * L) for g, L in ds))
+    assert is_dark(big, frame[:, 0])
+    doubled = big.scaled(2.0)
+    assert is_dark(doubled, frame[:, 0])
+    assert len(calls) == len(ds) == 7
+    (unit, ks), (carried, carried_ks) = big._rescaled, doubled._rescaled
+    assert carried_ks == ks and carried.rates == doubled.rates
+    assert all(a is b for a, b in zip(carried.operators, unit.operators))
+    assert carried._jumps.U is unit._jumps.U
+
+
 def test_is_dark_and_the_rescaled_model_share_one_factorization():
     ds, frame = _cluster_set(3)
     big = DissipatorSet(tuple((g, 1e120 * L) for g, L in ds))
@@ -437,7 +451,7 @@ def test_carried_factors_equal_a_fresh_factorization(scale):
     assert rescaled is not ds and rescaled.operators == ds.operators
     assert rescaled._jumps.Ld is ds._jumps.Ld
     carried, fresh = rescaled._jumps, DissipatorSet(rescaled.items)._jumps
-    for name in ("rates", "norms", "order", "U", "Ud", "V", "Ld", "gVc", "gL"):
+    for name in ("rates", "norms", "order", "U", "Ud", "V", "Ld", "uu", "Vs", "gVc", "K", "gL"):
         assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
 
 

@@ -32,6 +32,7 @@ from dissipforge.lindblad import (
     LindbladModel,
     SizeLimitError,
     SteadyStateError,
+    _hermitian_rhs,
     _invariant_eigenvectors,
     _real_generator,
     _unit_scaled,
@@ -171,6 +172,13 @@ def test_rate_scaling_scales_spectrum_exactly():
 # ---------------------------------------------------------------- factored jumps
 
 
+def _synthesized(target, rates):
+    """The CLI's model: one jump |t><f_j| per frame vector f_j outside |t>."""
+    frame = orthonormal_frame(target)
+    spec = SynthesisSpec(dim=target.dim, k=1, coeffs=np.ones((target.dim - 1, 1)), basis=frame)
+    return DissipatorSet(tuple((r, L) for r, (_, L) in zip(rates, synth_subspace(spec))))
+
+
 def _textbook_rhs(H, jumps, rho):
     """-i[H, rho] + sum_j gamma_j (L_j rho L_j^dag - {L_j^dag L_j, rho} / 2), term by term."""
     out = -1j * (H @ rho - rho @ H)
@@ -197,9 +205,9 @@ def test_factored_generator_matches_textbook_form():
     rng = np.random.default_rng(30)
     model, jumps = _mixed_model(rng)
     H = model.hamiltonian
-    # the synthesized jumps are factored; the full-rank and perturbed ones stay dense
+    # the synthesized jumps are factored, with one shared u; the full-rank and perturbed ones stay dense
     factors = model.dissipators._jumps
-    assert factors.U.shape == (8, 7) and factors.gL.shape == (2, 8, 8)
+    assert factors.U.shape == (8, 7) and factors.K is not None and factors.gL.shape == (2, 8, 8)
     K = sum(gamma * (dag(L) @ L) for gamma, L in jumps)
     assert np.max(np.abs(model.h_eff - (H - 0.5j * K))) < 1e-12
     M = liouvillian_matrix(model)
@@ -208,6 +216,93 @@ def test_factored_generator_matches_textbook_form():
         out = rhs(model, rho)
         assert np.max(np.abs(out - _textbook_rhs(H, jumps, rho))) < 1e-12
         assert np.max(np.abs(M @ vec(rho) - vec(out))) < 1e-12
+
+
+def _kernel_models():
+    """Models covering each jump layout of `_JumpFactors.add_sandwich`, with their jumps."""
+    rng = np.random.default_rng(32)
+    ds = _synthesized(graph_state(GraphSpec.path(3)), np.linspace(0.3, 2.5, 7))
+    yield pytest.param(LindbladModel(ds), None, ds.items, id="cluster-3-shared")
+    H = random_hermitian(4, rng)
+    yield pytest.param(LindbladModel(preset_lfor2(), hamiltonian=H), H, preset_lfor2().items,
+                       id="bell-preset-hamiltonian-shared")
+    ds = synth_subspace(SynthesisSpec(dim=8, k=2, coeffs=random_complex((6, 2), rng)))
+    yield pytest.param(LindbladModel(ds), None, ds.items, id="subspace-k2-rank-one")
+    model, jumps = _mixed_model(rng)
+    yield pytest.param(model, model.hamiltonian, jumps, id="mixed-all-groups")
+
+
+@pytest.mark.parametrize("model,H,jumps", list(_kernel_models()))
+def test_hermitian_rhs_matches_textbook_form(model, H, jumps):
+    rng = np.random.default_rng(33)
+    H = np.zeros((model.dim, model.dim)) if H is None else H
+    for rho in (random_density(model.dim, rng) for _ in range(3)):
+        want = _textbook_rhs(H, jumps, rho)
+        got = rhs(model, rho)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got, _hermitian_rhs(model, rho))
+
+
+def test_the_shared_left_vector_group_is_detected():
+    rng = np.random.default_rng(34)
+    k1 = synth_subspace(SynthesisSpec(dim=8, k=1, coeffs=random_complex((7, 1), rng),
+                                      basis=random_unitary(8, rng)))
+    k2 = synth_subspace(SynthesisSpec(dim=8, k=2, coeffs=random_complex((6, 2), rng)))
+    u, v = k1.operators[0] @ random_complex(8, rng), random_complex(8, rng)
+    bent = DissipatorSet(k1.items + ((1.0, np.outer(u + 1e-9 * random_complex(8, rng), v.conj())),))
+    for ds, shared in ((k1, True), (preset_lfor2(), True), (k2, False), (bent, False)):
+        jumps = ds._jumps
+        assert jumps.U.shape[1] == len(ds) and jumps.Ld is None  # every jump is rank one
+        assert (jumps.K is not None) == (jumps.uu is not None) == shared
+    # the group holds L_j = u v'_j^dag, so L_j L_j^dag = ||v'_j||^2 u u^dag; K follows the rates
+    jumps = k1._jumps
+    for j, (_, L) in enumerate(k1):
+        LLd = np.linalg.norm(jumps.Vs[:, j]) ** 2 * jumps.uu
+        assert np.max(np.abs(LLd - L @ dag(L))) <= 1e-14 * np.max(np.abs(L)) ** 2
+    doubled = k1.scaled(2.0)._jumps
+    assert doubled.uu is jumps.uu and doubled.Vs is jumps.Vs
+    assert np.allclose(doubled.K, 2.0 * jumps.K, rtol=1e-15, atol=0)
+
+
+def test_rhs_splits_a_non_hermitian_input_by_linearity():
+    model, jumps = _mixed_model(np.random.default_rng(35))
+    rng = np.random.default_rng(36)
+    X, Y = random_hermitian(8, rng), random_hermitian(8, rng)
+    got = rhs(model, X + 1j * Y)
+    want = _textbook_rhs(model.hamiltonian, jumps, X + 1j * Y)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # a NaN entry fails the Hermiticity test and is split once, not again
+    assert np.all(np.isnan(rhs(model, np.full((8, 8), np.nan))))
+
+
+def test_integrate_calls_the_kernel_and_never_splits(monkeypatch):
+    calls = {"kernel": 0, "rhs": 0}
+
+    def counting_kernel(model, rho):
+        calls["kernel"] += 1
+        return _hermitian_rhs(model, rho)
+
+    def counting_rhs(model, rho):
+        calls["rhs"] += 1
+        return rhs(model, rho)
+
+    monkeypatch.setattr("dissipforge.lindblad._hermitian_rhs", counting_kernel)
+    monkeypatch.setattr("dissipforge.lindblad.rhs", counting_rhs)
+    model, _ = _mixed_model(np.random.default_rng(37))
+    record = integrate(model, random_density(8, np.random.default_rng(38)), 5e-3, dt=1e-3)
+    assert calls == {"kernel": 4 * (len(record.times) - 1), "rhs": 0}
+
+
+def test_integrate_hermitizes_a_start_state_hermitian_to_round_off():
+    model, _ = _mixed_model(np.random.default_rng(39))
+    rho = random_density(8, np.random.default_rng(40))
+    rho[0, 1] += 3e-17 * (1 + 1j)
+    assert not np.array_equal(rho, dag(rho)) and np.allclose(rho, dag(rho), rtol=0, atol=1e-16)
+    target = PureState(np.eye(8)[0])
+    got = integrate(model, rho, 5e-3, dt=1e-3, target=target)
+    want = integrate(model, (rho + dag(rho)) / 2.0, 5e-3, dt=1e-3, target=target)
+    for name in ("times", "states", "trace_errors", "min_eigs", "fidelities"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_structured_jump_sets_are_factored():
@@ -246,13 +341,6 @@ def test_steady_state_subspace_dimension():
     assert result.dimension == 4
     # the representative is a valid state supported on the block
     assert abs(np.trace(result.state.matrix) - 1.0) < 1e-12
-
-
-def _synthesized(target, rates):
-    """The CLI's model: one jump |t><f_j| per frame vector f_j outside |t>."""
-    frame = orthonormal_frame(target)
-    spec = SynthesisSpec(dim=target.dim, k=1, coeffs=np.ones((target.dim - 1, 1)), basis=frame)
-    return DissipatorSet(tuple((r, L) for r, (_, L) in zip(rates, synth_subspace(spec))))
 
 
 def _oracle_models():
