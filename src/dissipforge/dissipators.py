@@ -91,13 +91,14 @@ def _rate(gamma) -> float:
     return gamma
 
 
-def _outer_factors(X: np.ndarray, peak: float):
+def _outer_factors(X: np.ndarray, peak: float | np.ndarray):
     """(u, v) with X = u v^dag to round-off, or None, in O(d m) for X of shape
     (d, m), without an SVD.
 
     u is the column of largest norm and v = X^dag u / ||u||^2; an X of rank
     one is reproduced by u v^dag exactly up to rounding, any other X is not.
-    peak is max|X|, which sets the tolerance 8 d eps peak.
+    peak is max|X|, or the largest |entry| of each column, which sets the
+    tolerance 8 d eps peak of every entry, or of every entry in that column.
     """
     norms = np.sum(np.abs(X) ** 2, axis=0)
     k = int(np.argmax(norms))
@@ -106,7 +107,7 @@ def _outer_factors(X: np.ndarray, peak: float):
     u = X[:, k]
     v = (dag(X) @ u) / norms[k]
     tol = 8 * X.shape[0] * np.finfo(float).eps * peak
-    if not np.max(np.abs(X - np.outer(u, v.conj()))) <= tol:  # NaN from an overflow fails too
+    if not np.all(np.abs(X - np.outer(u, v.conj())) <= tol):  # NaN from an overflow fails too
         return None
     return u, v
 
@@ -123,14 +124,15 @@ class _JumpFactors:
 
     Rank-one jumps L_j = u_j v_j^dag are columns of U and V (d, m1), with
     U^dag precomputed. Every other jump is kept in the stack Ld = L_j^dag of
-    shape (m2, d, d). When every u_j is parallel to one u, u_j = a_j u (every
-    synthesized set, the Bell preset), the rank-one jumps also form the
-    shared group: uu = u u^dag and the columns Vs of v'_j = conj(a_j) v_j,
-    so L_j = u v'_j^dag and the sandwich sum_j gamma_j L_j rho L_j^dag is
-    tr(rho K) uu with K = sum_j gamma_j v'_j v'_j^dag. An empty group is
-    None. `order` holds each jump's index in the set. Only `rates` and the
-    products gVc = gamma_j conj(V), K and gL = gamma_j L_j (built on first
-    use) depend on the rates, so `with_rates` shares everything else.
+    shape (m2, d, d). When every u_j is parallel to one u, u_j = a_j u to
+    round-off of max|u_j| (every synthesized set, the Bell preset), the
+    rank-one jumps also form the shared group: uu = u u^dag and the columns
+    Vs of v'_j = conj(a_j) v_j, so L_j = u v'_j^dag and the sandwich
+    sum_j gamma_j L_j rho L_j^dag is tr(rho K) uu with K = sum_j gamma_j
+    v'_j v'_j^dag. An empty group is None. `order` holds each jump's index
+    in the set. Only `rates` and the products gVc = gamma_j conj(V), K and
+    gL = gamma_j L_j (built on first use) depend on the rates, so
+    `with_rates` shares everything else.
 
     Interface: `rates` and `norms` (Frobenius), rank-one jumps first, in the
     column order of the actions `apply` (L_j t) and `apply_dag` (L_j^dag t);
@@ -155,11 +157,10 @@ class _JumpFactors:
 
     @cached_property
     def K(self) -> np.ndarray | None:
-        """sum_j gamma_j v'_j v'_j^dag of the shared group, Hermitian, or None."""
+        """sum_j gamma_j v'_j v'_j^dag of the shared group, or None."""
         if self.Vs is None:
             return None
-        K = (self.Vs * self.rates[: self.Vs.shape[1]]) @ dag(self.Vs)
-        return (K + dag(K)) / 2.0
+        return (self.Vs * self.rates[: self.Vs.shape[1]]) @ dag(self.Vs)
 
     @cached_property
     def gL(self) -> np.ndarray | None:
@@ -207,7 +208,7 @@ class _JumpFactors:
         """Add sum_j gamma_j L_j rho L_j^dag, the jump term of rhs, to out, for a
         Hermitian rho; the shared group adds tr(rho K) uu, in O(d^2)."""
         if self.K is not None:
-            out += np.vdot(self.K, rho).real * self.uu  # tr(rho K), K Hermitian
+            out += np.vdot(self.K, rho).real * self.uu  # tr(rho K): .real keeps K's Hermitian part
         elif self.U is not None:
             c = (self.gVc * (rho @ self.V)).sum(axis=0)
             out += (self.U * c) @ self.Ud
@@ -297,7 +298,9 @@ class DissipatorSet:
             U, V = np.column_stack(us), np.column_stack(vs)
             fields.update(U=U, Ud=dag(U), V=V)
             norms.append(np.linalg.norm(U, axis=0) * np.linalg.norm(V, axis=0))
-            shared = _outer_factors(U, np.max(np.abs(U)))  # U = u w^dag: u_j = conj(w_j) u
+            # U = u w^dag, u_j = conj(w_j) u, each column to round-off of its own peak:
+            # against max|U| a small u_j off u would pass and lose its sandwich term
+            shared = _outer_factors(U, np.max(np.abs(U), axis=0))
             if shared is not None:
                 u, w = shared
                 uu = np.outer(u, u.conj())
@@ -338,7 +341,9 @@ class DissipatorSet:
             out.__dict__["_jumps"] = self._jumps.with_rates(out.rates)
         if "_rescaled" in self.__dict__:
             rescaled = self._rescaled
-            out.__dict__["_rescaled"] = rescaled and (rescaled[0]._with_rates(out.rates), rescaled[1])
+            if rescaled is not None:
+                rescaled = (rescaled[0]._with_rates(out.rates), rescaled[1])
+            out.__dict__["_rescaled"] = rescaled
         return out
 
     def to_json_obj(self) -> list:

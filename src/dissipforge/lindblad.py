@@ -11,18 +11,21 @@ so vec(A X B) = (B^T kron A) vec(X).
 
 One function, `_hermitian_rhs`, evaluates the generator, on a Hermitian rho.
 There rho H_eff^dag = (H_eff rho)^dag, so the first term is A + A^dag with
-A = (-i H_eff) rho: one d x d x d product per evaluation. `integrate`'s RK4
-stages and the columns of `_real_generator` are Hermitian by construction
-and call it directly. `rhs` takes any matrix: an exactly Hermitian one goes
-straight to the kernel, any other is split as X + iY with X and Y Hermitian
-and gives kernel(X) + i kernel(Y), since the generator is linear.
+A = (-i H_eff) rho: one d x d x d product per evaluation. The columns of
+`_real_generator` are Hermitian and `integrate`'s RK4 stages Hermitian to
+round-off (the rank-one and dense sandwiches are not exactly Hermitian); both
+call it directly, and the kernel reads its input as Hermitian, which moves
+a stage only at round-off. `rhs` takes any matrix: an exactly Hermitian one
+goes straight to the kernel, any other is split as X + iY with X and Y
+Hermitian and gives kernel(X) + i kernel(Y), since the generator is linear.
 
 Jumps of rank one, L_j = u_j v_j^dag (every synthesized operator, the stock
 Bell set and the single-operator route), are used in closed form:
 gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j
 and gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, so the jump term
 costs O(m d^2) per evaluation instead of O(m d^3). When every u_j is
-parallel to one u (every synthesized set, the Bell preset), u_j = a_j u and
+parallel to one u, each to round-off of its own largest entry (every
+synthesized set, the Bell preset), u_j = a_j u and
 the whole sandwich is tr(rho K) u u^dag with K = sum_j gamma_j v'_j v'_j^dag,
 v'_j = conj(a_j) v_j, fixed per set: one O(d^2) inner product and one scaled
 d x d add. Each jump is tested for rank one, and the rank-one jumps for a
@@ -450,8 +453,8 @@ def integrate(
     negativity below -1e-4 or a non-finite entry aborts with IntegrationError.
     A non-finite entry of rho0 or target raises ValueError, before any step.
     rho0 is hermitized once, (rho0 + rho0^dag)/2, which leaves an exactly
-    Hermitian rho0 bit for bit, so every RK4 stage is Hermitian and goes to
-    `_hermitian_rhs`.
+    Hermitian rho0 bit for bit, so every RK4 stage is Hermitian to round-off
+    and goes to `_hermitian_rhs`, which reads it as Hermitian.
     """
     rho = as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):

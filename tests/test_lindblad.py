@@ -218,6 +218,13 @@ def test_factored_generator_matches_textbook_form():
         assert np.max(np.abs(M @ vec(rho) - vec(out))) < 1e-12
 
 
+def _mixed_scale_set():
+    """|0><1| at rate 1 and 1e-16 |1><2| at rate 1e32 on d = 3: two rank-one jumps of
+    equal weight whose left factors differ, and in size by 1e16."""
+    E = np.eye(3)
+    return DissipatorSet(((1.0, np.outer(E[0], E[1])), (1e32, 1e-16 * np.outer(E[1], E[2]))))
+
+
 def _kernel_models():
     """Models covering each jump layout of `_JumpFactors.add_sandwich`, with their jumps."""
     rng = np.random.default_rng(32)
@@ -230,6 +237,8 @@ def _kernel_models():
     yield pytest.param(LindbladModel(ds), None, ds.items, id="subspace-k2-rank-one")
     model, jumps = _mixed_model(rng)
     yield pytest.param(model, model.hamiltonian, jumps, id="mixed-all-groups")
+    ds = _mixed_scale_set()
+    yield pytest.param(LindbladModel(ds), None, ds.items, id="mixed-scale-rank-one")
 
 
 @pytest.mark.parametrize("model,H,jumps", list(_kernel_models()))
@@ -237,6 +246,7 @@ def test_hermitian_rhs_matches_textbook_form(model, H, jumps):
     rng = np.random.default_rng(33)
     H = np.zeros((model.dim, model.dim)) if H is None else H
     for rho in (random_density(model.dim, rng) for _ in range(3)):
+        rho = (rho + dag(rho)) / 2.0  # exactly Hermitian, so rhs takes the kernel alone
         want = _textbook_rhs(H, jumps, rho)
         got = rhs(model, rho)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -250,7 +260,9 @@ def test_the_shared_left_vector_group_is_detected():
     k2 = synth_subspace(SynthesisSpec(dim=8, k=2, coeffs=random_complex((6, 2), rng)))
     u, v = k1.operators[0] @ random_complex(8, rng), random_complex(8, rng)
     bent = DissipatorSet(k1.items + ((1.0, np.outer(u + 1e-9 * random_complex(8, rng), v.conj())),))
-    for ds, shared in ((k1, True), (preset_lfor2(), True), (k2, False), (bent, False)):
+    cases = ((k1, True), (preset_lfor2(), True), (k2, False), (bent, False),
+             (_mixed_scale_set(), False))  # each u_j is tested against its own size
+    for ds, shared in cases:
         jumps = ds._jumps
         assert jumps.U.shape[1] == len(ds) and jumps.Ld is None  # every jump is rank one
         assert (jumps.K is not None) == (jumps.uu is not None) == shared
