@@ -76,8 +76,8 @@ def null_space(A: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
     A = A.astype(np.result_type(A.dtype, np.float64), copy=False)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"null_space needs a square matrix, got shape {A.shape}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _, s, vh = np.linalg.svd(A)
     cutoff = tol * s[0]
     return [vh[i].conj() for i in range(len(s)) if s[i] <= cutoff]

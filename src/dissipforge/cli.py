@@ -288,12 +288,14 @@ def _log2_largest_array(cfg: ScenarioConfig):
 
     Every model builds the (d - 1, d, d) complex jump stack, which is all of
     steady's estimate, since the certificate of `steady_states` needs no
-    Liouvillian; synth: the d^4 complex Liouvillian, since dissipators.json
-    holds every jump entry as a Python list; evolve: the larger of the stack
-    and the (T, d, d) complex record of T = t_max/dt + 1 samples; qsd: the
-    largest of those two and the (chunk, T) complex noise block; compile: 5
-    (D, D) complex arrays, D = 2^n * bath_dim, over the 4.0-4.6 verify_sequence
-    holds at once; graph-state: the (2^n, n) int64 bit table.
+    Liouvillian; synth: 16 d^4 bytes, which bounds the Python lists that
+    dissipators.json is written from, (d - 1) d^2 jump entries at about 128
+    bytes each as [re, im] float pairs (synth builds no Liouvillian);
+    evolve: the larger of the stack and the (T, d, d) complex record of
+    T = t_max/dt + 1 samples; qsd: the largest of those two and the
+    (chunk, T) complex noise block; compile: 5 (D, D) complex arrays,
+    D = 2^n * bath_dim, over the 4.0-4.6 verify_sequence holds at once;
+    graph-state: the (2^n, n) int64 bit table.
     """
     if cfg.scenario == "compile":
         return 4 + math.log2(5) + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))

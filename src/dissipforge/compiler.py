@@ -184,6 +184,8 @@ def compile_coupling(W: PauliString, theta: float, allowed: GraphSpec | None = N
     at most 3 weight(W) - 2. The output is certified by verify_sequence,
     never trusted structurally.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     if W.phase != 1:
         raise ValueError("target must carry phase +1; absorb signs into theta upstream")
     if W.weight < 1:
@@ -299,6 +301,8 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     ):
         raise ValueError("verify_sequence handles seed + conjugation sequences only")
     thetas = tuple(float(t) for t in theta_samples)
+    if not thetas:
+        raise ValueError("theta_samples must hold at least one angle")
     Q, W = _realized_word(seq), seq.target.dense()
     devs = []
     for theta in thetas:
@@ -379,8 +383,8 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
     Factors multiply left to right in term order; the single-step deviation
     from the exact exponential of the summed generator is O(dt^2).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     terms = list(terms)
     if not terms:
         raise ValueError("need at least one coupling term")

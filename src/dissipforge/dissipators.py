@@ -321,7 +321,12 @@ class DissipatorSet:
         ks = tuple(e if abs(e) > limit else 0 for e in (math.frexp(p)[1] for p in self.peaks))
         if not any(ks):
             return None  # not self: a cached self-reference would keep the set alive in a cycle
-        ops = (_times_power_of_two(L, -k) if k else L for (_, L), k in zip(self.items, ks))
+        ops = []
+        for (_, L), k in zip(self.items, ks):
+            if k:
+                L = _times_power_of_two(L, -k)
+                L.setflags(write=False)  # kept, not copied, by DissipatorSet
+            ops.append(L)
         return DissipatorSet(tuple(zip(self.rates, ops))), ks
 
     def scaled(self, factor: float) -> "DissipatorSet":
@@ -415,6 +420,8 @@ def splitting_hamiltonian(spec: SynthesisSpec, energies=None) -> np.ndarray:
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (spec.dim,):
         raise ValueError(f"need {spec.dim} energies, got shape {energies.shape}")
+    if not np.all(np.isfinite(energies)):
+        raise ValueError(f"energies must be finite, got {energies}")
     if np.unique(energies).size != spec.dim:
         raise ValueError("energies must be pairwise distinct to split the frame")
     H = spec.basis @ np.diag(energies).astype(complex) @ dag(spec.basis)

@@ -19,24 +19,15 @@ a stage only at round-off. `rhs` takes any matrix: an exactly Hermitian one
 goes straight to the kernel, any other is split as X + iY with X and Y
 Hermitian and gives kernel(X) + i kernel(Y), since the generator is linear.
 
-Jumps of rank one, L_j = u_j v_j^dag (every synthesized operator, the stock
-Bell set and the single-operator route), are used in closed form:
-gamma_j L_j rho L_j^dag = c_j u_j u_j^dag with c_j = gamma_j v_j^dag rho v_j
-and gamma_j L_j^dag L_j = gamma_j ||u_j||^2 v_j v_j^dag, so the jump term
-costs O(m d^2) per evaluation instead of O(m d^3). When every u_j is
-parallel to one u, each to round-off of its own largest entry (every
-synthesized set, the Bell preset), u_j = a_j u and
-the whole sandwich is tr(rho K) u u^dag with K = sum_j gamma_j v'_j v'_j^dag,
-v'_j = conj(a_j) v_j, fixed per set: one O(d^2) inner product and one scaled
-d x d add. Each jump is tested for rank one, and the rank-one jumps for a
-shared u, once per jump set (`DissipatorSet._jumps`); any other jump is
-applied densely. That layout is private to `dissipators`: `h_eff` and
-`_hermitian_rhs` still assemble the generator, from the set's two kernels
-`decay` and `add_sandwich`, and both matrices below are read off the
-generator column by column, the Liouvillian off `rhs` and the fallback's
-real matrix off `_hermitian_rhs`. The certificate and `is_dark` apply
-jumps to vectors through the set's actions L_j t and L_j^dag t, and the
-certificate screens its candidates with the set's `screen`.
+The jump terms come from the jump set's one factorization,
+`DissipatorSet._jumps`; `dissipators._JumpFactors` describes its layout
+(rank-one, shared-left-vector and dense jumps). `h_eff` and `_hermitian_rhs`
+assemble the generator from its kernels `decay` and `add_sandwich`, and both
+matrices below are read off the generator column by column, the Liouvillian
+off `rhs` and the fallback's real matrix off `_hermitian_rhs`. The
+certificate and `is_dark` apply jumps to vectors through the set's actions
+L_j t and L_j^dag t, and the certificate screens its candidates with the
+set's `screen`.
 
 Both time-stepping routes, `integrate` here and the trajectory ensembles of
 `qsd`, take step_count(t_max, dt) = ceil(t_max / dt) steps (with a relative

@@ -16,7 +16,10 @@ Goetsch & Graham, PRA 50, 5242 (1994)). Path rule: `ensemble_average`
 builds the one-jump model (gamma, L) once and factors L through its
 rank-one test; a rank-one L runs in the closed form below, any other L
 through the stepper `_steps`, which takes that model and also serves
-`evolve_trajectory`. The two agree to round-off.
+`evolve_trajectory`. The two agree to round-off. Both public entry points
+deal in plain arrays: `sample_noise` returns one trajectory's read-only
+increments, and `evolve_trajectory` its (n_steps + 1, d) states at
+`TrajectoryConfig.times`.
 
 Closed form for L = u v^dag. With c_k = v^dag psi_k, a = v^dag u,
 b' = (gamma/2) ||u||^2 and b = b' ||v||^2, L psi = c u and
@@ -41,7 +44,7 @@ arrays once, at the end.
 """
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -78,56 +81,36 @@ class TrajectoryConfig:
     t_max: float
     master_seed: int = 0
     gamma: float = 1.0
+    n_steps: int = field(init=False)  # step_count(t_max, dt), set once here
 
     def __post_init__(self):
         for name, least in (("n_traj", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-        step_count(self.t_max, self.dt)  # checks finite dt > 0 and t_max >= dt
+        # step_count checks finite dt > 0 and t_max >= dt
+        object.__setattr__(self, "n_steps", step_count(self.t_max, self.dt))
         _rate(self.gamma)
-
-    @property
-    def n_steps(self) -> int:
-        return step_count(self.t_max, self.dt)
 
     @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-@dataclass(frozen=True, eq=False)
-class NoisePath:
-    """Per-step complex increments z*_k for one trajectory."""
+def sample_noise(cfg: TrajectoryConfig, traj_index: int) -> np.ndarray:
+    """The read-only (n_steps,) complex increments z*_k of one trajectory.
 
-    increments: np.ndarray
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=complex).reshape(-1).copy()
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-
-
-def sample_noise(cfg: TrajectoryConfig, traj_index: int) -> NoisePath:
-    """Gaussian increments, reproducible from (master_seed, trajectory index).
-
-    Real and imaginary parts each have variance gamma / (2 dt), so
-    E[|z|^2] = gamma / dt and E[z z] = 0. The stream split uses numpy's
-    SeedSequence with the trajectory index as spawn key, so paths are
+    Reproducible from (master_seed, trajectory index): the stream is
+    SeedSequence(master_seed, spawn_key=(traj_index,)), whose generator draws
+    standard_normal((2, n_steps)) = (re, im), and z = sqrt(gamma / (2 dt))
+    (re + i im). So E[|z|^2] = gamma / dt, E[z z] = 0, and paths are
     independent and order-insensitive.
     """
     seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(int(traj_index),))
     raw = np.random.default_rng(seq).standard_normal((2, cfg.n_steps))
-    scale = np.sqrt(cfg.gamma / (2.0 * cfg.dt))
-    return NoisePath(scale * (raw[0] + 1j * raw[1]))
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Times and unnormalized state vectors of a single realization."""
-
-    times: np.ndarray
-    states: np.ndarray  # (n_steps + 1, d)
+    z = np.sqrt(cfg.gamma / (2.0 * cfg.dt)) * (raw[0] + 1j * raw[1])
+    z.setflags(write=False)
+    return z
 
 
 def _prepare(L, cfg, psi0):
@@ -176,17 +159,18 @@ def _overflow(bad, step):
     )
 
 
-def evolve_trajectory(L: np.ndarray, cfg: TrajectoryConfig, psi0, noise: NoisePath) -> Trajectory:
-    """Euler-Maruyama propagation of one unnormalized trajectory.
+def evolve_trajectory(L: np.ndarray, cfg: TrajectoryConfig, psi0, noise) -> np.ndarray:
+    """The (n_steps + 1, d) unnormalized states of one trajectory, at cfg.times.
 
-    Runs the ensemble's stepper on a batch of one; norms above NORM_LIMIT
-    abort with TrajectoryOverflow.
+    noise is any array-like of the n_steps increments z*_k (`sample_noise`),
+    read flattened. Runs the ensemble's stepper on a batch of one; norms
+    above NORM_LIMIT abort with TrajectoryOverflow.
     """
     model, psi = _prepare(L, cfg, psi0)
-    if noise.increments.size != cfg.n_steps:
+    z = np.asarray(noise, dtype=complex).reshape(1, -1)
+    if z.size != cfg.n_steps:
         raise ValueError("noise path length does not match the configured step count")
-    states = [Psi[0] for Psi, _ in _steps(model, cfg, psi[None, :], noise.increments[None, :])]
-    return Trajectory(cfg.times, np.array(states))
+    return np.array([Psi[0] for Psi, _ in _steps(model, cfg, psi[None, :], z)])
 
 
 @dataclass(eq=False)
@@ -237,7 +221,7 @@ def _noise_block(cfg, lo, hi):
     """(n_steps, hi - lo) block whose column b is the noise path of trajectory lo + b."""
     noise = np.empty((cfg.n_steps, hi - lo), dtype=complex)
     for i in range(lo, hi):
-        noise[:, i - lo] = sample_noise(cfg, i).increments
+        noise[:, i - lo] = sample_noise(cfg, i)
     return noise
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -167,6 +168,13 @@ def test_null_space_rejects_bad_tol():
         null_space(np.eye(2), tol=0.0)
     with pytest.raises(ValueError):
         null_space(np.eye(2), tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf], ids=repr)
+def test_null_space_rejects_a_non_finite_tol(tol):
+    # NaN would accept no singular value and return an empty basis
+    with pytest.raises(ValueError, match="tol"):
+        null_space(np.zeros((2, 2)), tol=tol)
 
 
 def test_null_space_vectors_annihilated():

@@ -164,6 +164,12 @@ def test_compile_respects_adjacency():
     assert verify_sequence(seq, BathTestSpec.random(3, seed=44), (0.4,)).passed
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf], ids=repr)
+def test_compile_rejects_a_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta"):
+        compile_coupling(PauliString("XY"), theta)
+
+
 # ---------------------------------------------------------------- verification
 
 
@@ -278,6 +284,13 @@ def test_verify_working_set_does_not_grow_with_the_gate_count():
     assert peak < 5 * 16 * D * D
 
 
+@pytest.mark.parametrize("thetas", [(), [], np.array([])], ids=["tuple", "list", "array"])
+def test_verify_rejects_empty_theta_samples(thetas):
+    seq = GateSequence((SeedCoupling(1),), PauliString("Y"), 0.3)
+    with pytest.raises(ValueError, match="theta_samples"):
+        verify_sequence(seq, BathTestSpec.random(2), thetas)
+
+
 def test_verify_rejects_ms_sequences():
     with pytest.raises(ValueError):
         verify_sequence(ms_decompose(1, 2, 0.3), BathTestSpec.random(3), (0.3,))
@@ -360,6 +373,12 @@ def test_trotter_second_order_local_error():
 def test_trotter_rejects_bad_dt():
     with pytest.raises(ValueError):
         trotter_step([PauliString("X")], 0.0, BathTestSpec.random(2))
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf], ids=repr)
+def test_trotter_rejects_a_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="dt"):
+        trotter_step([PauliString("X")], dt, BathTestSpec.random(2))
 
 
 # ---------------------------------------------------------------- serialization

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -136,6 +137,13 @@ def test_single_operator_with_splitting_field_has_unique_null_vector():
     e0[0] = 1.0
     expected = vec(np.outer(e0, e0.conj()))
     assert abs(abs(np.vdot(vecs[0], expected)) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_splitting_hamiltonian_rejects_non_finite_energies(bad):
+    spec = SynthesisSpec(dim=4, k=1, coeffs=np.ones((3, 1)))
+    with pytest.raises(ValueError, match="energies"):
+        splitting_hamiltonian(spec, [0.0, 1.0, 2.0, bad])
 
 
 def test_single_operator_alone_leaves_degenerate_dark_block():
@@ -421,6 +429,21 @@ def test_is_dark_and_the_rescaled_model_share_one_factorization():
     assert all(a is b for a, b in zip(scaled.operators, unit.operators))
     assert scaled._jumps.U is unit._jumps.U and scaled._jumps.V is unit._jumps.V
     assert ks == tuple(np.frexp(big.peaks)[1])
+
+
+def test_the_rescaled_set_keeps_each_divided_operator_without_a_copy(monkeypatch):
+    made = []
+    times_power_of_two = dissipforge.dissipators._times_power_of_two
+
+    def spy(x, k):
+        made.append(times_power_of_two(x, k))
+        return made[-1]
+
+    monkeypatch.setattr(dissipforge.dissipators, "_times_power_of_two", spy)
+    L = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    unit, ks = DissipatorSet(((1.0, 1e120 * L),))._rescaled
+    assert len(made) == 1 and ks[0] > 0
+    assert unit.operators[0] is made[0] and not made[0].flags.writeable
 
 
 def test_the_rescaled_set_divides_only_operators_out_of_the_window():

@@ -12,10 +12,9 @@ from dissipforge.dissipators import (
     preset_lfor2,
     synth_subspace,
 )
-from dissipforge.lindblad import LindbladModel, integrate
+from dissipforge.lindblad import LindbladModel, integrate, step_count
 from dissipforge.qsd import (
     EnsembleError,
-    NoisePath,
     TrajectoryConfig,
     TrajectoryOverflow,
     ensemble_average,
@@ -35,7 +34,7 @@ KET1 = np.array([0.0, 1.0], dtype=complex)
 def test_noise_statistics():
     gamma, dt = 2.0, 0.1
     cfg = TrajectoryConfig(n_traj=1, dt=dt, t_max=100_000 * dt, master_seed=1, gamma=gamma)
-    z = sample_noise(cfg, 0).increments
+    z = sample_noise(cfg, 0)
     n = z.size
     target = gamma / dt
     # E|z|^2 = gamma/dt within five standard errors of the sample mean
@@ -50,11 +49,43 @@ def test_noise_statistics():
 
 def test_noise_determinism_and_independence():
     cfg = TrajectoryConfig(n_traj=4, dt=0.01, t_max=1.0, master_seed=7)
-    a = sample_noise(cfg, 2).increments
-    b = sample_noise(cfg, 2).increments
-    c = sample_noise(cfg, 3).increments
+    a = sample_noise(cfg, 2)
+    b = sample_noise(cfg, 2)
+    c = sample_noise(cfg, 3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_sample_noise_is_the_documented_read_only_recipe():
+    cfg = TrajectoryConfig(n_traj=4, dt=0.05, t_max=1.0, master_seed=9, gamma=1.7)
+    z = sample_noise(cfg, 3)
+    assert z.ndim == 1 and z.dtype == complex and not z.flags.writeable
+    seq = np.random.SeedSequence(9, spawn_key=(3,))
+    re, im = np.random.default_rng(seq).standard_normal((2, cfg.n_steps))
+    assert np.array_equal(z, np.sqrt(1.7 / (2 * 0.05)) * (re + 1j * im))
+
+
+def test_noise_block_columns_are_the_sampled_paths():
+    cfg = TrajectoryConfig(n_traj=12, dt=0.1, t_max=1.0, master_seed=4)
+    block = dissipforge.qsd._noise_block(cfg, 5, 9)
+    assert block.shape == (cfg.n_steps, 4)
+    for b in range(4):
+        assert np.array_equal(block[:, b], sample_noise(cfg, 5 + b))
+
+
+def test_step_count_runs_once_per_config_and_not_per_noise_path(monkeypatch):
+    calls = []
+
+    def counted(t_max, dt):
+        calls.append((t_max, dt))
+        return step_count(t_max, dt)
+
+    monkeypatch.setattr(dissipforge.qsd, "step_count", counted)
+    cfg = TrajectoryConfig(n_traj=8, dt=0.1, t_max=1.0)
+    assert calls == [(1.0, 0.1)] and cfg.n_steps == 10
+    dissipforge.qsd._noise_block(cfg, 0, 8)
+    sample_noise(cfg, 0)
+    assert len(cfg.times) == 11 and calls == [(1.0, 0.1)]
 
 
 def test_trajectory_config_validation():
@@ -91,8 +122,8 @@ def test_trajectory_config_rejects_a_seed_that_is_not_a_non_negative_integer(see
 
 def test_trajectory_config_takes_a_numpy_integer_seed():
     cfg = TrajectoryConfig(n_traj=2, dt=0.1, t_max=0.2, master_seed=np.uint32(7))
-    assert np.array_equal(sample_noise(cfg, 0).increments,
-                          sample_noise(TrajectoryConfig(2, 0.1, 0.2, master_seed=7), 0).increments)
+    assert np.array_equal(sample_noise(cfg, 0),
+                          sample_noise(TrajectoryConfig(2, 0.1, 0.2, master_seed=7), 0))
 
 
 @pytest.mark.parametrize("t_max, dt", [(1.0, 0.3), (0.14, 0.1)])
@@ -110,17 +141,16 @@ def test_ensemble_and_integrate_share_the_time_grid(t_max, dt):
 
 def test_dark_initial_state_is_frozen():
     cfg = TrajectoryConfig(n_traj=1, dt=0.01, t_max=1.0, master_seed=2)
-    traj = evolve_trajectory(SIGMA_MINUS, cfg, KET0, sample_noise(cfg, 0))
-    assert np.array_equal(traj.states, np.tile(KET0, (cfg.n_steps + 1, 1)))
+    states = evolve_trajectory(SIGMA_MINUS, cfg, KET0, sample_noise(cfg, 0))
+    assert np.array_equal(states, np.tile(KET0, (cfg.n_steps + 1, 1)))
 
 
 def test_zero_noise_path_contracts_analytically():
     dt = 1e-3
     cfg = TrajectoryConfig(n_traj=1, dt=dt, t_max=1.0, master_seed=0)
-    noise = NoisePath(np.zeros(cfg.n_steps))
-    traj = evolve_trajectory(SIGMA_MINUS, cfg, KET1, noise)
+    states = evolve_trajectory(SIGMA_MINUS, cfg, KET1, np.zeros(cfg.n_steps))
     # Euler steps give (1 - dt/2)^k, an O(dt) approximation of e^(-t/2)
-    amp = abs(traj.states[-1][1])
+    amp = abs(states[-1][1])
     assert abs(amp - np.exp(-0.5)) < 1e-3
     assert abs(amp - (1 - dt / 2) ** cfg.n_steps) < 1e-12
 
@@ -129,7 +159,7 @@ def test_three_step_hand_recursion():
     dt = 0.1
     cfg = TrajectoryConfig(n_traj=1, dt=dt, t_max=3 * dt, master_seed=0)
     z = np.array([0.3 - 0.1j, -0.2 + 0.4j, 0.05 + 0j])
-    traj = evolve_trajectory(SIGMA_MINUS, cfg, KET1, NoisePath(z))
+    states = evolve_trajectory(SIGMA_MINUS, cfg, KET1, z)
     # psi_{k+1} = psi_k + dt (z_k L psi_k - psi_k/2 on the excited component)
     a1 = dt * z[0]
     b1 = 1.0 - dt / 2
@@ -138,12 +168,12 @@ def test_three_step_hand_recursion():
     a3 = a2 + dt * z[2] * b2
     b3 = b2 * (1 - dt / 2)
     expected = np.array([[0, 1], [a1, b1], [a2, b2], [a3, b3]], dtype=complex)
-    assert np.max(np.abs(traj.states - expected)) < 1e-14
+    assert np.max(np.abs(states - expected)) < 1e-14
 
 
 def test_trajectory_overflow_raises():
     cfg = TrajectoryConfig(n_traj=1, dt=0.1, t_max=1.0, master_seed=0)
-    noise = NoisePath(np.full(cfg.n_steps, 1e9 + 0j))
+    noise = np.full(cfg.n_steps, 1e9 + 0j)
     with pytest.raises(TrajectoryOverflow):
         evolve_trajectory(SIGMA_MINUS, cfg, KET1, noise)
 
@@ -152,8 +182,19 @@ def test_trajectory_input_validation():
     cfg = TrajectoryConfig(n_traj=1, dt=0.1, t_max=1.0)
     with pytest.raises(ValueError):  # unnormalized start
         evolve_trajectory(SIGMA_MINUS, cfg, 2.0 * KET1, sample_noise(cfg, 0))
-    with pytest.raises(ValueError):  # wrong noise length
-        evolve_trajectory(SIGMA_MINUS, cfg, KET1, NoisePath(np.zeros(3)))
+    with pytest.raises(ValueError, match="noise path length"):
+        evolve_trajectory(SIGMA_MINUS, cfg, KET1, np.zeros(3))
+
+
+def test_evolve_trajectory_takes_any_array_like_noise():
+    cfg = TrajectoryConfig(n_traj=1, dt=0.1, t_max=0.5, master_seed=3)
+    z = sample_noise(cfg, 0)
+    states = evolve_trajectory(SIGMA_MINUS, cfg, KET1, z)  # read-only
+    assert states.shape == (cfg.n_steps + 1, 2)
+    assert np.array_equal(evolve_trajectory(SIGMA_MINUS, cfg, KET1, z.tolist()), states)
+    # a (1, n_steps) block is read flattened; a wrong length is refused in
+    # test_trajectory_input_validation
+    assert np.array_equal(evolve_trajectory(SIGMA_MINUS, cfg, KET1, z[None, :]), states)
 
 
 @pytest.mark.parametrize("run", [
@@ -228,9 +269,9 @@ def test_ensemble_mean_trace_stays_near_one():
 
 def test_single_trajectory_consistent_with_ensemble():
     cfg = TrajectoryConfig(n_traj=1, dt=1e-3, t_max=0.2, master_seed=7)
-    traj = evolve_trajectory(SIGMA_MINUS, cfg, KET1, sample_noise(cfg, 0))
+    states = evolve_trajectory(SIGMA_MINUS, cfg, KET1, sample_noise(cfg, 0))
     res = ensemble_average(SIGMA_MINUS, cfg, KET1)
-    proj = np.einsum("ta,tb->tab", traj.states, traj.states.conj())
+    proj = np.einsum("ta,tb->tab", states, states.conj())
     assert np.max(np.abs(proj - res.rho_mean)) < 1e-12
 
 
