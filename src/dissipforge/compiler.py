@@ -4,29 +4,22 @@ A conjugation gate T_A wraps the current coupling V as U_A V U_A^dag with
 U_A = exp(i pi/4 A); when A and G anticommute this maps e^{i theta G} to
 e^{i theta (iAG)}. Chains of such gates grow a single-qubit seed coupling
 e^{i theta Y_q (x) B} into e^{i theta W (x) B} for an arbitrary Pauli word W,
-touching at most two qubits per gate; verify_sequence exponentiates only the
-bath, as exp(i theta P (x) B) = P+ (x) e^{i theta B} + P- (x) e^{-i theta B}
-with P+- = (I +- P)/2 when P^2 = I. The module also lowers e^{i theta XX} to
-Molmer-Sorensen pulses around an ancilla rotation and builds Trotter products.
+touching at most two qubits per gate. The module also lowers e^{i theta XX}
+to Molmer-Sorensen pulses around an ancilla rotation and builds Trotter
+products. Every Pauli coupling is exponentiated through its bath alone, as
+exp(i theta P (x) B) = P+ (x) e^{i theta B} + P- (x) e^{-i theta B} with
+P+- = (I +- P)/2 when P^2 = I, so matexp only sees bath-sized operands
+(verify_sequence, trotter_step); the MS pulses and the ancilla rotation are
+products of such closed forms and need no matexp at all.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PauliString,
-    anticommutes,
-    dag,
-    kron,
-    kron_all,
-    matexp,
-    pauli_mul,
-)
+from .algebra import PauliString, anticommutes, dag, kron, matexp, pauli_mul
 from .states import GraphSpec
 
 VERIFY_TOL = 1e-10  # bound on the relative deviation of verify_sequence
@@ -248,6 +241,8 @@ class BathTestSpec:
         op = np.asarray(self.operator, dtype=complex).copy()
         if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] < 2:
             raise ValueError(f"bath operator must be square with d >= 2, got shape {op.shape}")
+        if not np.isfinite(op).all():
+            raise ValueError("bath operator entries must be finite")
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
@@ -303,6 +298,8 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     thetas = tuple(float(t) for t in theta_samples)
     if not thetas:
         raise ValueError("theta_samples must hold at least one angle")
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError(f"theta_samples must be finite, got {thetas}")
     Q, W = _realized_word(seq), seq.target.dense()
     devs = []
     for theta in thetas:
@@ -332,34 +329,39 @@ def _word_coupling(P, plus, minus) -> np.ndarray:
 def ms_decompose(p: int, q: int, theta: float) -> GateSequence:
     """Two MS pulses and an ancilla rotation realizing e^{i theta X_p X_q}.
 
-    The register order is (ancilla, p, q) with the ancilla prepared in |0>.
+    The register order is (ancilla, p, q) with the ancilla prepared in |0>;
+    p and q are distinct integer labels >= 1, since 0 names the ancilla.
     The sequence U_MS(-pi/2, 0) exp(-i theta Z_0) U_MS(pi/2, 0) equals
     e^{i theta Z_0 X_p X_q} exactly, so on the |0> ancilla sector it acts as
     e^{i theta X_p X_q} with unit global phase and returns the ancilla to
     |0>; this convention is pinned numerically in the tests.
     """
+    for name, label in (("p", p), ("q", q)):
+        if not isinstance(label, numbers.Integral) or isinstance(label, bool) or label < 1:
+            raise ValueError(f"{name} must be an integer qubit label >= 1, got {label!r}")
     if p == q:
-        raise ValueError("the two system qubits must be distinct")
+        raise ValueError(f"p and q must be distinct system qubits, got {p} twice")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     gates = (MSGate(np.pi / 2.0, 0.0), AncillaRotation(float(theta)), MSGate(-np.pi / 2.0, 0.0))
     return GateSequence(gates, PauliString("XX"), float(theta), qubits=(0, int(p), int(q)))
 
 
-def ms_gate_matrix(mu: float, nu: float) -> np.ndarray:
-    """Dense MS pulse on the three-qubit (ancilla, p, q) register."""
-    eye = np.eye(2, dtype=complex)
-    sx = sum(kron_all(ops) for ops in (
-        (PAULI_X, eye, eye), (eye, PAULI_X, eye), (eye, eye, PAULI_X)))
-    sy = sum(kron_all(ops) for ops in (
-        (PAULI_Y, eye, eye), (eye, PAULI_Y, eye), (eye, eye, PAULI_Y)))
-    G = np.cos(nu) * sx + np.sin(nu) * sy
-    return matexp(-0.25j * mu * (G @ G))
-
-
 def _ms_sequence_gate_matrix(gate) -> np.ndarray:
+    """Dense gate on the (ancilla, p, q) register, from closed forms.
+
+    With s = cos(nu) X + sin(nu) Y on each qubit, G^2 = 3 + 2 sum_{a<b} s_a s_b
+    and the commuting s_a s_b square to I, so the MS pulse exp(-i mu G^2 / 4) is
+    e^{-3i mu/4} prod_{a<b} (cos(mu/2) - i sin(mu/2) s_a s_b).
+    """
     if isinstance(gate, MSGate):
-        return ms_gate_matrix(gate.mu, gate.nu)
+        s, eye = np.array([[0, np.exp(-1j * gate.nu)], [np.exp(1j * gate.nu), 0]]), np.eye(2)
+        U = np.exp(-0.75j * gate.mu) * np.eye(8)
+        for ss in (kron(kron(s, s), eye), kron(kron(s, eye), s), kron(eye, kron(s, s))):
+            U = U @ (math.cos(gate.mu / 2) * np.eye(8) - 1j * math.sin(gate.mu / 2) * ss)
+        return U
     if isinstance(gate, AncillaRotation):
-        return kron(matexp(-1j * gate.angle * PAULI_Z), np.eye(4, dtype=complex))
+        return kron(np.diag([np.exp(-1j * gate.angle), np.exp(1j * gate.angle)]), np.eye(4))
     raise TypeError(f"unexpected gate {gate!r} in an MS sequence")
 
 
@@ -381,7 +383,9 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
     """First-order product prod_a exp[-i (W_a (x) B^dag + W_a^dag (x) B) dt].
 
     Factors multiply left to right in term order; the single-step deviation
-    from the exact exponential of the summed generator is O(dt^2).
+    from the exact exponential of the summed generator is O(dt^2). With
+    W = phase P, each generator is P (x) M, M = phase B^dag + conj(phase) B,
+    so only the bath operator M is exponentiated.
     """
     if not 0 < dt < math.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -393,16 +397,15 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
         raise ValueError("coupling terms act on different registers")
     U = np.eye((1 << n) * bath.dimension, dtype=complex)
     for term in terms:
-        U = U @ matexp(-1j * dt * _coupling(term, bath))
+        M = term.phase * dag(bath.operator) + np.conj(term.phase) * bath.operator
+        P = PauliString(term.letters).dense()
+        U = U @ _word_coupling(P, matexp(-1j * dt * M), matexp(1j * dt * M))
     return U
 
 
-def _coupling(term: PauliString, bath: BathTestSpec) -> np.ndarray:
-    """W (x) B^dag + W^dag (x) B for one coupling term W."""
-    W, B = term.dense(), bath.operator
-    return kron(W, dag(B)) + kron(dag(W), B)
-
-
 def coupling_generator(terms, bath: BathTestSpec) -> np.ndarray:
-    """Summed generator sum_a (W_a (x) B^dag + W_a^dag (x) B) for cross-checks."""
-    return sum(_coupling(term, bath) for term in terms)
+    """Summed generator sum_a (W_a (x) B^dag + W_a^dag (x) B), the dense reference."""
+    Ws, B = [term.dense() for term in terms], bath.operator
+    if not Ws:
+        raise ValueError("need at least one coupling term")
+    return sum(kron(W, dag(B)) + kron(dag(W), B) for W in Ws)

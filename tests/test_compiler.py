@@ -7,9 +7,11 @@ import pytest
 
 from dissipforge.algebra import PauliString, matexp
 from dissipforge.compiler import (
+    AncillaRotation,
     BathTestSpec,
     Conjugation,
     GateSequence,
+    MSGate,
     SeedCoupling,
     _realized_word,
     _word_coupling,
@@ -240,7 +242,31 @@ def test_closed_form_target_matches_the_dense_exponential(letters):
             assert np.linalg.norm(T - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
-def test_verify_exponentiates_only_the_bath_factor(monkeypatch):
+_TROTTER_TERMS = [PauliString("XZ"), PauliString("YI", 1j), PauliString("ZY", -1),
+                  PauliString("IX", -1j)]
+
+
+def _spy_verify():
+    seq = compile_coupling(PauliString("XYZX"), 0.7, GraphSpec.path(4))
+    assert verify_sequence(seq, BathTestSpec.random(3, seed=52), THETAS).passed
+    return [(3, 3)] * (2 * len(THETAS))
+
+
+def _spy_trotter():
+    trotter_step(_TROTTER_TERMS, 0.1, BathTestSpec.random(5, seed=53))
+    return [(5, 5)] * (2 * len(_TROTTER_TERMS))
+
+
+def _spy_ms():
+    realize_ms_sequence(GateSequence(
+        (MSGate(0.9, 0.4), AncillaRotation(0.3), MSGate(-0.9, 0.4)),
+        PauliString("XX"), 0.3, qubits=(0, 1, 2)))
+    return []
+
+
+@pytest.mark.parametrize("run", [_spy_verify, _spy_trotter, _spy_ms],
+                         ids=["verify_sequence", "trotter_step", "realize_ms_sequence"])
+def test_verify_exponentiates_only_the_bath_factor(monkeypatch, run):
     shapes = []
 
     def recording_matexp(A):
@@ -248,10 +274,8 @@ def test_verify_exponentiates_only_the_bath_factor(monkeypatch):
         return matexp(A)
 
     monkeypatch.setattr("dissipforge.compiler.matexp", recording_matexp)
-    seq = compile_coupling(PauliString("XYZX"), 0.7, GraphSpec.path(4))
-    report = verify_sequence(seq, BathTestSpec.random(3, seed=52), THETAS)
-    assert report.passed
-    assert shapes == [(3, 3)] * (2 * len(THETAS))
+    expected = run()
+    assert shapes == expected
 
 
 @pytest.mark.parametrize("letters", [w for w in _ORACLE_WORDS if PauliString(w).weight > 1])
@@ -284,7 +308,9 @@ def test_verify_working_set_does_not_grow_with_the_gate_count():
     assert peak < 5 * 16 * D * D
 
 
-@pytest.mark.parametrize("thetas", [(), [], np.array([])], ids=["tuple", "list", "array"])
+@pytest.mark.parametrize(
+    "thetas", [(), [], np.array([]), (0.3, math.nan), [math.inf], np.array([0.1, -math.inf])],
+    ids=["tuple", "list", "array", "nan", "inf", "-inf"])
 def test_verify_rejects_empty_theta_samples(thetas):
     seq = GateSequence((SeedCoupling(1),), PauliString("Y"), 0.3)
     with pytest.raises(ValueError, match="theta_samples"):
@@ -294,6 +320,15 @@ def test_verify_rejects_empty_theta_samples(thetas):
 def test_verify_rejects_ms_sequences():
     with pytest.raises(ValueError):
         verify_sequence(ms_decompose(1, 2, 0.3), BathTestSpec.random(3), (0.3,))
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0, math.inf)],
+                         ids=["nan", "inf", "-inf", "inf-imaginary"])
+def test_bath_test_spec_rejects_a_non_finite_entry(entry):
+    op = np.eye(2, dtype=complex)
+    op[0, 1] = entry
+    with pytest.raises(ValueError, match="operator"):
+        BathTestSpec(op)
 
 
 def test_bath_test_spec_validation():
@@ -339,7 +374,69 @@ def test_ms_rejects_equal_qubits():
         ms_decompose(2, 2, 0.1)
 
 
+@pytest.mark.parametrize("p, q, theta, name", [
+    (1, 2, math.nan, "theta"),
+    (1, 2, math.inf, "theta"),
+    (1, 2, -math.inf, "theta"),
+    (1, 1.5, 0.3, "q"),
+    (0, 2, 0.3, "p"),
+    (-1, 2, 0.3, "p"),
+    (True, 2, 0.3, "p"),
+    (2, np.bool_(True), 0.3, "q"),
+    (1, "2", 0.3, "q"),
+], ids=["theta-nan", "theta-inf", "theta--inf", "q-fractional", "p-ancilla-label",
+        "p-negative", "p-bool", "q-numpy-bool", "q-string"])
+def test_ms_decompose_rejects_bad_input(p, q, theta, name):
+    with pytest.raises(ValueError, match=name):
+        ms_decompose(p, q, theta)
+
+
+def test_ms_decompose_accepts_numpy_integer_labels():
+    assert ms_decompose(np.int64(2), np.int32(5), 0.1).qubits == (0, 2, 5)
+
+
+def _collective_spin(nu):
+    """G = sum_a cos(nu) X_a + sin(nu) Y_a on the three-qubit register."""
+    words = ("XII", "IXI", "IIX"), ("YII", "IYI", "IIY")
+    sx, sy = (sum(PauliString(w).dense() for w in ws) for ws in words)
+    return np.cos(nu) * sx + np.sin(nu) * sy
+
+
+def test_ms_pulse_matches_the_dense_exponential():
+    rng = np.random.default_rng(60)
+    for _ in range(20):
+        mu, nu = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
+        G = _collective_spin(nu)
+        seq = GateSequence((MSGate(mu, nu),), PauliString("XX"), 0.0, qubits=(0, 1, 2))
+        assert np.max(np.abs(realize_ms_sequence(seq) - matexp(-0.25j * mu * (G @ G)))) < 1e-13
+
+
+def test_ancilla_rotation_matches_the_dense_exponential():
+    rng = np.random.default_rng(61)
+    Z0 = PauliString("ZII").dense()
+    for angle in rng.uniform(-2 * np.pi, 2 * np.pi, size=10):
+        seq = GateSequence((AncillaRotation(angle),), PauliString("XX"), 0.0, qubits=(0, 1, 2))
+        assert np.max(np.abs(realize_ms_sequence(seq) - matexp(-1j * angle * Z0))) < 1e-13
+
+
 # ---------------------------------------------------------------- Trotter
+
+
+@pytest.mark.parametrize("bath_dim", [2, 3, 4, 5])
+def test_trotter_matches_the_product_of_dense_term_exponentials(bath_dim):
+    # words of phase 1, i, -1 and -i; "YI" and "IX" carry identity letters
+    bath = BathTestSpec.random(bath_dim, seed=70 + bath_dim)
+    dt = 0.3
+    U = trotter_step(_TROTTER_TERMS, dt, bath)
+    reference = np.eye(4 * bath_dim, dtype=complex)
+    for term in _TROTTER_TERMS:
+        reference = reference @ matexp(-1j * dt * coupling_generator([term], bath))
+    assert np.max(np.abs(U - reference)) < 1e-13
+
+
+def test_coupling_generator_rejects_an_empty_term_list():
+    with pytest.raises(ValueError, match="term"):
+        coupling_generator([], BathTestSpec.random(2))
 
 
 def test_trotter_single_term_exact():

@@ -1,4 +1,8 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/.
+
+Each demo runs with RuntimeWarning raised as an error, as pytest's
+filterwarnings and the CI steps' PYTHONWARNINGS already do.
+"""
 
 import os
 import subprocess
@@ -22,7 +26,7 @@ def test_demo_runs(script, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
