@@ -74,8 +74,8 @@ def null_space(A: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
     """
     A = np.asarray(A)
     A = A.astype(np.result_type(A.dtype, np.float64), copy=False)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"null_space needs a square matrix, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError(f"null_space needs a non-empty square matrix A, got shape {A.shape}")
     if not 0 < tol < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol}")
     _, s, vh = np.linalg.svd(A)

@@ -293,12 +293,15 @@ def _log2_largest_array(cfg: ScenarioConfig):
     bytes each as [re, im] float pairs (synth builds no Liouvillian);
     evolve: the larger of the stack and the (T, d, d) complex record of
     T = t_max/dt + 1 samples; qsd: the largest of those two and the
-    (chunk, T) complex noise block; compile: 5 (D, D) complex arrays,
-    D = 2^n * bath_dim, over the 4.0-4.6 verify_sequence holds at once;
-    graph-state: the (2^n, n) int64 bit table.
+    (chunk, T) complex noise block; compile: the larger of its two working
+    sets, since verify_sequence builds no register (x) bath array: 5 complex
+    (2^n, 2^n) word arrays, over the 4.0 the realized word holds at once, and
+    14 complex (bath_dim, bath_dim) arrays, over the 13.0 of the bath, the
+    previous theta's two exponentials and one matexp (its operand, the Pade
+    terms and the result); graph-state: the (2^n, n) int64 bit table.
     """
     if cfg.scenario == "compile":
-        return 4 + math.log2(5) + 2 * (len(cfg.pauli_word) + math.log2(cfg.bath_dim))
+        return 4 + math.log2(max(5 << 2 * len(cfg.pauli_word), 14 * cfg.bath_dim ** 2))
     # the target's qubit count was checked against n_qubits at parse time
     n = cfg.graph.n if cfg.scenario == "graph-state" else cfg.n_qubits
     if n > 64:  # far above the limit, and a count this large can overflow a float

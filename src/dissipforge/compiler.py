@@ -11,6 +11,12 @@ exp(i theta P (x) B) = P+ (x) e^{i theta B} + P- (x) e^{-i theta B} with
 P+- = (I +- P)/2 when P^2 = I, so matexp only sees bath-sized operands
 (verify_sequence, trotter_step); the MS pulses and the ancilla rotation are
 products of such closed forms and need no matexp at all.
+
+verify_sequence builds no register (x) bath array at all. The realized and
+target couplings differ by ((Q - W)/2) (x) (e^{i theta B} - e^{-i theta B}),
+so each Frobenius norm it needs is a product of a word norm and a bath norm.
+The word norm ||Q - W||_F is taken entry by entry: its trace form
+2^{n+1} - 2 Re tr(W Q) cancels to 1e-7 where the entrywise one reads 1e-15.
 """
 
 import math
@@ -283,30 +289,49 @@ class VerificationReport:
 def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> VerificationReport:
     """Check T = e^{i theta W (x) B} against the realized sequence at each theta.
 
-    The conjugators act as identity on the bath, so the sequence realizes
-    V = e^{i theta Q (x) B}, Q = C Y_seed C^dag. V and T are built as
-    P+ (x) e^{i theta B} + P- (x) e^{-i theta B} of P = Q and W: only the bath
-    factor is exponentiated. Each deviation is ||V - T||_F / ||T||_F: the test
-    bath need not be normalized or Hermitian, so ||T|| can grow as
-    e^{theta ||B||} and an absolute bound would reject correct sequences on
-    large baths. The sequence passes when every deviation is at most VERIFY_TOL.
+    The sequence must be one seed at gates[0] followed by conjugations on the
+    target's qubits, and the target must carry a real phase, so that W^2 = I.
+    The conjugators act as identity on the bath, so the sequence
+    realizes V = e^{i theta Q (x) B}, Q = C Y_seed C^dag. Both couplings are
+    P+ (x) E+ + P- (x) E- of P = Q and W, with E+- = e^{+-i theta B} and
+    P+- = (I +- P)/2, so V - T = ((Q - W)/2) (x) (E+ - E-) and, as the
+    Frobenius norm of a Kronecker product is the product of the norms,
+    ||V - T||_F = ||Q - W||_F ||E+ - E-||_F / 2. W+ W- = 0 gives
+    ||T||_F^2 = tr(W+) ||E+||_F^2 + tr(W-) ||E-||_F^2, tr(W+-) = (2^n +- tr W)/2.
+    No register (x) bath array is built. Q - W is taken entry by entry: the
+    identity ||Q - W||_F^2 = 2^{n+1} - 2 Re tr(W Q) cancels, and its round-off
+    (1e-7 on five qubits) would fail correct sequences.
+
+    Each deviation is ||V - T||_F / ||T||_F: the test bath need not be
+    normalized or Hermitian, so ||T|| can grow as e^{theta ||B||} and an
+    absolute bound would reject correct sequences on large baths. The sequence
+    passes when every deviation is at most VERIFY_TOL.
     """
-    if seq.seed is None or any(
-        not isinstance(g, (SeedCoupling, Conjugation)) for g in seq.gates
-    ):
-        raise ValueError("verify_sequence handles seed + conjugation sequences only")
+    n, gates = seq.target.n, seq.gates
+    if not gates or not isinstance(gates[0], SeedCoupling):
+        raise ValueError("verify_sequence needs the seed coupling at gates[0]")
+    for i, g in enumerate(gates[1:], 1):
+        if not isinstance(g, Conjugation):
+            raise ValueError(f"gates[{i}] is {g!r}: verify_sequence handles one seed "
+                             "followed by conjugations only")
+        if g.axis.n != n:
+            raise ValueError(f"gates[{i}] has an axis on {g.axis.n} qubits, "
+                             f"the target acts on {n}")
+    if seq.target.phase.imag:
+        raise ValueError(f"target must carry a real phase, got {seq.target}")
     thetas = tuple(float(t) for t in theta_samples)
     if not thetas:
         raise ValueError("theta_samples must hold at least one angle")
     if not all(map(math.isfinite, thetas)):
         raise ValueError(f"theta_samples must be finite, got {thetas}")
     Q, W = _realized_word(seq), seq.target.dense()
+    # ||Q - W||_F entry by entry, and tr(W+-); tr W = 0 unless W is the identity word
+    word_dev, traces = np.linalg.norm(Q - W), (len(W) + np.array([1, -1]) * np.trace(W).real) / 2
     devs = []
     for theta in thetas:
         E = matexp(1j * theta * bath.operator), matexp(-1j * theta * bath.operator)
-        V, T = _word_coupling(Q, *E), _word_coupling(W, *E)
-        devs.append(float(np.linalg.norm(V - T) / np.linalg.norm(T)))
-        del V, T  # the next theta's pair is built without them
+        norm = math.sqrt(traces @ [np.linalg.norm(e) ** 2 for e in E])  # ||T||_F
+        devs.append(float(word_dev * np.linalg.norm(E[0] - E[1]) / 2 / norm))
     max_dev = float(np.max(devs))  # NaN propagates, and fails the bound below
     return VerificationReport(max_dev <= VERIFY_TOL, max_dev, tuple(devs), thetas, VERIFY_TOL)
 
@@ -389,13 +414,8 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
     """
     if not 0 < dt < math.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one coupling term")
-    n = terms[0].n
-    if any(t.n != n for t in terms):
-        raise ValueError("coupling terms act on different registers")
-    U = np.eye((1 << n) * bath.dimension, dtype=complex)
+    terms = _coupling_terms(terms)
+    U = np.eye((1 << terms[0].n) * bath.dimension, dtype=complex)
     for term in terms:
         M = term.phase * dag(bath.operator) + np.conj(term.phase) * bath.operator
         P = PauliString(term.letters).dense()
@@ -405,7 +425,15 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
 
 def coupling_generator(terms, bath: BathTestSpec) -> np.ndarray:
     """Summed generator sum_a (W_a (x) B^dag + W_a^dag (x) B), the dense reference."""
-    Ws, B = [term.dense() for term in terms], bath.operator
-    if not Ws:
-        raise ValueError("need at least one coupling term")
+    Ws, B = [term.dense() for term in _coupling_terms(terms)], bath.operator
     return sum(kron(W, dag(B)) + kron(dag(W), B) for W in Ws)
+
+
+def _coupling_terms(terms) -> list:
+    """The terms as a list, checked to be non-empty and on one register."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("need at least one coupling term")
+    if any(t.n != terms[0].n for t in terms):
+        raise ValueError("coupling terms act on different registers")
+    return terms

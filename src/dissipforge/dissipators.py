@@ -258,8 +258,9 @@ class DissipatorSet:
         for gamma, op in self.items:
             gamma = _rate(gamma)
             op = _frozen(op)
-            if op.ndim != 2 or op.shape[0] != op.shape[1]:
-                raise ValueError(f"jump operator must be square, got shape {op.shape}")
+            if op.ndim != 2 or op.shape[0] != op.shape[1] or not op.size:
+                raise ValueError(
+                    f"jump operator must be square and non-empty, got shape {op.shape}")
             if dim is None:
                 dim = op.shape[0]
             elif op.shape[0] != dim:

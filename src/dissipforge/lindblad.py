@@ -96,8 +96,8 @@ class LindbladModel:
         H = self.hamiltonian
         if H is not None:
             H = np.asarray(H, dtype=complex).copy()
-            if H.ndim != 2 or H.shape[0] != H.shape[1]:
-                raise ValueError(f"Hamiltonian must be square, got shape {H.shape}")
+            if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
+                raise ValueError(f"Hamiltonian must be square and non-empty, got shape {H.shape}")
             if not np.all(np.isfinite(H)):  # NaN would pass the Hermiticity test below
                 raise ValueError("Hamiltonian entries must be finite")
             if np.max(np.abs(H - H.conj().T)) > 1e-12:

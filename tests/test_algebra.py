@@ -177,6 +177,12 @@ def test_null_space_rejects_a_non_finite_tol(tol):
         null_space(np.zeros((2, 2)), tol=tol)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)], ids=str)
+def test_null_space_rejects_an_empty_or_non_square_matrix(shape):
+    with pytest.raises(ValueError, match=r"non-empty square matrix A"):
+        null_space(np.zeros(shape))
+
+
 def test_null_space_vectors_annihilated():
     rng = np.random.default_rng(6)
     # rank-2 matrix on C^4

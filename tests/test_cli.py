@@ -194,9 +194,9 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
                  id="evolve-10-qubits-one-step"),
     pytest.param({**_QSD, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01,
                   "n_traj": 1}, id="qsd-10-qubits-one-step"),
-    # verify_sequence is charged 5 arrays of D x D, D = 2^10 * 4: 1.25 GiB
-    pytest.param({**_COMPILE, "pauli_word": "XYZXYZXYZX", "bath_dim": 4},
-                 id="compile-D-4096"),
+    # verify_sequence is charged 5 word arrays of 2^12 x 2^12: 1.25 GiB
+    pytest.param({**_COMPILE, "pauli_word": "XYZXYZXYZXYZ", "bath_dim": 4},
+                 id="compile-12-letters"),
 ])
 def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -232,8 +232,12 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
     # 255 MiB at 8 qubits, 2 GiB at 9
     pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 8, 9, "2 GiB", id="evolve"),
     pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 8, 9, "2 GiB", id="qsd"),
-    # compile is charged 5 (D, D) arrays: 320 MiB at D = 2^9 * 4, 1.25 GiB at 2^10 * 4
-    pytest.param(_COMPILE, "pauli_word", "XYZXYZXYZ", "XYZXYZXYZX", "1.25 GiB", id="compile"),
+    # compile is charged the larger of 5 (2^n, 2^n) word arrays, 320 MiB at 11
+    # letters and 1.25 GiB at 12, and 14 (bath_dim, bath_dim) bath arrays: 1023.6
+    # MiB at 2189, 1.0005 GiB at 2190
+    pytest.param(_COMPILE, "pauli_word", "XYZXYZXYZXY", "XYZXYZXYZXYZ", "1.25 GiB",
+                 id="compile"),
+    pytest.param(_COMPILE, "bath_dim", 2189, 2190, " 1 GiB", id="compile-bath"),
 ])
 def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
     cfg = parse_config(_write(tmp_path, "fits.json", {**probe, key: fits}))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dissipforge.algebra import PauliString, matexp
+from dissipforge.algebra import PauliString, kron, matexp
 from dissipforge.compiler import (
     AncillaRotation,
     BathTestSpec,
@@ -308,6 +308,111 @@ def test_verify_working_set_does_not_grow_with_the_gate_count():
     assert peak < 5 * 16 * D * D
 
 
+def _dense_deviation(seq, bath, theta):
+    """||V - T||_F / ||T||_F from the register (x) bath couplings
+    P+ (x) e^{i theta B} + P- (x) e^{-i theta B}, Q conjugated one gate at a time."""
+    n = seq.target.n
+    Q = PauliString.single(n, seq.seed.qubit, "Y").dense()
+    for g in seq.conjugations:
+        U = (np.eye(1 << n) + 1j * g.axis.dense()) / math.sqrt(2)
+        Q = U @ Q @ U.conj().T
+    E = matexp(1j * theta * bath.operator), matexp(-1j * theta * bath.operator)
+    eye = np.eye(1 << n)
+    V, T = (np.kron((eye + P) / 2, E[0]) + np.kron((eye - P) / 2, E[1])
+            for P in (Q, seq.target.dense()))
+    return np.linalg.norm(V - T) / np.linalg.norm(T)
+
+
+def _correct_and_wrong(letters):
+    """The compiled sequence and, for each conjugation, it with that gate dropped
+    and with it duplicated; the identity words get the seed alone."""
+    if set(letters) == {"I"}:
+        return [], [GateSequence((SeedCoupling(1),), PauliString(letters, phase), 0.7)
+                    for phase in (1, -1)]
+    seq = compile_coupling(PauliString(letters), 0.7)
+    g = seq.gates
+    wrong = [w for i in range(1, len(g)) for w in (g[:i] + g[i + 1:], g[:i + 1] + g[i:])]
+    return [seq], [GateSequence(w, seq.target, seq.theta) for w in wrong]
+
+
+@pytest.mark.parametrize("bath_dim", [2, 3, 16])
+@pytest.mark.parametrize("letters", ["Y", "ZX", "XYZ", "ZIX", "IYI", "XZIZ", "II", "III"])
+def test_verify_deviations_match_the_dense_couplings(letters, bath_dim):
+    bath = BathTestSpec.random(bath_dim, seed=bath_dim)
+    correct, wrong = _correct_and_wrong(letters)
+    for seq in correct:
+        report = verify_sequence(seq, bath, THETAS)
+        dense = [_dense_deviation(seq, bath, theta) for theta in THETAS]
+        assert report.passed and report.max_deviation <= 1e-14 and max(dense) <= 1e-14
+    for seq in wrong:
+        report = verify_sequence(seq, bath, THETAS)
+        dense = [_dense_deviation(seq, bath, theta) for theta in THETAS]
+        assert not report.passed
+        np.testing.assert_allclose(report.deviations, dense, rtol=1e-12)
+
+
+def test_verify_holds_no_register_bath_array():
+    # n = 8 and bath_dim 4: six 256 x 256 word arrays, against about four
+    # (1024, 1024) arrays for a coupling built on the register (x) bath space
+    word = PauliString("XYZXYZXY")
+    seq = compile_coupling(word, 0.7, GraphSpec.path(word.n))
+    bath = BathTestSpec.random(4, seed=9)
+    matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
+    tracemalloc.start()
+    try:
+        report = verify_sequence(seq, bath, THETAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 6 * 16 * 4 ** word.n
+
+
+def test_verify_calls_neither_kron_nor_the_word_coupling(monkeypatch):
+    calls = []
+
+    def spy(name, f):
+        monkeypatch.setattr(f"dissipforge.compiler.{name}",
+                            lambda *args: calls.append(name) or f(*args))
+
+    spy("kron", kron)
+    spy("_word_coupling", _word_coupling)
+    seq = compile_coupling(PauliString("XYZX"), 0.7, GraphSpec.path(4))
+    assert verify_sequence(seq, BathTestSpec.random(3, seed=52), THETAS).passed
+    assert calls == []
+    trotter_step(_TROTTER_TERMS, 0.1, BathTestSpec.random(2, seed=53))
+    assert calls.count("_word_coupling") == len(_TROTTER_TERMS)
+
+
+_XYZ_GATES = compile_coupling(PauliString("XYZ"), 0.7).gates
+
+
+@pytest.mark.parametrize("gates, message", [
+    pytest.param(_XYZ_GATES + (SeedCoupling(3),),
+                 rf"gates\[{len(_XYZ_GATES)}\] is SeedCoupling", id="second-seed"),
+    pytest.param((_XYZ_GATES[1], _XYZ_GATES[0]) + _XYZ_GATES[2:],
+                 r"seed coupling at gates\[0\]", id="seed-second"),
+    pytest.param(_XYZ_GATES[1:], r"seed coupling at gates\[0\]", id="no-seed"),
+    pytest.param(_XYZ_GATES[:2] + (Conjugation(PauliString("XXII")),),
+                 r"gates\[2\] has an axis on 4 qubits, the target acts on 3",
+                 id="axis-on-4-qubits"),
+    pytest.param(_XYZ_GATES + (Conjugation(PauliString("ZI")),),
+                 rf"gates\[{len(_XYZ_GATES)}\] has an axis on 2 qubits", id="axis-on-2-qubits"),
+])
+def test_verify_rejects_a_malformed_sequence(gates, message):
+    seq = GateSequence(gates, PauliString("XYZ"), 0.7)
+    with pytest.raises(ValueError, match=message):
+        verify_sequence(seq, BathTestSpec.random(2), THETAS)
+
+
+@pytest.mark.parametrize("phase", [1j, -1j], ids=["i", "-i"])
+def test_verify_rejects_an_imaginary_target_phase(phase):
+    # W^2 = -I, so the closed form P+ (x) E+ + P- (x) E- is not e^{i theta W (x) B}
+    seq = GateSequence((SeedCoupling(1),), PauliString("Y", phase), 0.3)
+    with pytest.raises(ValueError, match="real phase"):
+        verify_sequence(seq, BathTestSpec.random(2), THETAS)
+
+
 @pytest.mark.parametrize(
     "thetas", [(), [], np.array([]), (0.3, math.nan), [math.inf], np.array([0.1, -math.inf])],
     ids=["tuple", "list", "array", "nan", "inf", "-inf"])
@@ -437,6 +542,15 @@ def test_trotter_matches_the_product_of_dense_term_exponentials(bath_dim):
 def test_coupling_generator_rejects_an_empty_term_list():
     with pytest.raises(ValueError, match="term"):
         coupling_generator([], BathTestSpec.random(2))
+
+
+@pytest.mark.parametrize("build", [coupling_generator,
+                                   lambda terms, bath: trotter_step(terms, 0.1, bath)],
+                         ids=["coupling_generator", "trotter_step"])
+@pytest.mark.parametrize("terms", [("X", "XX"), ("XZ", "YI", "Z")], ids=["first", "last"])
+def test_coupling_terms_on_different_registers_are_rejected(build, terms):
+    with pytest.raises(ValueError, match="coupling terms act on different registers"):
+        build([PauliString(t) for t in terms], BathTestSpec.random(2))
 
 
 def test_trotter_single_term_exact():

@@ -94,6 +94,18 @@ def test_rhs_rejects_dimension_mismatch():
         rhs(_sigma_minus_model(), np.eye(4) / 4.0)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: DissipatorSet(((1.0, np.zeros((0, 0))),)), "jump operator"),
+    (lambda: DissipatorSet(((1.0, np.eye(2)), (1.0, np.zeros((0, 0))))), "jump operator"),
+    (lambda: LindbladModel(DissipatorSet(()), hamiltonian=np.zeros((0, 0))), "Hamiltonian"),
+    (lambda: LindbladModel(_sigma_minus_model().dissipators, hamiltonian=np.zeros((0, 0))),
+     "Hamiltonian"),
+], ids=["operator", "second-operator", "hamiltonian", "hamiltonian-with-jumps"])
+def test_an_empty_operator_is_rejected_by_name(build, name):
+    with pytest.raises(ValueError, match=f"{name} must be square and non-empty, got shape"):
+        build()
+
+
 def test_model_validation():
     with pytest.raises(ValueError):  # non-Hermitian Hamiltonian
         LindbladModel(DissipatorSet(()), hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
