@@ -3,7 +3,8 @@
 A coupling e^{i theta W (x) B} for an n-qubit Pauli word W is grown out of
 the always-available single-qubit seed e^{i theta Y_1 (x) B} by wrapping it
 in exp(i pi/4 A) conjugations that touch at most two qubits. Every emitted
-sequence is certified densely against an arbitrary bath operator, the XX
+sequence is certified against an arbitrary bath operator, with the realized
+word read off a Pauli tableau and only the bath exponentiated, the XX
 conjugator lowers to two Molmer-Sorensen pulses, and multi-term couplings
 Trotterize with second-order local error.
 """
@@ -30,7 +31,7 @@ for axis in ("ZXI", "IYI", "IXX", "IZI"):
     print(f"  T_{axis}: {current} -> {nxt}")
     current = nxt
 
-print("\ncompiled sequences on a path graph (certified densely):")
+print("\ncompiled sequences on a path graph (certified by a Pauli tableau):")
 bath = BathTestSpec.random(4, seed=1)
 for word in ("XX", "XXX", "ZYXZ"):
     seq = compile_coupling(PauliString(word), 0.7, GraphSpec.path(len(word)))

@@ -12,11 +12,14 @@ P+- = (I +- P)/2 when P^2 = I, so matexp only sees bath-sized operands
 (verify_sequence, trotter_step); the MS pulses and the ancilla rotation are
 products of such closed forms and need no matexp at all.
 
-verify_sequence builds no register (x) bath array at all. The realized and
-target couplings differ by ((Q - W)/2) (x) (e^{i theta B} - e^{-i theta B}),
-so each Frobenius norm it needs is a product of a word norm and a bath norm.
-The word norm ||Q - W||_F is taken entry by entry: its trace form
-2^{n+1} - 2 Re tr(W Q) cancels to 1e-7 where the entrywise one reads 1e-15.
+verify_sequence builds no register (x) bath array and no 2^n x 2^n one. Every
+gate it accepts is Clifford, so the realized word is exactly i^e X^x Z^z, an
+exponent mod 4 and two bit strings that a stabilizer-tableau update tracks in
+O(n) per gate (Gottesman, quant-ph/9807006; Aaronson & Gottesman, PRA 70,
+052328 (2004)). The realized and target couplings differ by
+((Q - W)/2) (x) (e^{i theta B} - e^{-i theta B}), so each Frobenius norm it
+needs is a product of a word norm, read off the two words in closed form, and
+a bath norm.
 """
 
 import math
@@ -272,7 +275,7 @@ class BathTestSpec:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Dense certificate for a conjugation sequence; failure is data, not an error.
+    """Certificate for a conjugation sequence; failure is data, not an error.
 
     Each deviation is relative, ||V - T||_F / ||T||_F, between the realized
     coupling V and the target T at one theta sample; the sequence passes when
@@ -289,18 +292,21 @@ class VerificationReport:
 def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> VerificationReport:
     """Check T = e^{i theta W (x) B} against the realized sequence at each theta.
 
-    The sequence must be one seed at gates[0] followed by conjugations on the
-    target's qubits, and the target must carry a real phase, so that W^2 = I.
-    The conjugators act as identity on the bath, so the sequence
-    realizes V = e^{i theta Q (x) B}, Q = C Y_seed C^dag. Both couplings are
-    P+ (x) E+ + P- (x) E- of P = Q and W, with E+- = e^{+-i theta B} and
+    The sequence must be one seed at gates[0], on a qubit in 1..n, followed by
+    conjugations on the target's qubits, and the target must carry a real
+    phase, so that W^2 = I. The conjugators act as identity on the bath, so
+    the sequence realizes V = e^{i theta Q (x) B}, Q = C Y_seed C^dag, and Q
+    is read off a tableau (_realized_tableau) as i^e X^x Z^z. Both couplings
+    are P+ (x) E+ + P- (x) E- of P = Q and W, with E+- = e^{+-i theta B} and
     P+- = (I +- P)/2, so V - T = ((Q - W)/2) (x) (E+ - E-) and, as the
     Frobenius norm of a Kronecker product is the product of the norms,
     ||V - T||_F = ||Q - W||_F ||E+ - E-||_F / 2. W+ W- = 0 gives
-    ||T||_F^2 = tr(W+) ||E+||_F^2 + tr(W-) ||E-||_F^2, tr(W+-) = (2^n +- tr W)/2.
-    No register (x) bath array is built. Q - W is taken entry by entry: the
-    identity ||Q - W||_F^2 = 2^{n+1} - 2 Re tr(W Q) cancels, and its round-off
-    (1e-7 on five qubits) would fail correct sequences.
+    ||T||_F^2 = tr(W+) ||E+||_F^2 + tr(W-) ||E-||_F^2. Distinct Pauli words are
+    orthogonal, so ||Q - W||_F / 2^{n/2} is 0 for the same word and phase,
+    |i^e - i^{e_W}| for the same word at another phase and sqrt2 for another
+    word, and tr(W+-) / 2^n = (1 +- w)/2, w the real phase of an identity word
+    and 0 for any other; the 2^{n/2} cancels from the ratio, so nothing of
+    size 2^n is built and a correct sequence reads exactly 0.
 
     Each deviation is ||V - T||_F / ||T||_F: the test bath need not be
     normalized or Hermitian, so ||T|| can grow as e^{theta ||B||} and an
@@ -310,6 +316,9 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     n, gates = seq.target.n, seq.gates
     if not gates or not isinstance(gates[0], SeedCoupling):
         raise ValueError("verify_sequence needs the seed coupling at gates[0]")
+    qubit = gates[0].qubit
+    if not isinstance(qubit, numbers.Integral) or not 1 <= qubit <= n:
+        raise ValueError(f"gates[0] seeds qubit {qubit!r}, outside 1..{n}")
     for i, g in enumerate(gates[1:], 1):
         if not isinstance(g, Conjugation):
             raise ValueError(f"gates[{i}] is {g!r}: verify_sequence handles one seed "
@@ -324,25 +333,51 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
         raise ValueError("theta_samples must hold at least one angle")
     if not all(map(math.isfinite, thetas)):
         raise ValueError(f"theta_samples must be finite, got {thetas}")
-    Q, W = _realized_word(seq), seq.target.dense()
-    # ||Q - W||_F entry by entry, and tr(W+-); tr W = 0 unless W is the identity word
-    word_dev, traces = np.linalg.norm(Q - W), (len(W) + np.array([1, -1]) * np.trace(W).real) / 2
+    (e, x, z), (e_w, x_w, z_w) = _realized_tableau(seq), _tableau(seq.target)
+    # ||Q - W||_F / 2^{n/2}; distinct Pauli words are orthogonal
+    word_dev = abs(_I_POW[e] - _I_POW[e_w]) if (x, z) == (x_w, z_w) else math.sqrt(2)
+    w = _I_POW[e_w].real if x_w == z_w == 0 else 0.0  # tr W / 2^n
     devs = []
     for theta in thetas:
         E = matexp(1j * theta * bath.operator), matexp(-1j * theta * bath.operator)
-        norm = math.sqrt(traces @ [np.linalg.norm(e) ** 2 for e in E])  # ||T||_F
+        # ||T||_F / 2^{n/2}
+        norm = math.sqrt((1 + w) / 2 * np.linalg.norm(E[0]) ** 2
+                         + (1 - w) / 2 * np.linalg.norm(E[1]) ** 2)
         devs.append(float(word_dev * np.linalg.norm(E[0] - E[1]) / 2 / norm))
+        del E  # so the next theta's pair is not computed beside this one
     max_dev = float(np.max(devs))  # NaN propagates, and fails the bound below
     return VerificationReport(max_dev <= VERIFY_TOL, max_dev, tuple(devs), thetas, VERIFY_TOL)
 
 
-def _realized_word(seq: GateSequence) -> np.ndarray:
-    """Q = C Y_seed C^dag, C the conjugators (I + iA)/sqrt2 multiplied in list order."""
-    dim = 1 << seq.target.n
-    C = np.eye(dim, dtype=complex)
-    for g in seq.conjugations:
-        C = ((np.eye(dim) + 1j * g.axis.dense()) * math.sqrt(0.5)) @ C
-    return C @ PauliString.single(seq.target.n, seq.seed.qubit, "Y").dense() @ dag(C)
+# a word phase * letters is i^e X^x Z^z with Y = i X Z; bit n - q of x and z is qubit q
+_I_POW = (1, 1j, -1, -1j)
+_X_BIT, _Z_BIT = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+
+
+def _tableau(word: PauliString) -> tuple[int, int, int]:
+    """(e, x, z) with word = i^e X^x Z^z, e mod 4 and x, z bit strings as ints."""
+    letters = word.letters
+    e = _I_POW.index(word.phase) + letters.count("Y")
+    return e % 4, int(letters.translate(_X_BIT), 2), int(letters.translate(_Z_BIT), 2)
+
+
+def _realized_tableau(seq: GateSequence) -> tuple[int, int, int]:
+    """(e, x, z) of Q = C Y_seed C^dag for a seed-then-conjugations sequence.
+
+    Conjugation by (I + iA)/sqrt2 leaves G alone when A and G commute and maps
+    it to iAG when they anticommute, which the symplectic form
+    x_A . z + z_A . x mod 2 decides. Moving Z^{z_A} past X^x costs (-1)^{z_A . x},
+    so iAG = i^{e_A + e + 1 + 2 z_A . x} X^{x_A ^ x} Z^{z_A ^ z}. Integers only,
+    O(n) per gate, written apart from the compiler's own word products.
+    """
+    n, q = seq.target.n, int(seq.gates[0].qubit)
+    e, x, z = 1, 1 << (n - q), 1 << (n - q)  # Y_q = i X_q Z_q
+    for g in seq.gates[1:]:
+        e_a, x_a, z_a = _tableau(g.axis)
+        if ((x_a & z).bit_count() + (z_a & x).bit_count()) % 2:
+            e = (e + e_a + 1 + 2 * (z_a & x).bit_count()) % 4
+            x, z = x ^ x_a, z ^ z_a
+    return e, x, z
 
 
 def _word_coupling(P, plus, minus) -> np.ndarray:

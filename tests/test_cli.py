@@ -17,7 +17,7 @@ import dissipforge.cli
 import dissipforge.lindblad
 import dissipforge.qsd
 from conftest import skew_null_space
-from dissipforge.algebra import complex_pairs
+from dissipforge.algebra import complex_pairs, matexp
 from dissipforge.cli import (
     _SCENARIOS,
     EXIT_CONFIG,
@@ -26,6 +26,7 @@ from dissipforge.cli import (
     EXIT_OK,
     ConfigError,
     _build_model,
+    _log2_largest_array,
     _round_floats,
     emit_outputs,
     main,
@@ -194,9 +195,8 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
                  id="evolve-10-qubits-one-step"),
     pytest.param({**_QSD, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01,
                   "n_traj": 1}, id="qsd-10-qubits-one-step"),
-    # verify_sequence is charged 5 word arrays of 2^12 x 2^12: 1.25 GiB
-    pytest.param({**_COMPILE, "pauli_word": "XYZXYZXYZXYZ", "bath_dim": 4},
-                 id="compile-12-letters"),
+    # verify_sequence is charged 12 bath arrays of 4096 x 4096: 3 GiB
+    pytest.param({**_COMPILE, "bath_dim": 4096}, id="compile-bath-4096"),
 ])
 def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -232,12 +232,11 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
     # 255 MiB at 8 qubits, 2 GiB at 9
     pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 8, 9, "2 GiB", id="evolve"),
     pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 8, 9, "2 GiB", id="qsd"),
-    # compile is charged the larger of 5 (2^n, 2^n) word arrays, 320 MiB at 11
-    # letters and 1.25 GiB at 12, and 14 (bath_dim, bath_dim) bath arrays: 1023.6
-    # MiB at 2189, 1.0005 GiB at 2190
-    pytest.param(_COMPILE, "pauli_word", "XYZXYZXYZXY", "XYZXYZXYZXYZ", "1.25 GiB",
-                 id="compile"),
-    pytest.param(_COMPILE, "bath_dim", 2189, 2190, " 1 GiB", id="compile-bath"),
+    # compile refuses words above MAX_WORD_LETTERS = 256, and is charged 12
+    # (bath_dim, bath_dim) bath arrays: 1023.3 MiB at 2364, 1.0001 GiB at 2365
+    pytest.param(_COMPILE, "pauli_word", "XYZ" * 85 + "X", "XYZ" * 85 + "XY",
+                 "257 letters, above the 256-letter limit", id="compile"),
+    pytest.param(_COMPILE, "bath_dim", 2364, 2365, " 1 GiB", id="compile-bath"),
 ])
 def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
     cfg = parse_config(_write(tmp_path, "fits.json", {**probe, key: fits}))
@@ -557,6 +556,24 @@ def test_compile_certificate_is_relative_to_the_target(tmp_path):
     assert main([str(path), "--output", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
     verification = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert verification["passed"] is True and verification["max_deviation"] <= 1e-10
+
+
+def test_compile_charge_covers_the_measured_working_set(tmp_path):
+    # a 40-letter word costs nothing of size 2^40; the bath, one theta's first
+    # exponential and one matexp measure 11.0 arrays of 128 x 128, charged 12
+    path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": ("XYZ" * 14)[:40],
+                                         "bath_dim": 128})
+    cfg = parse_config(path)
+    matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
+    tracemalloc.start()
+    try:
+        run(cfg, output_dir=tmp_path / "out", quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    verification = json.loads((tmp_path / "out" / "verification.json").read_text())
+    assert verification["passed"] is True and verification["max_deviation"] == 0.0
+    assert peak < 2 ** _log2_largest_array(cfg)
 
 
 def test_qsd_scenario_deterministic_outputs(tmp_path):

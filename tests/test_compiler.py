@@ -7,13 +7,14 @@ import pytest
 
 from dissipforge.algebra import PauliString, kron, matexp
 from dissipforge.compiler import (
+    VERIFY_TOL,
     AncillaRotation,
     BathTestSpec,
     Conjugation,
     GateSequence,
     MSGate,
     SeedCoupling,
-    _realized_word,
+    _realized_tableau,
     _word_coupling,
     compile_coupling,
     conjugation_step,
@@ -209,6 +210,15 @@ def _per_gate_coupling(seq, bath, theta):
     return V
 
 
+def _realized_word(seq):
+    """Oracle: Q = C Y_seed C^dag, C the conjugators (I + iA)/sqrt2 multiplied in list order."""
+    dim = 1 << seq.target.n
+    C = np.eye(dim, dtype=complex)
+    for g in seq.conjugations:
+        C = ((np.eye(dim) + 1j * g.axis.dense()) * math.sqrt(0.5)) @ C
+    return C @ PauliString.single(seq.target.n, seq.seed.qubit, "Y").dense() @ C.conj().T
+
+
 _ORACLE_WORDS = ["Y", "X", "ZX", "YY", "XYZ", "ZIX", "YXZY", "XZIZ", "ZZZZ"]
 
 
@@ -351,6 +361,90 @@ def test_verify_deviations_match_the_dense_couplings(letters, bath_dim):
         np.testing.assert_allclose(report.deviations, dense, rtol=1e-12)
 
 
+def _tableau_dense(e, x, z, n):
+    """i^e X^x Z^z, bit n - q of x and z on qubit q."""
+    out = np.array([[1j ** e]])
+    for q in range(1, n + 1):
+        bit = 1 << (n - q)
+        xq = np.array([[0, 1], [1, 0]]) if x & bit else np.eye(2)
+        zq = np.diag([1, -1]) if z & bit else np.eye(2)
+        out = np.kron(out, xq @ zq)
+    return out
+
+
+def _random_sequences(count, seed=0):
+    """Compiled sequences for random words on 1..7 qubits; every odd one with a
+    conjugation dropped or duplicated at a random place."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(1, 8))
+        letters = "".join(rng.choice(list("IXYZ"), n))
+        if set(letters) == {"I"}:
+            continue
+        seq = compile_coupling(PauliString(letters), 0.7)
+        g = seq.gates
+        if len(out) % 2:
+            if len(g) == 1:
+                continue
+            i = int(rng.integers(1, len(g)))
+            g = g[:i] + g[i + 1:] if rng.random() < 0.5 else g[:i + 1] + g[i:]
+        out.append(GateSequence(g, seq.target, seq.theta))
+    return out
+
+
+def test_tableau_certificate_matches_the_dense_word_on_random_sequences():
+    # one theta per sequence, in turn: the dense oracles take most of the time
+    bath = BathTestSpec.random(2, seed=55)
+    for k, seq in enumerate(_random_sequences(400)):
+        Q = _realized_word(seq)
+        assert np.abs(_tableau_dense(*_realized_tableau(seq), seq.target.n) - Q).max() <= 1e-13
+        theta = THETAS[k % len(THETAS)]
+        report = verify_sequence(seq, bath, (theta,))
+        dense = _dense_deviation(seq, bath, theta)
+        assert report.passed == (dense <= VERIFY_TOL) == (k % 2 == 0)
+        if report.passed:
+            assert report.deviations == (0.0,) and dense <= 1e-14
+        else:
+            np.testing.assert_allclose(report.deviations, [dense], rtol=1e-12)
+
+
+def test_verify_certifies_without_the_compilers_pauli_helpers(monkeypatch):
+    word = PauliString(("XYZ" * 22)[:64])
+    seq = compile_coupling(word, 0.7, GraphSpec.path(64))
+    wrong = GateSequence(seq.gates[:-1], seq.target, seq.theta)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_sequence used a Pauli helper")
+
+    for name in ("pauli_mul", "conjugation_step", "anticommutes"):
+        monkeypatch.setattr(f"dissipforge.compiler.{name}", refuse)
+    monkeypatch.setattr(PauliString, "dense", refuse)
+    monkeypatch.setattr(PauliString, "single", refuse)
+    bath = BathTestSpec.random(3, seed=54)
+    report = verify_sequence(seq, bath, THETAS)
+    assert report.passed and report.max_deviation == 0.0
+    assert not verify_sequence(wrong, bath, THETAS).passed
+
+
+def test_verify_working_set_does_not_grow_with_the_word():
+    # the words are integers: 64 qubits hold no more than 8 at a fixed bath,
+    # to within one bath-sized array (a 2^n x 2^n word would be 2^36 times larger)
+    bath = BathTestSpec.random(16, seed=9)
+    matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
+    peaks = []
+    for n in (8, 64):
+        seq = compile_coupling(PauliString(("XYZ" * n)[:n]), 0.7, GraphSpec.path(n))
+        tracemalloc.start()
+        try:
+            report = verify_sequence(seq, bath, THETAS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+    assert peaks[1] <= peaks[0] + 16 * bath.dimension ** 2
+
+
 def test_verify_holds_no_register_bath_array():
     # n = 8 and bath_dim 4: six 256 x 256 word arrays, against about four
     # (1024, 1024) arrays for a coupling built on the register (x) bath space
@@ -398,6 +492,10 @@ _XYZ_GATES = compile_coupling(PauliString("XYZ"), 0.7).gates
                  id="axis-on-4-qubits"),
     pytest.param(_XYZ_GATES + (Conjugation(PauliString("ZI")),),
                  rf"gates\[{len(_XYZ_GATES)}\] has an axis on 2 qubits", id="axis-on-2-qubits"),
+    pytest.param((SeedCoupling(0),) + _XYZ_GATES[1:], r"gates\[0\] seeds qubit 0, outside 1\.\.3",
+                 id="seed-0"),
+    pytest.param((SeedCoupling(4),) + _XYZ_GATES[1:], r"gates\[0\] seeds qubit 4, outside 1\.\.3",
+                 id="seed-n+1"),
 ])
 def test_verify_rejects_a_malformed_sequence(gates, message):
     seq = GateSequence(gates, PauliString("XYZ"), 0.7)
