@@ -55,9 +55,10 @@ EXIT_CONTRACT = 3
 EXIT_IO = 4
 
 VERIFY_THETAS = (0.3, 1.1, 2.7)
-# compile_coupling's support sweep is O(n^3) in the word length n: about 1.3
-# CPU s at 256 letters and 8.7 s at 512; the certificate costs O(n) per gate
-MAX_WORD_LETTERS = 256
+# gates.json and circuit.txt write one n-letter axis per gate, about 3n gates,
+# so the artifacts grow as n^2: about 4 MB at 1024 letters and 66 MB at 4096;
+# compiling and certifying cost O(n) per gate
+MAX_WORD_LETTERS = 1024
 
 
 class ConfigError(ValueError):
@@ -201,6 +202,9 @@ def _parse_pauli_word(raw, cfg):
         raise ConfigError(f"key 'pauli_word': {exc}") from None
     if word.weight == 0:
         raise ConfigError("key 'pauli_word' needs at least one non-identity letter")
+    if "I" in letters.strip("I"):  # compile runs on the path graph
+        raise ConfigError(f"key 'pauli_word': support {word.support} is not contiguous, "
+                          "so it is not connected on the path graph")
     return word.letters
 
 
@@ -304,7 +308,8 @@ def _log2_largest_array(cfg: ScenarioConfig):
     arrays, over the 11.0 of the bath, one theta's first exponential and one
     matexp (its operand, the Pade terms and the result), since verify_sequence
     holds its words as integers and builds no 2^n-level array (parse_config
-    caps the word at MAX_WORD_LETTERS for time, not memory); graph-state: the
+    caps the word at MAX_WORD_LETTERS for its artifacts, which grow as the
+    square of the word length, not for this array); graph-state: the
     (2^n, n) int64 bit table.
     """
     if cfg.scenario == "compile":

@@ -179,12 +179,16 @@ _FORWARD = {"Y": ("Z", "X"), "X": ("Y", "Z"), "Z": ("X", "Y")}
 def compile_coupling(W: PauliString, theta: float, allowed: GraphSpec | None = None) -> GateSequence:
     """Conjugation sequence growing a Y seed on the lowest support qubit into W.
 
-    The support is swept outward one adjacent qubit at a time with two-qubit
-    conjugators (placing X on each new qubit), then every local letter is
-    fixed with at most two single-qubit conjugators along the sign-free
-    cycle, so the realized word is exactly W with phase +1. Gate count is
-    at most 3 weight(W) - 2. The output is certified by verify_sequence,
-    never trusted structurally.
+    The support is grown one adjacent qubit at a time with two-qubit
+    conjugators (placing X on each new qubit): each step takes the lowest
+    pending qubit with a grown neighbour, and its lowest grown neighbour.
+    Then every local letter is fixed with at most two single-qubit
+    conjugators along the sign-free cycle, so the realized word is exactly W
+    with phase +1. Each gate's letters are read off _FORWARD, one letter per
+    grown qubit, with no word product. Gate count is at most 3 weight(W) - 2;
+    building the n-letter axes costs O(n) per gate, so a path-graph word
+    costs O(n^2). The output is certified by verify_sequence, never trusted
+    structurally.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
@@ -196,47 +200,34 @@ def compile_coupling(W: PauliString, theta: float, allowed: GraphSpec | None = N
         allowed = GraphSpec.complete(W.n)
     if allowed.n != W.n:
         raise ValueError(f"adjacency graph has {allowed.n} vertices, word has {W.n} qubits")
-    edge_set = set(allowed.edges)
 
-    support = list(W.support)
-    seed = support[0]
-    current = PauliString.single(W.n, seed, "Y")
+    support = W.support
+    neighbours = {q: set() for q in support}
+    for a, b in allowed.edges:
+        if a in neighbours and b in neighbours:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    seed, pending = support[0], list(support[1:])
+    letters = {seed: "Y"}  # the realized word's letter on each grown qubit
     gates: list = [SeedCoupling(seed)]
-
-    def apply(axis: PauliString):
-        nonlocal current
-        gates.append(Conjugation(axis))
-        current = conjugation_step(axis, current)
-
-    visited = {seed}
-    pending = set(support) - visited
     while pending:
-        candidates = sorted(
-            (q, f)
-            for q in pending
-            for f in visited
-            if (min(f, q), max(f, q)) in edge_set
-        )
-        if not candidates:
-            raise ValueError(
-                f"support {tuple(support)} is not connected in the adjacency graph"
-            )
-        q, f = candidates[0]
-        axis_letter, _ = _FORWARD[current.letter(f)]
+        for i, q in enumerate(pending):
+            grown = neighbours[q] & letters.keys()
+            if grown:
+                break
+        else:
+            raise ValueError(f"support {support} is not connected in the adjacency graph")
+        del pending[i]
+        f = min(grown)
         word = ["I"] * W.n
-        word[f - 1] = axis_letter
-        word[q - 1] = "X"
-        apply(PauliString("".join(word)))
-        visited.add(q)
-        pending.discard(q)
+        word[f - 1], letters[f] = _FORWARD[letters[f]]
+        word[q - 1] = letters[q] = "X"
+        gates.append(Conjugation(PauliString("".join(word))))
 
-    for qb in support:
-        while current.letter(qb) != W.letter(qb):
-            axis_letter, _ = _FORWARD[current.letter(qb)]
-            apply(PauliString.single(W.n, qb, axis_letter))
-
-    if current != W:
-        raise RuntimeError(f"compilation drifted to {current} instead of {W}")
+    for q in support:
+        while letters[q] != W.letter(q):
+            axis, letters[q] = _FORWARD[letters[q]]
+            gates.append(Conjugation(PauliString.single(W.n, q, axis)))
     return GateSequence(tuple(gates), W, float(theta))
 
 

@@ -472,24 +472,28 @@ def integrate(
             fids[i] = fidelity(rho, tvec)
 
     record(0, abs(np.trace(rho).real - 1.0))
-    for step in range(1, steps + 1):
-        k1 = _hermitian_rhs(model, rho)
-        k2 = _hermitian_rhs(model, rho + 0.5 * dt * k1)
-        k3 = _hermitian_rhs(model, rho + 0.5 * dt * k2)
-        k4 = _hermitian_rhs(model, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = (rho + dag(rho)) / 2.0
-        tr = np.trace(rho).real
-        drift = abs(tr - 1.0)
-        rho = rho / tr
-        if not np.isfinite(rho).all():
-            raise IntegrationError(f"state became non-finite at t = {times[step]:.6g}; reduce dt")
-        record(step, drift)
-        if drift > 1e-4 or min_eigs[step] < -1e-4:
-            raise IntegrationError(
-                f"unstable step at t = {times[step]:.6g}: trace drift {drift:.3e}, "
-                f"min eigenvalue {min_eigs[step]:.3e}; reduce dt"
-            )
+    # an overflowing step is reported by the non-finite check below, not by a
+    # numpy warning that escapes as an exception under error::RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, steps + 1):
+            k1 = _hermitian_rhs(model, rho)
+            k2 = _hermitian_rhs(model, rho + 0.5 * dt * k1)
+            k3 = _hermitian_rhs(model, rho + 0.5 * dt * k2)
+            k4 = _hermitian_rhs(model, rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = (rho + dag(rho)) / 2.0
+            tr = np.trace(rho).real
+            drift = abs(tr - 1.0)
+            rho = rho / tr
+            if not np.isfinite(rho).all():
+                raise IntegrationError(
+                    f"state became non-finite at t = {times[step]:.6g}; reduce dt")
+            record(step, drift)
+            if drift > 1e-4 or min_eigs[step] < -1e-4:
+                raise IntegrationError(
+                    f"unstable step at t = {times[step]:.6g}: trace drift {drift:.3e}, "
+                    f"min eigenvalue {min_eigs[step]:.3e}; reduce dt"
+                )
     return EvolutionRecord(times, states, trace_errors, min_eigs, fids)
 
 

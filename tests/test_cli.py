@@ -147,6 +147,10 @@ _COMPILE = {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7}
     pytest.param({**_EVOLVE, "t_max": 0.01, "dt": 0.1}, id="evolve-dt-above-t_max"),
     pytest.param({**_QSD, "t_max": 0.01, "dt": 0.1}, id="qsd-dt-above-t_max"),
     pytest.param({**_COMPILE, "pauli_word": "II"}, id="pauli_word-identity"),
+    # compile runs on the path graph, where a gap in the support disconnects it
+    pytest.param({**_COMPILE, "pauli_word": "XIX"}, id="pauli_word-XIX"),
+    pytest.param({**_COMPILE, "pauli_word": "XIIZ"}, id="pauli_word-XIIZ"),
+    pytest.param({**_COMPILE, "pauli_word": "IXIY"}, id="pauli_word-IXIY"),
     pytest.param({"scenario": "graph-state", "graph": {"n": 2, "edges": [[1]]}},
                  id="graph-edge-one-vertex"),
     pytest.param({"scenario": "graph-state", "graph": {"n": math.inf}}, id="graph-n-infinity"),
@@ -232,10 +236,10 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
     # 255 MiB at 8 qubits, 2 GiB at 9
     pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 8, 9, "2 GiB", id="evolve"),
     pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 8, 9, "2 GiB", id="qsd"),
-    # compile refuses words above MAX_WORD_LETTERS = 256, and is charged 12
+    # compile refuses words above MAX_WORD_LETTERS = 1024, and is charged 12
     # (bath_dim, bath_dim) bath arrays: 1023.3 MiB at 2364, 1.0001 GiB at 2365
-    pytest.param(_COMPILE, "pauli_word", "XYZ" * 85 + "X", "XYZ" * 85 + "XY",
-                 "257 letters, above the 256-letter limit", id="compile"),
+    pytest.param(_COMPILE, "pauli_word", "XYZ" * 341 + "X", "XYZ" * 341 + "XY",
+                 "1025 letters, above the 1024-letter limit", id="compile"),
     pytest.param(_COMPILE, "bath_dim", 2364, 2365, " 1 GiB", id="compile-bath"),
 ])
 def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
@@ -309,6 +313,9 @@ def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
                  True, id="steady-representative-negative"),
     pytest.param({**_STEADY, "target": "cluster", "gamma": [1e-300, 1e300, 1]},
                  "too wide to rescale", False, id="steady-rates-beyond-one-scale"),
+    # the first RK4 stages overflow; numpy's warning must not escape as a traceback
+    pytest.param({"scenario": "evolve", "n_qubits": 1, "target": "plus", "t_max": 1e300,
+                  "dt": 1e299}, "non-finite", False, id="evolve-step-overflows"),
 ])
 def test_main_reports_numerical_failures_with_exit_3(tmp_path, capsys, monkeypatch,
                                                      probe, reason, skew):
@@ -545,6 +552,15 @@ def test_compile_scenario_roundtrip_and_verification(tmp_path):
     verification = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert verification["passed"] is True
     assert (tmp_path / "out" / "circuit.txt").read_text().count("\n") >= len(seq.gates)
+
+
+@pytest.mark.parametrize("letters", ["IXI", "IXYI"])
+def test_compile_accepts_identity_letters_around_a_contiguous_support(tmp_path, letters):
+    path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": letters})
+    out = tmp_path / "out"
+    assert main([str(path), "--output", str(out), "--quiet"]) == EXIT_OK
+    assert json.loads((out / "gates.json").read_text())["target"] == letters
+    assert json.loads((out / "verification.json").read_text())["passed"] is True
 
 
 def test_compile_certificate_is_relative_to_the_target(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from dissipforge.algebra import PauliString, kron, matexp
 from dissipforge.compiler import (
+    _FORWARD,
     VERIFY_TOL,
     AncillaRotation,
     BathTestSpec,
@@ -171,6 +172,96 @@ def test_compile_respects_adjacency():
 def test_compile_rejects_a_non_finite_theta(theta):
     with pytest.raises(ValueError, match="theta"):
         compile_coupling(PauliString("XY"), theta)
+
+
+def _reference_compile(W, allowed):
+    """Oracle: the gates of the word-product sweep, which re-sorts every pending x
+    grown qubit pair per step and tracks the whole word with conjugation_step."""
+    edge_set = set(allowed.edges)
+    support = list(W.support)
+    current = PauliString.single(W.n, support[0], "Y")
+    gates = [SeedCoupling(support[0])]
+
+    def apply(axis):
+        nonlocal current
+        gates.append(Conjugation(axis))
+        current = conjugation_step(axis, current)
+
+    visited, pending = {support[0]}, set(support[1:])
+    while pending:
+        candidates = sorted((q, f) for q in pending for f in visited
+                            if (min(f, q), max(f, q)) in edge_set)
+        if not candidates:
+            raise ValueError(f"support {tuple(support)} is not connected in the adjacency graph")
+        q, f = candidates[0]
+        word = ["I"] * W.n
+        word[f - 1], word[q - 1] = _FORWARD[current.letter(f)][0], "X"
+        apply(PauliString("".join(word)))
+        visited.add(q)
+        pending.discard(q)
+    for qb in support:
+        while current.letter(qb) != W.letter(qb):
+            apply(PauliString.single(W.n, qb, _FORWARD[current.letter(qb)][0]))
+    assert current == W
+    return tuple(gates)
+
+
+def _random_graph(n, kind, rng):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if kind == "path":
+        return GraphSpec.path(n)
+    if kind == "complete":
+        return GraphSpec(n, tuple(pairs))
+    if kind == "random":
+        p = rng.random()
+        return GraphSpec(n, tuple(e for e in pairs if rng.random() < p))
+    # disconnected: random edges inside two halves, none across
+    cut = int(rng.integers(1, n)) if n > 1 else 1
+    return GraphSpec(n, tuple((a, b) for a, b in pairs
+                              if (a <= cut) == (b <= cut) and rng.random() < 0.6))
+
+
+def test_compile_matches_the_word_product_sweep_on_random_graphs():
+    rng = np.random.default_rng(60)
+    outcomes = {"gates": 0, "error": 0}
+    for k in range(1200):
+        n = int(rng.integers(1, 10))
+        letters = "".join(rng.choice(list("IXYZ"), n))
+        if set(letters) == {"I"}:
+            letters = letters[:-1] + "Z"
+        W = PauliString(letters)
+        graph = _random_graph(n, ("path", "complete", "random", "disconnected")[k % 4], rng)
+        try:
+            expected = _reference_compile(W, graph)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                compile_coupling(W, 0.7, graph)
+            assert str(info.value) == str(exc)
+            outcomes["error"] += 1
+        else:
+            assert compile_coupling(W, 0.7, graph).gates == expected
+            outcomes["gates"] += 1
+    assert min(outcomes.values()) >= 300
+
+
+def test_forward_moves_are_sign_free_conjugations():
+    assert sorted(_FORWARD) == sorted(new for _, new in _FORWARD.values()) == ["X", "Y", "Z"]
+    for letter, (axis, new) in _FORWARD.items():
+        A, G, out = PauliString(axis), PauliString(letter), PauliString(new)
+        assert conjugation_step(A, G) == out
+        np.testing.assert_array_equal(1j * A.dense() @ G.dense(), out.dense())
+
+
+def test_compile_reads_its_letters_off_the_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_coupling multiplied Pauli words")
+
+    for target in ("dissipforge.compiler.conjugation_step", "dissipforge.compiler.pauli_mul",
+                   "dissipforge.algebra.pauli_mul"):
+        monkeypatch.setattr(target, refuse)
+    word = PauliString("XYZXZYX")
+    seq = compile_coupling(word, 0.7, GraphSpec.path(word.n))
+    assert verify_sequence(seq, BathTestSpec.random(2, seed=61), THETAS).passed
 
 
 # ---------------------------------------------------------------- verification

@@ -714,6 +714,15 @@ def test_integrate_aborts_on_non_finite_state():
         integrate(_sigma_minus_model(1e300), np.diag([0.0, 1.0]).astype(complex), 1.0, dt=0.5)
 
 
+def test_integrate_reports_an_overflowing_step_without_a_warning():
+    # rho + dt/2 k2 overflows at dt = 1e299; under error::RuntimeWarning numpy's
+    # warning would escape in place of the IntegrationError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate(_sigma_minus_model(), np.diag([0.0, 1.0]).astype(complex), 1e300, dt=1e299)
+
+
 def test_integrate_frame_covariance():
     rng = np.random.default_rng(27)
     model = LindbladModel(preset_lfor2())
