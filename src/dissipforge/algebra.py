@@ -15,15 +15,12 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
-PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # PHASES[e] = i^e
 
-# single-qubit products a.b = phase * letter
-_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
+# a word phase * letters is i^e X^x Z^z with Y = i X Z; bit n - q of x and z is qubit q
+_X_BIT, _Z_BIT = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+_NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes every Pauli letter
+_LETTER = {("0", "0"): "I", ("1", "0"): "X", ("1", "1"): "Y", ("0", "1"): "Z"}  # (x, z) bits
 
 
 def dag(A: np.ndarray) -> np.ndarray:
@@ -53,8 +50,8 @@ def kron_all(ops) -> np.ndarray:
 def matexp(A: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square complex matrix (scaling-and-squaring Pade).
 
-    scipy.linalg is imported here, on first use, so only the compiler and the
-    exact propagation pay for its import time.
+    scipy.linalg is imported here, on first use, so only the compiler pays
+    for its import time.
     """
     from scipy.linalg import expm
 
@@ -91,7 +88,7 @@ class PauliString:
     phase: complex = 1 + 0j
 
     def __post_init__(self):
-        if not self.letters or any(c not in PAULIS for c in self.letters):
+        if not self.letters or self.letters.translate(_NOT_PAULI):
             raise ValueError(f"letters must be a nonempty word over IXYZ, got {self.letters!r}")
         object.__setattr__(self, "phase", complex(self.phase))
         if self.phase not in PHASES:
@@ -103,7 +100,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return sum(1 for c in self.letters if c != "I")
+        return len(self.letters) - self.letters.count("I")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -123,6 +120,13 @@ class PauliString:
         """Letter acting on the given qubit (1-based)."""
         return self.letters[qubit - 1]
 
+    @property
+    def tableau(self) -> tuple[int, int, int]:
+        """(e, x, z) with this word = i^e X^x Z^z: e mod 4, x and z bit strings as ints."""
+        letters = self.letters
+        e = PHASES.index(self.phase) + letters.count("Y")
+        return e % 4, int(letters.translate(_X_BIT), 2), int(letters.translate(_Z_BIT), 2)
+
     def dense(self) -> np.ndarray:
         out = np.array([[self.phase]], dtype=complex)
         for c in self.letters:
@@ -134,27 +138,32 @@ class PauliString:
         return prefix + self.letters
 
 
+def tableau_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(e, x, z) of i^e_a X^x_a Z^z_a i^e_b X^x_b Z^z_b: moving Z^z_a past X^x_b costs
+    (-1)^{|z_a & x_b|} (Aaronson & Gottesman, PRA 70, 052328 (2004))."""
+    (e_a, x_a, z_a), (e_b, x_b, z_b) = a, b
+    return (e_a + e_b + 2 * (z_a & x_b).bit_count()) % 4, x_a ^ x_b, z_a ^ z_b
+
+
+def tableau_anticommutes(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """True when the words of two tableaux anticommute: |x_a & z_b| + |z_a & x_b| is odd."""
+    return ((a[1] & b[2]).bit_count() + (a[2] & b[1]).bit_count()) % 2 == 1
+
+
 def pauli_mul(P: PauliString, Q: PauliString) -> PauliString:
-    """Exact product of two Pauli words, letterwise with phase tracking."""
+    """Exact product of two Pauli words, by the tableau rule (tableau_mul)."""
     if P.n != Q.n:
         raise ValueError(f"qubit counts differ: {P.n} vs {Q.n}")
-    phase = P.phase * Q.phase
-    letters = []
-    for a, b in zip(P.letters, Q.letters):
-        ph, c = _MUL[a, b]
-        phase *= ph
-        letters.append(c)
-    return PauliString("".join(letters), phase)
+    e, x, z = tableau_mul(P.tableau, Q.tableau)
+    letters = map(_LETTER.__getitem__, zip(format(x, f"0{P.n}b"), format(z, f"0{P.n}b")))
+    return PauliString("".join(letters), PHASES[(e - (x & z).bit_count()) % 4])
 
 
 def anticommutes(P: PauliString, Q: PauliString) -> bool:
-    """True when the words anticommute (odd number of clashing letters)."""
+    """True when the words anticommute (tableau_anticommutes)."""
     if P.n != Q.n:
         raise ValueError(f"qubit counts differ: {P.n} vs {Q.n}")
-    clashes = sum(
-        1 for a, b in zip(P.letters, Q.letters) if a != "I" and b != "I" and a != b
-    )
-    return clashes % 2 == 1
+    return tableau_anticommutes(P.tableau, Q.tableau)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PauliString, anticommutes, dag, kron, matexp, pauli_mul
+from .algebra import (PHASES, PauliString, anticommutes, dag, kron, matexp, pauli_mul,
+                      tableau_anticommutes, tableau_mul)
 from .states import GraphSpec
 
 VERIFY_TOL = 1e-10  # bound on the relative deviation of verify_sequence
@@ -196,18 +197,17 @@ def compile_coupling(W: PauliString, theta: float, allowed: GraphSpec | None = N
         raise ValueError("target must carry phase +1; absorb signs into theta upstream")
     if W.weight < 1:
         raise ValueError("target must act on at least one qubit")
-    if allowed is None:
-        allowed = GraphSpec.complete(W.n)
-    if allowed.n != W.n:
+    if allowed is not None and allowed.n != W.n:
         raise ValueError(f"adjacency graph has {allowed.n} vertices, word has {W.n} qubits")
 
     support = W.support
-    neighbours = {q: set() for q in support}
-    for a, b in allowed.edges:
+    seed, pending = support[0], list(support[1:])
+    # with no graph every pair is adjacent, so the lowest grown neighbour is always the seed
+    neighbours = {q: {seed} if allowed is None else set() for q in support}
+    for a, b in () if allowed is None else allowed.edges:
         if a in neighbours and b in neighbours:
             neighbours[a].add(b)
             neighbours[b].add(a)
-    seed, pending = support[0], list(support[1:])
     letters = {seed: "Y"}  # the realized word's letter on each grown qubit
     gates: list = [SeedCoupling(seed)]
     while pending:
@@ -324,10 +324,10 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
         raise ValueError("theta_samples must hold at least one angle")
     if not all(map(math.isfinite, thetas)):
         raise ValueError(f"theta_samples must be finite, got {thetas}")
-    (e, x, z), (e_w, x_w, z_w) = _realized_tableau(seq), _tableau(seq.target)
+    (e, x, z), (e_w, x_w, z_w) = _realized_tableau(seq), seq.target.tableau
     # ||Q - W||_F / 2^{n/2}; distinct Pauli words are orthogonal
-    word_dev = abs(_I_POW[e] - _I_POW[e_w]) if (x, z) == (x_w, z_w) else math.sqrt(2)
-    w = _I_POW[e_w].real if x_w == z_w == 0 else 0.0  # tr W / 2^n
+    word_dev = abs(PHASES[e] - PHASES[e_w]) if (x, z) == (x_w, z_w) else math.sqrt(2)
+    w = PHASES[e_w].real if x_w == z_w == 0 else 0.0  # tr W / 2^n
     devs = []
     for theta in thetas:
         E = matexp(1j * theta * bath.operator), matexp(-1j * theta * bath.operator)
@@ -340,35 +340,22 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     return VerificationReport(max_dev <= VERIFY_TOL, max_dev, tuple(devs), thetas, VERIFY_TOL)
 
 
-# a word phase * letters is i^e X^x Z^z with Y = i X Z; bit n - q of x and z is qubit q
-_I_POW = (1, 1j, -1, -1j)
-_X_BIT, _Z_BIT = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
-
-
-def _tableau(word: PauliString) -> tuple[int, int, int]:
-    """(e, x, z) with word = i^e X^x Z^z, e mod 4 and x, z bit strings as ints."""
-    letters = word.letters
-    e = _I_POW.index(word.phase) + letters.count("Y")
-    return e % 4, int(letters.translate(_X_BIT), 2), int(letters.translate(_Z_BIT), 2)
-
-
 def _realized_tableau(seq: GateSequence) -> tuple[int, int, int]:
     """(e, x, z) of Q = C Y_seed C^dag for a seed-then-conjugations sequence.
 
     Conjugation by (I + iA)/sqrt2 leaves G alone when A and G commute and maps
-    it to iAG when they anticommute, which the symplectic form
-    x_A . z + z_A . x mod 2 decides. Moving Z^{z_A} past X^x costs (-1)^{z_A . x},
-    so iAG = i^{e_A + e + 1 + 2 z_A . x} X^{x_A ^ x} Z^{z_A ^ z}. Integers only,
-    O(n) per gate, written apart from the compiler's own word products.
+    it to iAG when they anticommute: one tableau_anticommutes test and at most
+    one tableau_mul per gate, on integers, O(n). compile_coupling reads its
+    letters off _FORWARD, not off this rule, so the certificate stays independent.
     """
     n, q = seq.target.n, int(seq.gates[0].qubit)
-    e, x, z = 1, 1 << (n - q), 1 << (n - q)  # Y_q = i X_q Z_q
+    Q = 1, 1 << (n - q), 1 << (n - q)  # Y_q = i X_q Z_q
     for g in seq.gates[1:]:
-        e_a, x_a, z_a = _tableau(g.axis)
-        if ((x_a & z).bit_count() + (z_a & x).bit_count()) % 2:
-            e = (e + e_a + 1 + 2 * (z_a & x).bit_count()) % 4
-            x, z = x ^ x_a, z ^ z_a
-    return e, x, z
+        A = g.axis.tableau
+        if tableau_anticommutes(A, Q):
+            e, x, z = tableau_mul(A, Q)
+            Q = (e + 1) % 4, x, z
+    return Q
 
 
 def _word_coupling(P, plus, minus) -> np.ndarray:

@@ -54,7 +54,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import dag, matexp, null_space
+from .algebra import dag, null_space
 from .dissipators import SCALE_LIMIT, DissipatorSet, _times_power_of_two
 from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
 
@@ -495,11 +495,6 @@ def integrate(
                     f"min eigenvalue {min_eigs[step]:.3e}; reduce dt"
                 )
     return EvolutionRecord(times, states, trace_errors, min_eigs, fids)
-
-
-def propagate_exact(model: LindbladModel, rho0, t: float) -> np.ndarray:
-    """rho(t) by exponentiating the vectorized generator (integration cross-check)."""
-    return unvec(matexp(t * liouvillian_matrix(model)) @ vec(as_matrix(rho0)), model.dim)
 
 
 def time_to_fidelity(

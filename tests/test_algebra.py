@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dissipforge.algebra import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    PHASES,
     PauliString,
     PauliSum,
     anticommutes,
@@ -227,8 +229,9 @@ def test_pauli_mul_two_qubit_example():
     assert np.array_equal(got.dense(), dense)
 
 
-def test_pauli_mul_dense_oracle_exhaustive_two_qubits():
-    words = ["".join(w) for w in itertools.product("IXYZ", repeat=2)]
+@pytest.mark.parametrize("n", [2, 3])
+def test_pauli_mul_dense_oracle_exhaustive(n):
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
     for a in words:
         for b in words:
             P, Q = PauliString(a), PauliString(b)
@@ -272,6 +275,74 @@ def test_anticommutes():
     assert not anticommutes(PauliString("X"), PauliString("X"))
     assert not anticommutes(PauliString("XX"), PauliString("YY"))
     assert anticommutes(PauliString("ZX"), PauliString("YI"))
+
+
+def _tableau_dense(e, x, z, n):
+    """i^e X^x Z^z, bit n - q of x and z on qubit q."""
+    out = np.array([[1j ** e]])
+    for q in range(1, n + 1):
+        bit = 1 << (n - q)
+        out = np.kron(out, (PAULI_X if x & bit else PAULI_I) @ (PAULI_Z if z & bit else PAULI_I))
+    return out
+
+
+def test_tableau_is_the_dense_word_exhaustive():
+    for n in (1, 2, 3):
+        for letters in itertools.product("IXYZ", repeat=n):
+            for phase in PHASES:
+                P = PauliString("".join(letters), phase)
+                e, x, z = P.tableau
+                assert 0 <= e < 4 and 0 <= x < 2 ** n and 0 <= z < 2 ** n
+                assert np.array_equal(_tableau_dense(e, x, z, n), P.dense()), P
+
+
+# the letter table pauli_mul used before it read products off the tableau
+_LETTER_PRODUCTS = {
+    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
+    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
+    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
+    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
+}
+
+
+def _letterwise_mul(P, Q):
+    """Oracle: the product letter by letter, with phase tracking."""
+    phase, letters = P.phase * Q.phase, []
+    for a, b in zip(P.letters, Q.letters):
+        ph, c = _LETTER_PRODUCTS[a, b]
+        phase *= ph
+        letters.append(c)
+    return PauliString("".join(letters), phase)
+
+
+def _clashes(P, Q):
+    """Oracle: the count of qubits on which both words carry different non-identity letters."""
+    return sum(1 for a, b in zip(P.letters, Q.letters) if a != "I" and b != "I" and a != b)
+
+
+def test_pauli_mul_and_anticommutes_match_the_letterwise_oracle_up_to_1024_letters():
+    rng = np.random.default_rng(23)
+    anti = 0
+    for k in range(400):
+        n = 1024 if k < 8 else int(rng.integers(1, 1025 if k % 2 else 9))
+        p_id = rng.random()  # identity density, so supports overlap in part
+        words = ["".join(rng.choice(list("IXYZ"), n, p=[p_id] + [(1 - p_id) / 3] * 3))
+                 for _ in (0, 1)]
+        P, Q = (PauliString(w, PHASES[int(rng.integers(4))]) for w in words)
+        assert pauli_mul(P, Q) == _letterwise_mul(P, Q)
+        assert anticommutes(P, Q) == (_clashes(P, Q) % 2 == 1)
+        anti += anticommutes(P, Q)
+    assert 100 <= anti <= 300
+
+
+@pytest.mark.parametrize("letters", ["", "XQ", "xy", "X Y", "XI\n"])
+def test_pauli_string_names_a_bad_word(letters):
+    with pytest.raises(ValueError, match=re.escape(f"nonempty word over IXYZ, got {letters!r}")):
+        PauliString(letters)
+
+
+def test_weight_counts_the_non_identity_letters():
+    assert [PauliString(w).weight for w in ("I", "IIII", "XIZ", "YYYY")] == [0, 0, 2, 4]
 
 
 # ---------------------------------------------------------------- decomposition

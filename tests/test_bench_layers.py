@@ -14,7 +14,7 @@ _TINY_LAYERS = {
     *(f"{layer}[cluster-{n}]" for n in (2, 3)
       for layer in ("model_build", "hermitian_rhs", "rk4_step", "steady_certificate")),
     "steady_svd[single-2]", "verify_sequence[D=16]", "compile_coupling[16]",
-    "compile_coupling[32]", "trajectory_step[cluster-2]",
+    "compile_coupling[32]", "verify_sequence[L=32]", "trajectory_step[cluster-2]",
 }
 
 

@@ -244,6 +244,32 @@ def test_compile_matches_the_word_product_sweep_on_random_graphs():
     assert min(outcomes.values()) >= 300
 
 
+def test_compile_without_a_graph_equals_the_complete_graph():
+    rng = np.random.default_rng(62)
+    for _ in range(1200):
+        n = int(rng.integers(1, 13))
+        letters = "".join(rng.choice(list("IXYZ"), n))
+        if set(letters) == {"I"}:
+            letters = letters[:-1] + "Z"
+        W = PauliString(letters)
+        complete = compile_coupling(W, 0.7, GraphSpec.complete(n))
+        assert compile_coupling(W, 0.7).gates == complete.gates
+
+
+def test_compile_without_a_graph_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_coupling built a graph")
+
+    monkeypatch.setattr(GraphSpec, "complete", refuse)
+    monkeypatch.setattr(GraphSpec, "__init__", refuse)
+    word = PauliString(("XYZI" * 64)[:255])
+    seq = compile_coupling(word, 0.7)
+    # every qubit grows off the seed, the lowest grown one when all pairs are adjacent
+    grows = [g.axis.support for g in seq.conjugations if g.axis.weight == 2]
+    assert grows == [(1, q) for q in word.support[1:]]
+    assert verify_sequence(seq, BathTestSpec.random(2, seed=63), THETAS).passed
+
+
 def test_forward_moves_are_sign_free_conjugations():
     assert sorted(_FORWARD) == sorted(new for _, new in _FORWARD.values()) == ["X", "Y", "Z"]
     for letter, (axis, new) in _FORWARD.items():

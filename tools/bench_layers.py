@@ -5,24 +5,28 @@
 
 Each layer is one call timed alone, its inputs built outside the timing; it
 records the least CPU time (time.process_time) of up to REPEATS calls, cut
-short once a layer has spent BUDGET_S. The whole list runs twice, and each
+short once a layer has spent BUDGET_S. The whole list runs twice, once in
+this process and once in a fresh interpreter (a spawned worker), and each
 layer keeps both passes' minima and their relative spread, so a difference
-smaller than the spread is noise. BLAS runs on one thread, set through the
-environment before numpy is imported. The package is imported from
-PYTHONPATH when it holds one, else from this checkout's src/; the file
-records its path relative to this checkout and that checkout's git revision. --tiny shrinks every size (a schema
-check, not a measurement).
+smaller than the spread is noise, including the noise between processes.
+BLAS runs on one thread, set through the environment before numpy is
+imported. The package is imported from PYTHONPATH when it holds one, else
+from this checkout's src/; the file records its path relative to this
+checkout and that checkout's git revision. --tiny shrinks every size (a
+schema check, not a measurement).
 """
 
 import argparse
 import json
 import math
+import multiprocessing
 import os
 import platform
 import resource
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -105,6 +109,12 @@ def _compile_layers(verify_letters, bath_dim, lengths):
     for n in lengths:
         w, g = PauliString(("XYZ" * n)[:n]), GraphSpec.path(n)
         layers[f"compile_coupling[{n}]"] = (lambda w=w, g=g: compile_coupling(w, 0.7, g), 1)
+    # the certificate's tableau on the longest word, at the smallest bath
+    n = lengths[-1]
+    long_seq = compile_coupling(PauliString(("XYZ" * n)[:n]), 0.7, GraphSpec.path(n))
+    small_bath = BathTestSpec.random(2, seed=0)
+    layers[f"verify_sequence[L={n}]"] = \
+        (lambda: verify_sequence(long_seq, small_bath, VERIFY_THETAS), 1)
     return layers
 
 
@@ -160,12 +170,20 @@ def _blas():
         return "unknown"
 
 
+def one_pass(tiny, repeats):
+    """(package path, {layer: (least CPU s of one call, calls made, calls per op)})."""
+    return dissipforge.__file__, {name: (*least_cpu(op, repeats), per)
+                                  for name, (op, per) in layers(tiny).items()}
+
+
 def measure(pr, repeats, tiny):
-    table = layers(tiny)
-    passes = [{name: least_cpu(op, repeats) for name, (op, _) in table.items()} for _ in (0, 1)]
+    path, first = one_pass(tiny, repeats)
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as worker:
+        worker_path, second = worker.submit(one_pass, tiny, repeats).result()
+    assert worker_path == path, f"the worker timed {worker_path}, not {path}"
     result = {}
-    for name, (_, per) in table.items():
-        (a, runs_a), (b, runs_b) = passes[0][name], passes[1][name]
+    for name, (a, runs_a, per) in first.items():
+        b, runs_b, _ = second[name]
         result[name] = {"cpu_s": min(a, b) / per, "passes_cpu_s": [a / per, b / per],
                         "spread": abs(a - b) / min(a, b) if min(a, b) > 0 else 0.0,
                         "runs": [runs_a, runs_b], "per_call": per}
@@ -176,7 +194,8 @@ def measure(pr, repeats, tiny):
         "revision": revision, "dirty": dirty, "package": os.path.relpath(package, ROOT),
         "python": platform.python_version(), "numpy": np.__version__, "blas": _blas(),
         "blas_threads": 1, "nproc": len(os.sched_getaffinity(0)),
-        "max_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "max_rss_mb": max(resource.getrusage(who).ru_maxrss
+                          for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024,
         "max_spread": max(r["spread"] for r in result.values()),
         "layers": result,
     }
