@@ -147,7 +147,8 @@ def tableau_mul(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, 
 
 def tableau_anticommutes(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     """True when the words of two tableaux anticommute: |x_a & z_b| + |z_a & x_b| is odd."""
-    return ((a[1] & b[2]).bit_count() + (a[2] & b[1]).bit_count()) % 2 == 1
+    (_, x_a, z_a), (_, x_b, z_b) = a, b
+    return ((x_a & z_b).bit_count() + (z_a & x_b).bit_count()) % 2 == 1
 
 
 def pauli_mul(P: PauliString, Q: PauliString) -> PauliString:
