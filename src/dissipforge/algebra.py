@@ -5,6 +5,7 @@ significant) tensor factor throughout, so the dense form of an n-qubit word
 is kron(P_1, kron(P_2, ...)).
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # PHASES[e] = i^e
 # a word phase * letters is i^e X^x Z^z with Y = i X Z; bit n - q of x and z is qubit q
 _X_BIT, _Z_BIT = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
 _NOT_PAULI = str.maketrans("", "", "IXYZ")  # deletes every Pauli letter
+_NON_IDENTITY = re.compile("[XYZ]")
 _LETTER = {("0", "0"): "I", ("1", "0"): "X", ("1", "1"): "Y", ("0", "1"): "Z"}  # (x, z) bits
 
 
@@ -105,7 +107,7 @@ class PauliString:
     @property
     def support(self) -> tuple[int, ...]:
         """1-based indices of the non-identity qubits."""
-        return tuple(q for q, c in enumerate(self.letters, start=1) if c != "I")
+        return tuple(m.start() + 1 for m in _NON_IDENTITY.finditer(self.letters))
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliString":

@@ -379,17 +379,25 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
 
 @dataclass(eq=False)
 class EvolutionRecord:
-    """Sampled trajectory of a density matrix with per-step diagnostics."""
+    """Sampled trajectory of a density matrix with per-step diagnostics.
+
+    `min_eigs`, the lowest eigenvalue of each sampled state, is read off
+    `states` on first use, in one batched `eigvalsh`, and then kept.
+    """
 
     times: np.ndarray
     states: np.ndarray  # (T, d, d)
     trace_errors: np.ndarray
-    min_eigs: np.ndarray
     fidelities: np.ndarray | None = None
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
+
+    @cached_property
+    def min_eigs(self) -> np.ndarray:
+        """Lowest eigenvalue of every sampled state, (T,)."""
+        return np.linalg.eigvalsh(self.states)[:, 0]
 
     def index_at(self, t: float) -> int:
         """Index of the sample closest to time t (must land within half a step)."""
@@ -442,6 +450,11 @@ def integrate(
     drift is measured, then removed, and the state is re-hermitized; both
     corrections are at round-off level for a stable step. Drift above 1e-4,
     negativity below -1e-4 or a non-finite entry aborts with IntegrationError.
+    Negativity is tested by one Cholesky factorization of rho + 1e-4 I, which
+    fails exactly when the lowest eigenvalue of rho lies below -1e-4; only
+    then, to name it in the message, is that eigenvalue computed, so a run
+    that passes its guards computes no eigenvalues (the record reads them on
+    demand, `EvolutionRecord.min_eigs`).
     A non-finite entry of rho0 or target raises ValueError, before any step.
     rho0 is hermitized once, (rho0 + rho0^dag)/2, which leaves an exactly
     Hermitian rho0 bit for bit, so every RK4 stage is Hermitian to round-off
@@ -461,13 +474,12 @@ def integrate(
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, model.dim, model.dim), dtype=complex)
     trace_errors = np.empty(steps + 1)
-    min_eigs = np.empty(steps + 1)
     fids = np.empty(steps + 1) if tvec is not None else None
+    shift = 1e-4 * np.eye(model.dim)
 
     def record(i, drift):
         states[i] = rho
         trace_errors[i] = drift
-        min_eigs[i] = np.linalg.eigvalsh(rho)[0].real
         if fids is not None:
             fids[i] = fidelity(rho, tvec)
 
@@ -489,12 +501,21 @@ def integrate(
                 raise IntegrationError(
                     f"state became non-finite at t = {times[step]:.6g}; reduce dt")
             record(step, drift)
-            if drift > 1e-4 or min_eigs[step] < -1e-4:
+            if drift > 1e-4 or not _positive_definite(rho + shift):
                 raise IntegrationError(
                     f"unstable step at t = {times[step]:.6g}: trace drift {drift:.3e}, "
-                    f"min eigenvalue {min_eigs[step]:.3e}; reduce dt"
+                    f"min eigenvalue {np.linalg.eigvalsh(rho)[0]:.3e}; reduce dt"
                 )
-    return EvolutionRecord(times, states, trace_errors, min_eigs, fids)
+    return EvolutionRecord(times, states, trace_errors, fids)
+
+
+def _positive_definite(m: np.ndarray) -> bool:
+    """Whether the Hermitian m (lower triangle read) admits a Cholesky factor."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def time_to_fidelity(

@@ -339,6 +339,17 @@ def test_weight_counts_the_non_identity_letters():
     assert [PauliString(w).weight for w in ("I", "IIII", "XIZ", "YYYY")] == [0, 0, 2, 4]
 
 
+def test_support_matches_the_letterwise_scan_up_to_1024_letters():
+    rng = np.random.default_rng(29)
+    words = ["I", "X", "IIII", "YYYY", "I" * 1023 + "Z", "Z" + "I" * 1023]
+    for k in range(200):
+        n = int(rng.integers(1, 1025))
+        p_id = rng.random()
+        words.append("".join(rng.choice(list("IXYZ"), n, p=[p_id] + [(1 - p_id) / 3] * 3)))
+    for w in words:
+        assert PauliString(w).support == tuple(q for q, c in enumerate(w, start=1) if c != "I")
+
+
 # ---------------------------------------------------------------- decomposition
 
 

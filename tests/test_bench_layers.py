@@ -24,10 +24,12 @@ def test_tiny_run_writes_the_schema(tmp_path):
     subprocess.run([sys.executable, str(SCRIPT), "--pr", "0", "--tiny", "--out", str(out)],
                    cwd=ROOT, env=env, capture_output=True, timeout=300, check=True)
     data = json.loads(out.read_text())
-    assert set(data) == {"schema", "pr", "tiny", "repeats", "budget_s", "revision", "dirty",
-                         "package", "python", "numpy", "blas", "blas_threads", "nproc",
+    assert set(data) == {"schema", "pr", "tiny", "repeats", "passes", "budget_s", "revision",
+                         "dirty", "package", "python", "numpy", "blas", "blas_threads", "nproc",
                          "max_rss_mb", "max_spread", "layers"}
-    assert (data["schema"], data["pr"], data["tiny"], data["repeats"]) == (1, 0, True, 1)
+    assert (data["schema"], data["pr"], data["tiny"], data["repeats"]) == (2, 0, True, 1)
+    passes = data["passes"]
+    assert passes == 5
     assert data["package"] == os.path.join("src", "dissipforge")
     assert data["revision"] is None or len(data["revision"]) == 40
     assert data["blas_threads"] == 1 and data["nproc"] >= 1 and data["max_rss_mb"] > 0
@@ -35,6 +37,9 @@ def test_tiny_run_writes_the_schema(tmp_path):
     for name, layer in data["layers"].items():
         assert set(layer) == {"cpu_s", "passes_cpu_s", "spread", "runs", "per_call"}, name
         assert math.isfinite(layer["cpu_s"]) and layer["cpu_s"] >= 0, name
-        assert layer["cpu_s"] == min(layer["passes_cpu_s"]) and len(layer["passes_cpu_s"]) == 2
-        assert layer["runs"] == [1, 1] and layer["per_call"] >= 1 and layer["spread"] >= 0
+        cpu_s = layer["passes_cpu_s"]
+        assert len(cpu_s) == passes and layer["cpu_s"] == min(cpu_s), name
+        least, second = sorted(cpu_s)[:2]
+        assert layer["spread"] == ((second - least) / least if least > 0 else 0.0), name
+        assert layer["runs"] == [1] * passes and layer["per_call"] >= 1
     assert data["max_spread"] == max(layer["spread"] for layer in data["layers"].values())

@@ -627,7 +627,6 @@ def test_emit_outputs_dispatch(tmp_path):
         times=np.array([0.0, 0.1, 0.2]),
         states=np.tile(np.eye(2, dtype=complex) / 2, (3, 1, 1)),
         trace_errors=np.zeros(3),
-        min_eigs=np.full(3, 0.5),
         fidelities=np.ones(3),
     )
     csv_path = emit_outputs(record, tmp_path / "record.csv")

@@ -708,8 +708,36 @@ def test_integrate_matches_exact_propagation():
 
 
 def test_integrate_aborts_on_unstable_step():
-    with pytest.raises(IntegrationError):
+    # the step keeps the trace, so only the negativity guard can fire
+    with pytest.raises(IntegrationError, match="min eigenvalue"):
         integrate(_sigma_minus_model(), np.diag([0.0, 1.0]).astype(complex), 100.0, dt=10.0)
+
+
+def _guard_cases():
+    target = graph_state(GraphSpec.path(3))
+    rates = np.random.default_rng(41).uniform(0.5, 2.0, 7)
+    yield pytest.param(LindbladModel(_synthesized(target, rates)), target,
+                       DensityMatrix.maximally_mixed(3), id="cluster-3")
+    yield pytest.param(LindbladModel(preset_lfor2()), bell_state(),
+                       DensityMatrix.maximally_mixed(2), id="bell-preset")
+
+
+@pytest.mark.parametrize("model, target, rho0", _guard_cases())
+def test_integrate_guards_positivity_without_eigenvalues(monkeypatch, model, target, rho0):
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    record = integrate(model, rho0, 2.0, dt=0.01, target=target)
+    assert calls == []
+    # read on demand, in one batched call, equal to the per-state values bit for bit
+    first = record.min_eigs
+    assert record.min_eigs is first and calls == [record.states.shape]
+    assert np.array_equal(first, [eigvalsh(s)[0] for s in record.states])
 
 
 def test_integrate_aborts_on_non_finite_state():
@@ -850,7 +878,6 @@ def test_record_index_lookup():
         times=np.array([0.0, 0.1, 0.2]),
         states=np.zeros((3, 2, 2), dtype=complex),
         trace_errors=np.zeros(3),
-        min_eigs=np.zeros(3),
     )
     assert record.index_at(0.1) == 1
     for t in (0.5, np.nan):  # NaN is no closer to any sample; it used to read index 0

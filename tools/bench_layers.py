@@ -5,10 +5,13 @@
 
 Each layer is one call timed alone, its inputs built outside the timing; it
 records the least CPU time (time.process_time) of up to REPEATS calls, cut
-short once a layer has spent BUDGET_S. The whole list runs twice, once in
-this process and once in a fresh interpreter (a spawned worker), and each
-layer keeps both passes' minima and their relative spread, so a difference
-smaller than the spread is noise, including the noise between processes.
+short once a layer has spent BUDGET_S. The whole list runs PASSES times,
+each pass in a fresh interpreter (a spawned worker, one at a time), because
+a sub-millisecond layer's minimum moves by up to 1.8x between processes.
+Each layer keeps every pass's minimum, the least of them, and their spread,
+the gap between the two lowest relative to the lowest: how far the least
+would move if its pass were dropped, so a difference smaller than the
+spread is noise.
 BLAS runs on one thread, set through the environment before numpy is
 imported. The package is imported from PYTHONPATH when it holds one, else
 from this checkout's src/; the file records its path relative to this
@@ -56,8 +59,9 @@ from dissipforge import (  # noqa: E402
 )
 from dissipforge.lindblad import _hermitian_rhs  # noqa: E402
 
-SCHEMA = 1
+SCHEMA = 2
 REPEATS = 5
+PASSES = 5
 BUDGET_S = 2.0  # CPU seconds a layer may spend per pass beyond its first call
 VERIFY_THETAS = (0.3, 1.1, 2.7)  # the CLI's
 
@@ -177,20 +181,24 @@ def one_pass(tiny, repeats):
 
 
 def measure(pr, repeats, tiny):
-    path, first = one_pass(tiny, repeats)
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as worker:
-        worker_path, second = worker.submit(one_pass, tiny, repeats).result()
-    assert worker_path == path, f"the worker timed {worker_path}, not {path}"
+    passes = []
+    for _ in range(PASSES):
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as worker:
+            path, timings = worker.submit(one_pass, tiny, repeats).result()
+        assert path == dissipforge.__file__, f"the worker timed {path}, not {dissipforge.__file__}"
+        passes.append(timings)
     result = {}
-    for name, (a, runs_a, per) in first.items():
-        b, runs_b, _ = second[name]
-        result[name] = {"cpu_s": min(a, b) / per, "passes_cpu_s": [a / per, b / per],
-                        "spread": abs(a - b) / min(a, b) if min(a, b) > 0 else 0.0,
-                        "runs": [runs_a, runs_b], "per_call": per}
+    for name, (_, _, per) in passes[0].items():
+        cpu_s = [p[name][0] / per for p in passes]
+        least, second = sorted(cpu_s)[:2]
+        result[name] = {"cpu_s": least, "passes_cpu_s": cpu_s,
+                        "spread": (second - least) / least if least > 0 else 0.0,
+                        "runs": [p[name][1] for p in passes], "per_call": per}
     package = Path(dissipforge.__file__).resolve().parent
     revision, dirty = _revision(package)
     return {
-        "schema": SCHEMA, "pr": pr, "tiny": tiny, "repeats": repeats, "budget_s": BUDGET_S,
+        "schema": SCHEMA, "pr": pr, "tiny": tiny, "repeats": repeats, "passes": PASSES,
+        "budget_s": BUDGET_S,
         "revision": revision, "dirty": dirty, "package": os.path.relpath(package, ROOT),
         "python": platform.python_version(), "numpy": np.__version__, "blas": _blas(),
         "blas_threads": 1, "nproc": len(os.sched_getaffinity(0)),
