@@ -742,7 +742,7 @@ def test_integrate_guards_positivity_without_eigenvalues(monkeypatch, model, tar
 
 def test_integrate_aborts_on_non_finite_state():
     # the state overflows to inf/NaN in the first step, where the trace drift
-    # and eigenvalue checks alone compare false and would let it pass
+    # and negativity checks alone compare false and would let it pass
     with pytest.raises(IntegrationError, match="non-finite"), np.errstate(all="ignore"):
         integrate(_sigma_minus_model(1e300), np.diag([0.0, 1.0]).astype(complex), 1.0, dt=0.5)
 
