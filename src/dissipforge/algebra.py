@@ -5,6 +5,7 @@ significant) tensor factor throughout, so the dense form of an n-qubit word
 is kron(P_1, kron(P_2, ...)).
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -49,18 +50,89 @@ def kron_all(ops) -> np.ndarray:
     return out
 
 
+# degree m: (theta_m, the largest ||A||_1 at which the degree-m Pade approximant
+# keeps its backward error within the double unit roundoff, and its numerator
+# coefficients b_0..b_m); the denominator is the numerator at -A (Higham, SIAM
+# J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+         110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+          129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+          40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def _add_terms(out, scratch, terms, c0=0.0):
+    """out += c P for each (c, P) of terms, then c0 on the diagonal, in place."""
+    for c, P in terms:
+        out += np.multiply(P, c, out=scratch)
+    if c0:
+        out.flat[:: len(out) + 1] += c0
+    return out
+
+
+def _pade(A, m):
+    """(U, V), odd and even in A, of the degree-m Pade approximant
+    (V - U)^-1 (V + U) of exp(A), written into six n x n buffers at most.
+
+    Degree 13 overwrites A, which must be the caller's scaled copy, and nests
+    its terms as Higham 2005 does: U = A [A6 (b13 A6 + b11 A4 + b9 A2) + ...]."""
+    b = _PADE[m][1]
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        X, Y = np.multiply(A6, b[13]), np.empty_like(A)
+        _add_terms(X, Y, ((b[11], A4), (b[9], A2)))
+        np.matmul(A6, X, out=Y)
+        U = np.matmul(A, _add_terms(Y, X, ((b[7], A6), (b[5], A4), (b[3], A2)), b[1]), out=X)
+        np.multiply(A6, b[12], out=Y)
+        V = np.matmul(A6, _add_terms(Y, A, ((b[10], A4), (b[8], A2))), out=A)
+        return U, _add_terms(V, Y, ((b[6], A6), (b[4], A4), (b[2], A2)), b[0])
+    powers = [A2]  # A^2, A^4, ..., A^(m - 1)
+    while len(powers) < (m - 1) // 2:
+        powers.append(powers[-1] @ A2)
+    top, lower = powers[-1], powers[-2::-1]
+    S = np.empty_like(A)
+    Y = _add_terms(np.multiply(top, b[m]), S, zip(b[m - 2:2:-2], lower), b[1])
+    U = np.matmul(A, Y, out=S)
+    np.multiply(top, b[m - 1], out=Y)
+    return U, _add_terms(Y, top, zip(b[m - 3:1:-2], lower), b[0])
+
+
 def matexp(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square complex matrix (scaling-and-squaring Pade).
+    """Matrix exponential of a square complex matrix, in numpy alone.
 
-    scipy.linalg is imported here, on first use, so only the compiler pays
-    for its import time.
+    Scaling and squaring (Higham 2005): the Pade degree m in 3, 5, 7, 9 is the
+    least whose theta_m bounds ||A||_1; past theta_9, degree 13 at A / 2^s,
+    with s the least that brings the norm within theta_13, then s squarings.
+    A NaN or inf entry raises ValueError.
     """
-    from scipy.linalg import expm
-
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matexp needs a square matrix, got shape {A.shape}")
-    return expm(A)
+    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError(f"matexp needs a matrix with a finite 1-norm, got {norm}")
+    m = next((m for m in (3, 5, 7, 9) if norm <= _PADE[m][0]), 13)
+    s = max(0, math.ceil(math.log2(norm / _PADE[13][0]))) if m == 13 else 0
+    U, V = _pade(A * 2.0 ** -s if m == 13 else A, m)
+    Q = V - U
+    V += U
+    R = np.linalg.solve(Q, V)
+    if s:
+        T = np.empty_like(R)
+        for _ in range(s):
+            np.matmul(R, R, out=T)
+            R, T = T, R
+    return R
 
 
 def null_space(A: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:

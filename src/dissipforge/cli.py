@@ -305,12 +305,12 @@ def _log2_largest_array(cfg: ScenarioConfig):
     evolve: the larger of the stack and the (T, d, d) complex record of
     T = t_max/dt + 1 samples; qsd: the largest of those two and the
     (chunk, T) complex noise block; compile: 12 complex (bath_dim, bath_dim)
-    arrays, over the 11.0 of the bath, one theta's first exponential and one
-    matexp (its operand, the Pade terms and the result), since verify_sequence
-    holds its words as integers and builds no 2^n-level array (parse_config
-    caps the word at MAX_WORD_LETTERS for its artifacts, which grow as the
-    square of the word length, not for this array); graph-state: the
-    (2^n, n) int64 bit table.
+    arrays, over the 9.1 measured at bath_dim 128: the bath, one theta's first
+    exponential and one matexp (its operand and the six buffers of its Pade
+    terms), since verify_sequence holds its words as integers and builds no
+    2^n-level array (parse_config caps the word at MAX_WORD_LETTERS for its
+    artifacts, which grow as the square of the word length, not for this
+    array); graph-state: the (2^n, n) int64 bit table.
     """
     if cfg.scenario == "compile":
         return 4 + math.log2(12 * cfg.bath_dim ** 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_complex, random_hermitian
+from dissipforge import algebra
 from dissipforge.algebra import dag
 from dissipforge.algebra import (
     PAULI_I,
@@ -107,6 +108,36 @@ def test_kron_associativity_exact():
 
 def test_matexp_zero_is_identity():
     assert np.array_equal(matexp(np.zeros((3, 3))), np.eye(3))
+    assert matexp(np.zeros((0, 0))).shape == (0, 0)
+
+
+# 1-norms inside each Pade degree's theta_m (3, 5, 7, 9, then 13 with s = 0,
+# 3 and 6 squarings)
+_MATEXP_NORMS = (0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 31, 64])
+def test_matexp_matches_scipy_on_non_normal_matrices(monkeypatch, n):
+    expm = pytest.importorskip("scipy.linalg").expm
+    degrees = []
+    pade = algebra._pade
+    monkeypatch.setattr(algebra, "_pade", lambda A, m: degrees.append(m) or pade(A, m))
+    rng = np.random.default_rng(100 + n)
+    for norm in _MATEXP_NORMS:
+        A = np.triu(random_complex((n, n), rng))  # upper triangular: far from normal
+        A += 0.1 * random_complex((n, n), rng)
+        A *= norm / np.abs(A).sum(axis=0).max()
+        want = expm(A)
+        assert np.linalg.norm(matexp(A) - want) <= 1e-12 * np.linalg.norm(want), norm
+    assert degrees == [3, 5, 7, 9, 13, 13, 13]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_matexp_rejects_a_non_finite_entry(bad):
+    A = np.zeros((3, 3), dtype=complex)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        matexp(A)
 
 
 def test_matexp_diagonal():

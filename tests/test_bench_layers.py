@@ -14,7 +14,8 @@ _TINY_LAYERS = {
     *(f"{layer}[cluster-{n}]" for n in (2, 3)
       for layer in ("model_build", "hermitian_rhs", "rk4_step", "steady_certificate")),
     "steady_svd[single-2]", "verify_sequence[D=16]", "compile_coupling[16]",
-    "compile_coupling[32]", "verify_sequence[L=32]", "trajectory_step[cluster-2]",
+    "compile_coupling[32]", "verify_sequence[L=32]", "matexp[bath_dim=2]",
+    "matexp[bath_dim=4]", "trajectory_step[cluster-2]",
 }
 
 
@@ -26,8 +27,8 @@ def test_tiny_run_writes_the_schema(tmp_path):
     data = json.loads(out.read_text())
     assert set(data) == {"schema", "pr", "tiny", "repeats", "passes", "budget_s", "revision",
                          "dirty", "package", "python", "numpy", "blas", "blas_threads", "nproc",
-                         "max_rss_mb", "max_spread", "layers"}
-    assert (data["schema"], data["pr"], data["tiny"], data["repeats"]) == (2, 0, True, 1)
+                         "max_rss_mb", "max_spread", "layers", "cli"}
+    assert (data["schema"], data["pr"], data["tiny"], data["repeats"]) == (3, 0, True, 1)
     passes = data["passes"]
     assert passes == 5
     assert data["package"] == os.path.join("src", "dissipforge")
@@ -43,3 +44,12 @@ def test_tiny_run_writes_the_schema(tmp_path):
         assert layer["spread"] == ((second - least) / least if least > 0 else 0.0), name
         assert layer["runs"] == [1] * passes and layer["per_call"] >= 1
     assert data["max_spread"] == max(layer["spread"] for layer in data["layers"].values())
+    # one fresh CLI process per shipped config and pass
+    assert set(data["cli"]) == {p.stem for p in (ROOT / "configs").glob("*.json")}
+    for name, row in data["cli"].items():
+        assert set(row) == {"cpu_s", "passes_cpu_s", "spread", "max_rss_mb",
+                            "passes_max_rss_mb"}, name
+        assert len(row["passes_cpu_s"]) == passes and row["cpu_s"] == min(row["passes_cpu_s"])
+        assert row["cpu_s"] > 0, name
+        rss = row["passes_max_rss_mb"]
+        assert len(rss) == passes and row["max_rss_mb"] == max(rss) > 0, name

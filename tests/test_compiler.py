@@ -424,7 +424,6 @@ def test_verify_working_set_does_not_grow_with_the_gate_count():
     assert len(seq.conjugations) == 15
     bath = BathTestSpec.random(4, seed=9)
     D = (1 << word.n) * bath.dimension
-    matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
     tracemalloc.start()
     try:
         report = verify_sequence(seq, bath, THETAS)
@@ -548,7 +547,6 @@ def test_verify_working_set_does_not_grow_with_the_word():
     # the words are integers: 64 qubits hold no more than 8 at a fixed bath,
     # to within one bath-sized array (a 2^n x 2^n word would be 2^36 times larger)
     bath = BathTestSpec.random(16, seed=9)
-    matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
     peaks = []
     for n in (8, 64):
         seq = compile_coupling(PauliString(("XYZ" * n)[:n]), 0.7, GraphSpec.path(n))
@@ -568,7 +566,6 @@ def test_verify_holds_no_register_bath_array():
     word = PauliString("XYZXYZXY")
     seq = compile_coupling(word, 0.7, GraphSpec.path(word.n))
     bath = BathTestSpec.random(4, seed=9)
-    matexp(np.zeros((2, 2)))  # loads scipy.linalg outside the trace
     tracemalloc.start()
     try:
         report = verify_sequence(seq, bath, THETAS)

@@ -12,6 +12,10 @@ Each layer keeps every pass's minimum, the least of them, and their spread,
 the gap between the two lowest relative to the lowest: how far the least
 would move if its pass were dropped, so a difference smaller than the
 spread is noise.
+Each pass also runs every configs/*.json through the CLI in a fresh process
+(python -m dissipforge.cli CONFIG --quiet), one at a time, and records the
+CPU seconds and the peak resident set of that process alone, from os.wait4:
+start-up and imports included, since every CLI run pays them.
 BLAS runs on one thread, set through the environment before numpy is
 imported. The package is imported from PYTHONPATH when it holds one, else
 from this checkout's src/; the file records its path relative to this
@@ -28,6 +32,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -51,6 +56,7 @@ from dissipforge import (  # noqa: E402
     ensemble_average,
     graph_state,
     integrate,
+    matexp,
     orthonormal_frame,
     steady_states,
     synth_single,
@@ -59,7 +65,7 @@ from dissipforge import (  # noqa: E402
 )
 from dissipforge.lindblad import _hermitian_rhs  # noqa: E402
 
-SCHEMA = 2
+SCHEMA = 3
 REPEATS = 5
 PASSES = 5
 BUDGET_S = 2.0  # CPU seconds a layer may spend per pass beyond its first call
@@ -122,6 +128,15 @@ def _compile_layers(verify_letters, bath_dim, lengths):
     return layers
 
 
+def _matexp_layers(bath_dims):
+    """One certificate exponential at the CLI's largest theta, the most squarings."""
+    layers = {}
+    for d in bath_dims:
+        A = 1j * VERIFY_THETAS[-1] * BathTestSpec.random(d, seed=0).operator
+        layers[f"matexp[bath_dim={d}]"] = (lambda A=A: matexp(A), 1)
+    return layers
+
+
 def _trajectory_layer(n, n_traj):
     """One ensemble_average of the CLI's combined operator, per trajectory step."""
     model, target = _cluster_model(n)
@@ -140,8 +155,22 @@ def layers(tiny):
         out.update(_cluster_layers(n))
     out.update(_svd_layer(2 if tiny else 4))
     out.update(_compile_layers(3, 2, (16, 32)) if tiny else _compile_layers(9, 4, (256, 1024)))
+    out.update(_matexp_layers((2, 4) if tiny else (4, 16, 128)))
     out.update(_trajectory_layer(2, 8) if tiny else _trajectory_layer(4, 256))
     return out
+
+
+def cli_run(config, package_parent):
+    """(CPU seconds, peak RSS in MB) of one fresh CLI process on config."""
+    env = {**os.environ, "PYTHONPATH": str(package_parent)}
+    with tempfile.TemporaryDirectory() as out:
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "dissipforge.cli",
+                                              str(config), "--quiet", "--output", out], env)
+        _, status, usage = os.wait4(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise RuntimeError(f"the CLI exited {code} on {config}")
+    return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
 def least_cpu(op, repeats):
@@ -180,21 +209,32 @@ def one_pass(tiny, repeats):
                                   for name, (op, per) in layers(tiny).items()}
 
 
+def _least(cpu_s):
+    """The least of the passes' CPU seconds and its spread."""
+    least, second = sorted(cpu_s)[:2]
+    return {"cpu_s": least, "passes_cpu_s": cpu_s,
+            "spread": (second - least) / least if least > 0 else 0.0}
+
+
 def measure(pr, repeats, tiny):
-    passes = []
+    package = Path(dissipforge.__file__).resolve().parent
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    passes, cli_passes = [], []
     for _ in range(PASSES):
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as worker:
             path, timings = worker.submit(one_pass, tiny, repeats).result()
         assert path == dissipforge.__file__, f"the worker timed {path}, not {dissipforge.__file__}"
         passes.append(timings)
+        cli_passes.append({c.stem: cli_run(c, package.parent) for c in configs})
     result = {}
     for name, (_, _, per) in passes[0].items():
-        cpu_s = [p[name][0] / per for p in passes]
-        least, second = sorted(cpu_s)[:2]
-        result[name] = {"cpu_s": least, "passes_cpu_s": cpu_s,
-                        "spread": (second - least) / least if least > 0 else 0.0,
+        result[name] = {**_least([p[name][0] / per for p in passes]),
                         "runs": [p[name][1] for p in passes], "per_call": per}
-    package = Path(dissipforge.__file__).resolve().parent
+    cli = {}
+    for name in cli_passes[0]:
+        rss = [p[name][1] for p in cli_passes]
+        cli[name] = {**_least([p[name][0] for p in cli_passes]),
+                     "max_rss_mb": max(rss), "passes_max_rss_mb": rss}
     revision, dirty = _revision(package)
     return {
         "schema": SCHEMA, "pr": pr, "tiny": tiny, "repeats": repeats, "passes": PASSES,
@@ -205,7 +245,7 @@ def measure(pr, repeats, tiny):
         "max_rss_mb": max(resource.getrusage(who).ru_maxrss
                           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024,
         "max_spread": max(r["spread"] for r in result.values()),
-        "layers": result,
+        "layers": result, "cli": cli,
     }
 
 
