@@ -167,7 +167,8 @@ def _amplitudes(raw):
             raise ConfigError(f"key 'target[{i}]': expected number or [re, im] pair")
         amps.append(complex(_number(pair[0], f"target[{i}]"), _number(pair[1], f"target[{i}]")))
     amps = np.array(amps, dtype=complex)
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # an inf norm is refused below
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise ConfigError(f"key 'target': amplitudes have norm {norm!r}, too far from 1")
     if abs(norm - 1.0) > 1e-12:
@@ -305,12 +306,14 @@ def _log2_largest_array(cfg: ScenarioConfig):
     evolve: the larger of the stack and the (T, d, d) complex record of
     T = t_max/dt + 1 samples; qsd: the largest of those two and the
     (chunk, T) complex noise block; compile: 12 complex (bath_dim, bath_dim)
-    arrays, over the 9.1 measured at bath_dim 128: the bath, one theta's first
-    exponential and one matexp (its operand and the six buffers of its Pade
-    terms), since verify_sequence holds its words as integers and builds no
-    2^n-level array (parse_config caps the word at MAX_WORD_LETTERS for its
-    artifacts, which grow as the square of the word length, not for this
-    array); graph-state: the (2^n, n) int64 bit table.
+    arrays, over the 9.1 measured at bath_dim 128 for a failing word's report:
+    the bath, one theta's first exponential and one matexp (its operand and
+    the six buffers of its Pade terms). A passing word allocates only the two
+    baths, since verify_sequence decides on the words' tableaux alone, holds
+    them as integers and builds no 2^n-level array (parse_config caps the word
+    at MAX_WORD_LETTERS for its artifacts, which grow as the square of the
+    word length, not for this array); graph-state: the (2^n, n) int64 bit
+    table.
     """
     if cfg.scenario == "compile":
         return 4 + math.log2(12 * cfg.bath_dim ** 2)

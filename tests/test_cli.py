@@ -159,6 +159,9 @@ _COMPILE = {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7}
                  id="integer-literal-5001-digits"),
     pytest.param(b'{"scenario": "steady", "n_qubits": 2, "target": "\xff"}', id="not-utf-8"),
     pytest.param({**_STEADY, "n_qubits": 1, "target": [0.5, 0.5]}, id="amplitude-norm-off"),
+    # |1e200|^2 overflows inside the norm, which must read inf without a warning
+    pytest.param({**_EVOLVE, "n_qubits": 1, "target": [1e200, 1e200], "t_max": 0.02},
+                 id="amplitude-norm-overflows"),
     pytest.param({**_STEADY, "n_qubits": 1, "target": [0.6, 0.8, 0.0]},
                  id="amplitude-count-3"),
     pytest.param({**_STEADY, "n_qubits": 1, "target": [1.0]}, id="amplitude-count-1"),
@@ -599,6 +602,30 @@ def test_compile_charge_covers_the_measured_working_set(tmp_path):
     verification = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert verification["passed"] is True and verification["max_deviation"] == 0.0
     assert peak < 2 ** _log2_largest_array(cfg)
+
+
+def test_compile_charge_covers_a_failing_words_report(tmp_path, monkeypatch):
+    # a passing word builds only the baths; the charge is for a failing word,
+    # whose report takes the bath exponentials (about 9 arrays of 128 x 128)
+    path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": "XYZ", "bath_dim": 128})
+    cfg = parse_config(path)
+    compile_coupling = dissipforge.cli.compile_coupling
+
+    def drop_last_gate(word, theta, graph):
+        seq = compile_coupling(word, theta, graph)
+        return GateSequence(seq.gates[:-1], seq.target, seq.theta)
+
+    monkeypatch.setattr(dissipforge.cli, "compile_coupling", drop_last_gate)
+    tracemalloc.start()
+    try:
+        with pytest.raises(dissipforge.cli.ContractError, match="failed verification"):
+            run(cfg, output_dir=tmp_path / "out", quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    verification = json.loads((tmp_path / "out" / "verification.json").read_text())
+    assert verification["passed"] is False and verification["max_deviation"] > 0.5
+    assert 8 * 16 * 128 ** 2 < peak < 2 ** _log2_largest_array(cfg)
 
 
 def test_qsd_scenario_deterministic_outputs(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -374,8 +375,17 @@ _TROTTER_TERMS = [PauliString("XZ"), PauliString("YI", 1j), PauliString("ZY", -1
 
 
 def _spy_verify():
+    # a passing word is decided on its tableau and reads 0 with no exponential
     seq = compile_coupling(PauliString("XYZX"), 0.7, GraphSpec.path(4))
     assert verify_sequence(seq, BathTestSpec.random(3, seed=52), THETAS).passed
+    return []
+
+
+def _spy_verify_failing():
+    # a failing word's report takes one pair of bath exponentials per theta
+    seq = compile_coupling(PauliString("XYZX"), 0.7, GraphSpec.path(4))
+    wrong = GateSequence(seq.gates[:-1], seq.target, seq.theta)
+    assert not verify_sequence(wrong, BathTestSpec.random(3, seed=52), THETAS).passed
     return [(3, 3)] * (2 * len(THETAS))
 
 
@@ -391,8 +401,9 @@ def _spy_ms():
     return []
 
 
-@pytest.mark.parametrize("run", [_spy_verify, _spy_trotter, _spy_ms],
-                         ids=["verify_sequence", "trotter_step", "realize_ms_sequence"])
+@pytest.mark.parametrize("run", [_spy_verify, _spy_verify_failing, _spy_trotter, _spy_ms],
+                         ids=["verify_sequence", "verify_sequence-failing", "trotter_step",
+                              "realize_ms_sequence"])
 def test_verify_exponentiates_only_the_bath_factor(monkeypatch, run):
     shapes = []
 
@@ -414,6 +425,35 @@ def test_verify_rejects_a_dropped_or_duplicated_conjugation(letters):
             for bath in (BathTestSpec.random(2, seed=50), BathTestSpec.random(3, seed=51)):
                 report = verify_sequence(GateSequence(wrong, seq.target, seq.theta), bath, THETAS)
                 assert not report.passed and report.max_deviation > 0.5
+
+
+def _zzz_labelled_xyz():
+    """The sequence compiled for ZZZ, labelled with the target XYZ."""
+    return GateSequence(compile_coupling(PauliString("ZZZ"), 0.7).gates, PauliString("XYZ"), 0.7)
+
+
+@pytest.mark.parametrize("bath, thetas", [
+    (BathTestSpec.random(4, seed=0), (1e-11,)),
+    (BathTestSpec.random(4, seed=0), (0.0,)),
+    (BathTestSpec(np.zeros((4, 4))), THETAS),
+], ids=["theta-1e-11", "theta-0", "zero-bath"])
+def test_verify_fails_a_wrong_word_whose_coupling_barely_moves(bath, thetas):
+    # V - T is O(theta ||B||): 3.25e-11 at theta = 1e-11, exactly 0 at theta = 0
+    # and on a zero bath, so a bound on the deviations would pass the wrong word
+    report = verify_sequence(_zzz_labelled_xyz(), bath, thetas)
+    assert not report.passed
+    assert report.max_deviation <= VERIFY_TOL
+
+
+def test_verify_passes_a_correct_word_on_a_bath_whose_exponentials_overflow():
+    # e^{2.7 i B} for this 1e3-scaled bath overflows; a correct word never needs it
+    bath = BathTestSpec(1e3 * BathTestSpec.random(4, seed=0).operator)
+    seq = compile_coupling(PauliString("XYZ"), 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_sequence(seq, bath, THETAS)
+    assert report.passed
+    assert report.deviations == (0.0,) * len(THETAS) and report.max_deviation == 0.0
 
 
 def test_verify_working_set_does_not_grow_with_the_gate_count():

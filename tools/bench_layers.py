@@ -19,8 +19,8 @@ start-up and imports included, since every CLI run pays them.
 BLAS runs on one thread, set through the environment before numpy is
 imported. The package is imported from PYTHONPATH when it holds one, else
 from this checkout's src/; the file records its path relative to this
-checkout and that checkout's git revision. --tiny shrinks every size (a
-schema check, not a measurement).
+checkout and that checkout's git revision. --tiny shrinks every size and
+runs TINY_PASSES passes (a schema check, not a measurement).
 """
 
 import argparse
@@ -63,13 +63,14 @@ from dissipforge import (  # noqa: E402
     synth_subspace,
     verify_sequence,
 )
+from dissipforge.cli import VERIFY_THETAS  # noqa: E402
 from dissipforge.lindblad import _hermitian_rhs  # noqa: E402
 
 SCHEMA = 3
 REPEATS = 5
 PASSES = 5
 BUDGET_S = 2.0  # CPU seconds a layer may spend per pass beyond its first call
-VERIFY_THETAS = (0.3, 1.1, 2.7)  # the CLI's
+TINY_PASSES = 2  # the fewest that give a spread; --tiny checks the schema only
 
 
 def _spec(n):
@@ -129,7 +130,8 @@ def _compile_layers(verify_letters, bath_dim, lengths):
 
 
 def _matexp_layers(bath_dims):
-    """One certificate exponential at the CLI's largest theta, the most squarings."""
+    """One exponential of a failing word's report at the CLI's largest theta, the most
+    squarings."""
     layers = {}
     for d in bath_dims:
         A = 1j * VERIFY_THETAS[-1] * BathTestSpec.random(d, seed=0).operator
@@ -219,8 +221,9 @@ def _least(cpu_s):
 def measure(pr, repeats, tiny):
     package = Path(dissipforge.__file__).resolve().parent
     configs = sorted((ROOT / "configs").glob("*.json"))
+    n_passes = TINY_PASSES if tiny else PASSES
     passes, cli_passes = [], []
-    for _ in range(PASSES):
+    for _ in range(n_passes):
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as worker:
             path, timings = worker.submit(one_pass, tiny, repeats).result()
         assert path == dissipforge.__file__, f"the worker timed {path}, not {dissipforge.__file__}"
@@ -237,7 +240,7 @@ def measure(pr, repeats, tiny):
                      "max_rss_mb": max(rss), "passes_max_rss_mb": rss}
     revision, dirty = _revision(package)
     return {
-        "schema": SCHEMA, "pr": pr, "tiny": tiny, "repeats": repeats, "passes": PASSES,
+        "schema": SCHEMA, "pr": pr, "tiny": tiny, "repeats": repeats, "passes": n_passes,
         "budget_s": BUDGET_S,
         "revision": revision, "dirty": dirty, "package": os.path.relpath(package, ROOT),
         "python": platform.python_version(), "numpy": np.__version__, "blas": _blas(),
@@ -254,7 +257,8 @@ def main(argv=None):
     parser.add_argument("--pr", type=int, required=True,
                         help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--out", help="output path (default: BENCH_<pr>.json at the repo root)")
-    parser.add_argument("--tiny", action="store_true", help="tiny sizes, one call per layer")
+    parser.add_argument("--tiny", action="store_true",
+                        help="tiny sizes, one call per layer, TINY_PASSES passes")
     args = parser.parse_args(argv)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
     result = measure(args.pr, 1 if args.tiny else REPEATS, args.tiny)
