@@ -31,6 +31,18 @@ def dag(A: np.ndarray) -> np.ndarray:
     return np.asarray(A).conj().T
 
 
+def _frozen(A) -> np.ndarray:
+    """A as a read-only complex array that owns its data, the one intake of every
+    constructor that keeps an array: such an array is kept as it is, so one frozen
+    by its maker is held once; anything else, a read-only view included, is copied."""
+    if (isinstance(A, np.ndarray) and A.dtype == complex
+            and A.flags.owndata and not A.flags.writeable):
+        return A
+    A = np.array(A, dtype=complex)
+    A.setflags(write=False)
+    return A
+
+
 def complex_pairs(A: np.ndarray) -> list:
     """Entries of a complex array in C order as [re, im] float pairs (the JSON form)."""
     flat = np.asarray(A).reshape(-1)

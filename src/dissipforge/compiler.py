@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (PHASES, PauliString, anticommutes, dag, kron, matexp, pauli_mul,
-                      tableau_anticommutes, tableau_mul)
+from .algebra import (PHASES, PauliString, _frozen, anticommutes, dag, kron, matexp,
+                      pauli_mul, tableau_anticommutes, tableau_mul)
 from .states import GraphSpec
 
 VERIFY_TOL = 1e-10  # reported as VerificationReport.tolerance; decides no verdict
@@ -239,12 +239,11 @@ class BathTestSpec:
     operator: np.ndarray
 
     def __post_init__(self):
-        op = np.asarray(self.operator, dtype=complex).copy()
+        op = _frozen(self.operator)
         if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] < 2:
             raise ValueError(f"bath operator must be square with d >= 2, got shape {op.shape}")
         if not np.isfinite(op).all():
             raise ValueError("bath operator entries must be finite")
-        op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
     @property
@@ -254,7 +253,11 @@ class BathTestSpec:
     @classmethod
     def random(cls, dim: int, seed: int = 0) -> "BathTestSpec":
         rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        op = np.empty((dim, dim), dtype=complex)
+        op.real = rng.standard_normal((dim, dim))
+        op.imag = rng.standard_normal((dim, dim))
+        op.setflags(write=False)  # both draws land in the one array the intake keeps
+        return cls(op)
 
     @classmethod
     def lowering(cls, dim: int) -> "BathTestSpec":

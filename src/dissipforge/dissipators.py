@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import PauliSum, complex_pairs, dag
+from .algebra import PauliSum, _frozen, complex_pairs, dag
 from .states import as_vector
 
 SCALE_LIMIT = 1e100  # is_dark and steady_states rescale an operator (or term) beyond this
@@ -38,14 +38,14 @@ class SynthesisSpec:
         if not 1 <= self.k < self.dim:
             raise ValueError(f"need 1 <= k < N, got k={self.k}, N={self.dim}")
         if self.basis is None:
-            basis = np.eye(self.dim, dtype=complex)
+            basis = _frozen(np.eye(self.dim))
         else:
-            basis = np.array(self.basis, dtype=complex)
+            basis = _frozen(self.basis)
             if basis.shape != (self.dim, self.dim):
                 raise ValueError(f"basis shape {basis.shape} is not ({self.dim}, {self.dim})")
             if not np.max(np.abs(dag(basis) @ basis - np.eye(self.dim))) <= 1e-12:  # NaN fails
                 raise ValueError("basis is not unitary to 1e-12")
-        coeffs = np.asarray(self.coeffs, dtype=complex).copy()
+        coeffs = _frozen(self.coeffs)
         if coeffs.ndim == 1:
             coeffs = coeffs[:, None]
         if coeffs.shape != (self.dim - self.k, self.k):
@@ -58,25 +58,8 @@ class SynthesisSpec:
         if np.any(rows == 0):
             dead = int(np.nonzero(rows == 0)[0][0]) + self.k + 1
             raise ValueError(f"coefficient row for level {dead} is all zero; it would never decay")
-        basis.setflags(write=False)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", coeffs)
-
-
-def _frozen(op) -> np.ndarray:
-    """op as a read-only complex array that owns its data.
-
-    Such an array is kept as it is, so a set built from another set's
-    operators (a synthesized set, the `_rescaled` set) holds one copy of each;
-    anything else is copied.
-    """
-    if (isinstance(op, np.ndarray) and op.dtype == complex
-            and op.flags.owndata and not op.flags.writeable):
-        return op
-    op = np.array(op, dtype=complex)
-    op.setflags(write=False)
-    return op
 
 
 def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:

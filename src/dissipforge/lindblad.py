@@ -4,10 +4,11 @@ The generator is d(rho)/dt = -i[H, rho] + sum_j gamma_j (L_j rho L_j^dag
 - {L_j^dag L_j, rho} / 2). It is evaluated through the non-Hermitian
 effective Hamiltonian H_eff = H - (i/2) sum_j gamma_j L_j^dag L_j as
 d(rho)/dt = -i(H_eff rho - rho H_eff^dag) + sum_j gamma_j L_j rho L_j^dag;
-the same H_eff gives the vectorized Liouvillian, and its multiple -i H_eff
-(`LindbladModel.drift`, cached per model) the drift of the diffusion
-trajectories in `qsd`. Density matrices are vectorized by stacking columns,
-so vec(A X B) = (B^T kron A) vec(X).
+the same H_eff gives the vectorized Liouvillian. Its multiple -i H_eff,
+`LindbladModel.drift`, is the one matrix a model caches: the generator, the
+drift of the diffusion trajectories in `qsd` and the certificate, which
+searches its eigenvectors, all read it. Density matrices are vectorized by
+stacking columns, so vec(A X B) = (B^T kron A) vec(X).
 
 One function, `_hermitian_rhs`, evaluates the generator, on a Hermitian rho.
 There rho H_eff^dag = (H_eff rho)^dag, so the first term is A + A^dag with
@@ -21,7 +22,7 @@ Hermitian and gives kernel(X) + i kernel(Y), since the generator is linear.
 
 The jump terms come from the jump set's one factorization,
 `DissipatorSet._jumps`; `dissipators._JumpFactors` describes its layout
-(rank-one, shared-left-vector and dense jumps). `h_eff` and `_hermitian_rhs`
+(rank-one, shared-left-vector and dense jumps). `drift` and `_hermitian_rhs`
 assemble the generator from its kernels `decay` and `add_sandwich`, and both
 matrices below are read off the generator column by column, the Liouvillian
 off `rhs` and the fallback's real matrix off `_hermitian_rhs`. The
@@ -38,11 +39,11 @@ Steady states come from a certificate when the model has a pure steady
 state, and otherwise from the null space of the generator restricted to
 Hermitian matrices. The certificate (Ticozzi & Viola, Automatica 45, 2002
 (2009); the dark-state condition of Kraus et al., PRA 78, 042307 (2008))
-looks among the eigenvectors of H_eff for the one |t> that every jump and
-H_eff leave invariant and checks that the jumps drain its complement; it
-costs O(d^3), see `steady_states`. The fallback works in the orthonormal
-Hermitian basis E_aa, (E_ab + E_ba)/sqrt2 and i(E_ab - E_ba)/sqrt2 (a < b),
-where the generator's matrix is real, with the singular values of the
+looks among the eigenvectors of `drift`, which are H_eff's, for the one |t>
+that every jump and H_eff leave invariant and checks that the jumps drain its
+complement; it costs O(d^3), see `steady_states`. The fallback works in the
+orthonormal Hermitian basis E_aa, (E_ab + E_ba)/sqrt2 and i(E_ab - E_ba)/sqrt2
+(a < b), where the generator's matrix is real, with the singular values of the
 complex Liouvillian, so one real SVD of size N^2 finds the null space and
 each null vector is a Hermitian matrix. That fallback is refused above
 MAX_DENSE_BYTES.
@@ -54,7 +55,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import dag, null_space
+from .algebra import _frozen, dag, null_space
 from .dissipators import SCALE_LIMIT, DissipatorSet, _times_power_of_two
 from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
 
@@ -95,7 +96,7 @@ class LindbladModel:
     def __post_init__(self):
         H = self.hamiltonian
         if H is not None:
-            H = np.asarray(H, dtype=complex).copy()
+            H = _frozen(H)
             if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
                 raise ValueError(f"Hamiltonian must be square and non-empty, got shape {H.shape}")
             if not np.all(np.isfinite(H)):  # NaN would pass the Hermiticity test below
@@ -104,7 +105,6 @@ class LindbladModel:
                 raise ValueError("Hamiltonian is not Hermitian to 1e-12")
             if self.dissipators.dim is not None and H.shape[0] != self.dissipators.dim:
                 raise ValueError("Hamiltonian and jump operators act on different dimensions")
-            H.setflags(write=False)
             object.__setattr__(self, "hamiltonian", H)
         elif self.dissipators.dim is None:
             raise ValueError("model needs a Hamiltonian or at least one jump operator")
@@ -112,19 +112,14 @@ class LindbladModel:
         object.__setattr__(self, "dim", H.shape[0] if dim is None else dim)
 
     @cached_property
-    def h_eff(self) -> np.ndarray:
-        """Read-only H - (i/2) sum_j gamma_j L_j^dag L_j, built on first use."""
+    def drift(self) -> np.ndarray:
+        """Read-only -i H_eff, H_eff = H - (i/2) sum_j gamma_j L_j^dag L_j, built on
+        first use: the no-jump part of the generator, the drift of the trajectories
+        in `qsd`, and the matrix whose eigenvectors the certificate searches."""
         H = -0.5j * self.dissipators._jumps.decay(self.dim)
         if self.hamiltonian is not None:
             H += self.hamiltonian
-        H.setflags(write=False)
-        return H
-
-    @cached_property
-    def drift(self) -> np.ndarray:
-        """Read-only -i H_eff, built on first use: the no-jump part of the generator
-        and the drift of the trajectories in `qsd`."""
-        D = -1j * self.h_eff
+        D = -1j * H
         D.setflags(write=False)
         return D
 
@@ -239,17 +234,18 @@ def _real_generator(model: LindbladModel) -> np.ndarray:
     return columns.T
 
 
-def _invariant_eigenvectors(H: np.ndarray, jumps, scale: float) -> list:
-    """The eigenvectors t of H = H_eff that H_eff and every jump of the set's
-    `_jumps` leave invariant, as `steady_states` describes; `scale` is ||H_eff||_F.
-    `jumps.screen` drops candidates in one pass and `invariant(t)` decides the rest."""
-    T = np.linalg.eig(H)[1]
+def _invariant_eigenvectors(D: np.ndarray, jumps, scale: float) -> list:
+    """The eigenvectors t of D = `drift` = -i H_eff, which are H_eff's, that D and
+    every jump of the set's `_jumps` leave invariant, as `steady_states` describes;
+    `scale` is ||D||_F = ||H_eff||_F. `jumps.screen` drops candidates in one pass
+    and `invariant(t)` decides the rest."""
+    T = np.linalg.eig(D)[1]
     bound = CERT_TOL * np.concatenate(([scale], jumps.norms))
     keep = jumps.screen(T, bound[1:])
 
     def invariant(t):
-        # the parts of H_eff t and of every L_j t off t
-        X = np.column_stack((H @ t, jumps.apply(t)))
+        # the parts of D t and of every L_j t off t
+        X = np.column_stack((D @ t, jumps.apply(t)))
         off = X - np.outer(t, t.conj() @ X)
         return np.all(np.linalg.norm(off, axis=0) <= bound)
 
@@ -258,10 +254,10 @@ def _invariant_eigenvectors(H: np.ndarray, jumps, scale: float) -> list:
 
 def _certified_state(model: LindbladModel) -> np.ndarray | None:
     """The unit |t> of the certificate described in `steady_states`, or None."""
-    H = model.h_eff
+    D = model.drift
     jumps = model.dissipators._jumps
-    scale = np.linalg.norm(H)
-    found = _invariant_eigenvectors(H, jumps, scale)
+    scale = np.linalg.norm(D)
+    found = _invariant_eigenvectors(D, jumps, scale)
     if len(found) != 1:
         return None
     t = found[0] / np.linalg.norm(found[0])
@@ -302,12 +298,13 @@ def steady_states(model: LindbladModel) -> SteadyStateResult:
     """Null space of the generator, with a positive representative.
 
     Certificate route. Every pure steady state |t> is an eigenvector of
-    H_eff, so the candidates are the eigenvectors of one `eig(H_eff)`. With
-    P = |t><t| and Q = I - P, a candidate is kept when L_j|t> is parallel to
-    |t> for every jump and Q H_eff |t> = 0, each to CERT_TOL relative to the
-    norm of L_j and of H_eff. The rank-one jumps L_j = u_j v_j^dag first
-    screen every candidate in one array pass: the products U^dag T and
-    V^dag T, T the eigenvectors, give for each pair (j, t) the lower bound
+    H_eff, and so of its multiple `drift` = -i H_eff, so the candidates are the
+    eigenvectors of one `eig(drift)`. With P = |t><t| and Q = I - P, a
+    candidate is kept when L_j|t> is parallel to |t> for every jump and
+    Q H_eff |t> = 0 (read as Q drift |t> = 0, of equal norm), each to CERT_TOL
+    relative to the norm of L_j and of H_eff. The rank-one jumps
+    L_j = u_j v_j^dag first screen every candidate in one array pass: the
+    products U^dag T and V^dag T, T the eigenvectors, give for each pair (j, t) the lower bound
     |v_j^dag t| sqrt(max(||u_j||^2 - |t^dag u_j|^2 - slack_j, 0)) on the part
     of L_j t off t, where slack_j covers the rounding of both products and
     of the per-candidate test, plus | ||t|| - 1 | (see `_JumpFactors.screen`

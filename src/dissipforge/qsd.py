@@ -16,10 +16,11 @@ Goetsch & Graham, PRA 50, 5242 (1994)). Path rule: `ensemble_average`
 builds the one-jump model (gamma, L) once and factors L through its
 rank-one test; a rank-one L runs in the closed form below, any other L
 through the stepper `_steps`, which takes that model and also serves
-`evolve_trajectory`. The two agree to round-off. Both public entry points
-deal in plain arrays: `sample_noise` returns one trajectory's read-only
-increments, and `evolve_trajectory` its (n_steps + 1, d) states at
-`TrajectoryConfig.times`.
+`evolve_trajectory`. The two agree to round-off. The stepper's drift -i H_eff
+is the model's `drift`, whose eigenvectors `lindblad`'s certificate searches
+too. Both public entry points deal in plain arrays:
+`sample_noise` returns one trajectory's read-only increments, and
+`evolve_trajectory` its (n_steps + 1, d) states at `TrajectoryConfig.times`.
 
 Closed form for L = u v^dag. With c_k = v^dag psi_k, a = v^dag u,
 b' = (gamma/2) ||u||^2 and b = b' ||v||^2, L psi = c u and
@@ -264,15 +265,16 @@ def _rank_one_moments(cfg, psi0, u, v, norm_weights, lo, hi, excluded):
     b = bp * np.vdot(v, v).real
     live = _live(lo, hi, excluded)
     dz = _noise_block(cfg, lo, hi)
-    dz *= dt
     c = live * np.vdot(v, psi0)
     alpha = np.zeros(hi - lo, dtype=complex)
     beta = np.zeros(hi - lo, dtype=complex)
     g_sum = np.zeros((n + 1, 9))
     g_mom = np.zeros((n + 1, 9, 9))
     g_sum[0, 0] = g_mom[0, 0, 0] = live.sum()
-    # a row may overflow after its first bad step, which the check reports
+    # a row may overflow after its first bad step, which the check reports, and so
+    # may dz itself when the noise scale sqrt(gamma / 2 dt) is beyond the float range
     with np.errstate(over="ignore", invalid="ignore"):
+        dz *= dt
         for k0 in range(0, n, BLOCK_STEPS):
             z = dz[k0 : k0 + BLOCK_STEPS]
             # c_k0 .. c_k1, then alpha and beta at k0 + 1 .. k1

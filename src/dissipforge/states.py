@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PAULI_X, PAULI_Z, kron_all
+from .algebra import PAULI_X, PAULI_Z, _frozen, kron_all
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
@@ -82,14 +82,13 @@ class PureState:
     """Normalized n-qubit state vector; qubit 1 is the most significant bit."""
 
     def __init__(self, amplitudes):
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        amp = _frozen(amplitudes if np.ndim(amplitudes) == 1 else np.reshape(amplitudes, -1))
         n = int(amp.size).bit_length() - 1
         if amp.size < 2 or amp.size != 1 << n:
             raise ValueError(f"amplitude count {amp.size} is not 2^n for n >= 1")
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ValueError(f"state is not normalized: ||amp|| = {norm!r}")
-        amp.setflags(write=False)
         self.amplitudes = amp
         self.n = n
 
@@ -108,7 +107,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on n qubits."""
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex).copy()
+        m = _frozen(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         n = int(m.shape[0]).bit_length() - 1
@@ -124,7 +123,6 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
         if min_eig < -1e-10:
             raise ValueError(f"minimum eigenvalue {min_eig:.3e} below -1e-10")
-        m.setflags(write=False)
         self.matrix = m
         self.n = n
 

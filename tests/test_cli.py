@@ -319,6 +319,12 @@ def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
     # the first RK4 stages overflow; numpy's warning must not escape as a traceback
     pytest.param({"scenario": "evolve", "n_qubits": 1, "target": "plus", "t_max": 1e300,
                   "dt": 1e299}, "non-finite", False, id="evolve-step-overflows"),
+    # the qsd noise scale sqrt(gamma / 2 dt) is beyond the float range
+    pytest.param({"scenario": "qsd", "n_qubits": 2, "target": "cluster", "t_max": 0.01,
+                  "n_traj": 3, "gamma": 1e308}, "diverged", False, id="qsd-noise-scale-gamma"),
+    pytest.param({"scenario": "qsd", "n_qubits": 1, "target": "plus", "t_max": 1e-300,
+                  "dt": 1e-300, "n_traj": 3, "gamma": 1e10}, "diverged", False,
+                 id="qsd-noise-scale-dt"),
 ])
 def test_main_reports_numerical_failures_with_exit_3(tmp_path, capsys, monkeypatch,
                                                      probe, reason, skew):
@@ -587,9 +593,9 @@ def test_compile_certificate_is_relative_to_the_target(tmp_path):
 
 
 def test_compile_charge_covers_the_measured_working_set(tmp_path):
-    # a 40-letter word costs nothing of size 2^40; the bath, one theta's first
-    # exponential and one matexp measure 9.1 arrays of 128 x 128, charged 12;
-    # matexp's first call holds under 1 kB more than later ones, so no warm-up
+    # a passing run, decided on the words' tableaux: a 40-letter word costs nothing
+    # of size 2^40, and its only large arrays are the baths of 128 x 128, one at a
+    # time, well under the 12 arrays charged for a failing word's report
     path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": ("XYZ" * 14)[:40],
                                          "bath_dim": 128})
     cfg = parse_config(path)

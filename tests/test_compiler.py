@@ -695,6 +695,24 @@ def test_bath_test_spec_validation():
     assert np.array_equal(low, np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]]))
 
 
+def test_random_bath_is_drawn_into_the_array_it_keeps():
+    # the real and imaginary draws land in one complex array, with one float draw
+    # alive beside it; the warm-up keeps numpy.random's first use out of the peak
+    d = 256
+    BathTestSpec.random(d, seed=3)
+    tracemalloc.start()
+    try:
+        op = BathTestSpec.random(d, seed=3).operator
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * op.nbytes
+    assert op.flags.owndata and not op.flags.writeable
+    rng = np.random.default_rng(3)
+    drawn = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert op.tobytes() == drawn.tobytes()
+
+
 # ---------------------------------------------------------------- MS lowering
 
 

@@ -18,6 +18,7 @@ from dissipforge.dissipators import (
     synth_subspace,
 )
 from dissipforge.cli import ScenarioConfig, _build_model
+from dissipforge.compiler import BathTestSpec
 from dissipforge.lindblad import (
     LindbladModel,
     _unit_scaled,
@@ -26,7 +27,8 @@ from dissipforge.lindblad import (
     steady_states,
     vec,
 )
-from dissipforge.states import GraphSpec, bell_state, fidelity, graph_state, purity
+from dissipforge.states import (DensityMatrix, GraphSpec, PureState, bell_state, fidelity,
+                                graph_state, purity)
 from dissipforge.algebra import dag, null_space
 
 
@@ -485,7 +487,7 @@ def test_a_zero_operator_changes_no_result():
     assert with_zero._jumps.Ld.shape == (1, 8, 8)
     plain, zero = LindbladModel(ds), LindbladModel(with_zero)
     rho = random_density(8, np.random.default_rng(44))
-    assert np.array_equal(zero.h_eff, plain.h_eff)
+    assert np.array_equal(zero.drift, plain.drift)
     assert np.array_equal(rhs(zero, rho), rhs(plain, rho))
     for phi in (frame[:, 0], frame[:, 1]):
         assert is_dark(with_zero, phi) == is_dark(ds, phi)
@@ -609,3 +611,36 @@ def test_dissipator_set_shares_only_frozen_operators():
     writable[0, 0] = owner[0, 0] = 5.0
     assert copied[0, 0] == viewed[0, 0] == 1.0
     assert all(op is L for op, L in zip(ds.scaled(3.0).operators, ds.operators))
+
+
+@pytest.mark.parametrize("kept, value", [
+    pytest.param(lambda A: SynthesisSpec(2, 1, [[1.0]], basis=A).basis, np.eye(2),
+                 id="SynthesisSpec.basis"),
+    pytest.param(lambda A: SynthesisSpec(3, 1, A).coeffs, np.ones((2, 1)),
+                 id="SynthesisSpec.coeffs"),
+    pytest.param(lambda A: LindbladModel(DissipatorSet(()), A).hamiltonian,
+                 np.diag([1.0, -1.0]), id="LindbladModel"),
+    pytest.param(lambda A: BathTestSpec(A).operator, np.arange(4.0).reshape(2, 2),
+                 id="BathTestSpec"),
+    pytest.param(lambda A: PureState(A).amplitudes, np.array([0.6, 0.8]), id="PureState"),
+    pytest.param(lambda A: DensityMatrix(A).matrix, np.diag([0.25, 0.75]), id="DensityMatrix"),
+])
+def test_constructors_share_only_frozen_arrays(kept, value):
+    # the one intake of DissipatorSet's operators, in every other constructor
+    frozen = np.array(value, dtype=complex)
+    frozen.setflags(write=False)
+    assert np.shares_memory(kept(frozen), frozen)
+    writable = np.array(value, dtype=complex)
+    view = np.array(value, dtype=complex).view()
+    view.setflags(write=False)  # read-only, but its owner can still change it
+    for given in (writable, view):
+        got = kept(given)
+        assert not np.shares_memory(got, given) and not got.flags.writeable
+        assert np.array_equal(got, value)
+
+
+def test_pure_state_flattens_any_layout_into_a_read_only_vector():
+    # a Fortran-order reshape is a writable copy, which the intake copies and freezes
+    amplitudes = PureState(np.asfortranarray([[0.5, 0.5], [0.5, 0.5j]])).amplitudes
+    assert amplitudes.shape == (4,) and not amplitudes.flags.writeable
+    assert np.array_equal(amplitudes, [0.5, 0.5, 0.5, 0.5j])

@@ -221,7 +221,7 @@ def test_factored_generator_matches_textbook_form():
     factors = model.dissipators._jumps
     assert factors.U.shape == (8, 7) and factors.K is not None and factors.gL.shape == (2, 8, 8)
     K = sum(gamma * (dag(L) @ L) for gamma, L in jumps)
-    assert np.max(np.abs(model.h_eff - (H - 0.5j * K))) < 1e-12
+    assert np.max(np.abs(model.drift - (-1j * (H - 0.5j * K)))) < 1e-12
     M = liouvillian_matrix(model)
     # density matrices, and a non-Hermitian matrix, since the generator is linear
     for rho in [random_density(8, rng) for _ in range(5)] + [random_complex((8, 8), rng)]:
@@ -503,7 +503,7 @@ def _near_bound_model(factor):
 def _reference_search(model):
     """The eigenvectors T of H_eff and, per column, the certificate's
     per-candidate invariance test, run on every column without a screen."""
-    H, jumps = model.h_eff, model.dissipators._jumps
+    H, jumps = model.drift, model.dissipators._jumps
     scale = np.linalg.norm(H)
     if jumps.U is not None:
         uv_bound = CERT_TOL * np.linalg.norm(jumps.U, axis=0) * np.linalg.norm(jumps.V, axis=0)
@@ -541,7 +541,7 @@ def _screen_cases():
 @pytest.mark.parametrize("model", list(_screen_cases()))
 def test_screen_drops_only_candidates_the_exact_test_rejects(model):
     model = _unit_scaled(model)
-    H, jumps = model.h_eff, model.dissipators._jumps
+    H, jumps = model.drift, model.dissipators._jumps
     T, accepted = _reference_search(model)
     found = _invariant_eigenvectors(H, jumps, np.linalg.norm(H))
     reference = T.T[accepted]

@@ -60,10 +60,14 @@ from dissipforge import (  # noqa: E402
     orthonormal_frame,
     steady_states,
     synth_single,
-    synth_subspace,
     verify_sequence,
 )
-from dissipforge.cli import VERIFY_THETAS  # noqa: E402
+from dissipforge.cli import (  # noqa: E402
+    VERIFY_THETAS,
+    ScenarioConfig,
+    _build_model,
+    _combined_operator,
+)
 from dissipforge.lindblad import _hermitian_rhs  # noqa: E402
 
 SCHEMA = 3
@@ -81,9 +85,8 @@ def _spec(n):
 
 
 def _cluster_model(n):
-    """The CLI's cluster-n model, factored, with its drift built."""
-    target, spec = _spec(n)
-    model = LindbladModel(synth_subspace(spec))
+    """The CLI's cluster-n model, as `cli._build_model` builds it, with its drift built."""
+    model, target = _build_model(ScenarioConfig("steady", n_qubits=n, target="cluster"))
     model.drift
     return model, target
 
@@ -141,9 +144,7 @@ def _matexp_layers(bath_dims):
 
 def _trajectory_layer(n, n_traj):
     """One ensemble_average of the CLI's combined operator, per trajectory step."""
-    model, target = _cluster_model(n)
-    L = sum(op for _, op in model.dissipators)
-    L = L / np.linalg.norm(L, 2)
+    L, _, target = _combined_operator(ScenarioConfig("qsd", n_qubits=n, target="cluster"))
     psi0 = np.zeros(target.dim, dtype=complex)
     psi0[0] = 1.0
     cfg = TrajectoryConfig(n_traj=n_traj, dt=1e-3, t_max=0.1)
