@@ -6,6 +6,7 @@ is kron(P_1, kron(P_2, ...)).
 """
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -41,6 +42,40 @@ def _frozen(A) -> np.ndarray:
     A = np.array(A, dtype=complex)
     A.setflags(write=False)
     return A
+
+
+def _operator(A, what: str) -> tuple[np.ndarray, float]:
+    """(`_frozen(A)`, its largest |entry|), the one intake of every constructor that
+    keeps an operator: A must be square, non-empty and finite, or ValueError names
+    `what`. The largest |entry| is the one pass that tests finiteness."""
+    A = _frozen(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValueError(f"{what} must be square and non-empty, got shape {A.shape}")
+    peak = float(np.max(np.abs(A)))
+    if not math.isfinite(peak):  # an inf or NaN entry
+        raise ValueError(f"{what} entries must be finite, got {peak}")
+    return A, peak
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """value as an int, the one check of every count: an integral float becomes an
+    int; a boolean, any other type or a value below least raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, what: str) -> float:
+    """value as a float, the one check of every rate, step and tolerance: it must
+    be positive and finite, or ValueError names `what`."""
+    value = float(value)
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
 
 
 def complex_pairs(A: np.ndarray) -> list:
@@ -159,8 +194,7 @@ def null_space(A: np.ndarray, tol: float = 1e-9) -> list[np.ndarray]:
     A = A.astype(np.result_type(A.dtype, np.float64), copy=False)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise ValueError(f"null_space needs a non-empty square matrix A, got shape {A.shape}")
-    if not 0 < tol < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = _positive(tol, "tol")
     _, s, vh = np.linalg.svd(A)
     cutoff = tol * s[0]
     return [vh[i].conj() for i in range(len(s)) if s[i] <= cutoff]
@@ -196,6 +230,7 @@ class PauliString:
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliString":
         """One letter on a single qubit (1-based), identity elsewhere."""
+        n, qubit = _integer(n, "qubit count"), _integer(qubit, "qubit")
         if not 1 <= qubit <= n:
             raise ValueError(f"qubit {qubit} outside 1..{n}")
         word = ["I"] * n

@@ -24,13 +24,12 @@ form, and a bath norm.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (PHASES, PauliString, _frozen, anticommutes, dag, kron, matexp,
-                      pauli_mul, tableau_anticommutes, tableau_mul)
+from .algebra import (PHASES, PauliString, _integer, _operator, _positive, anticommutes, dag,
+                      kron, matexp, pauli_mul, tableau_anticommutes, tableau_mul)
 from .states import GraphSpec
 
 VERIFY_TOL = 1e-10  # reported as VerificationReport.tolerance; decides no verdict
@@ -239,11 +238,9 @@ class BathTestSpec:
     operator: np.ndarray
 
     def __post_init__(self):
-        op = _frozen(self.operator)
-        if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] < 2:
-            raise ValueError(f"bath operator must be square with d >= 2, got shape {op.shape}")
-        if not np.isfinite(op).all():
-            raise ValueError("bath operator entries must be finite")
+        op, _ = _operator(self.operator, "bath operator")
+        if op.shape[0] < 2:
+            raise ValueError(f"bath operator needs d >= 2, got shape {op.shape}")
         object.__setattr__(self, "operator", op)
 
     @property
@@ -291,9 +288,10 @@ class VerificationReport:
 def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> VerificationReport:
     """Check T = e^{i theta W (x) B} against the realized sequence at each theta.
 
-    The sequence must be one seed at gates[0], on a qubit in 1..n, followed by
-    conjugations on the target's qubits, and the target must carry a real
-    phase, so that W^2 = I. The conjugators act as identity on the bath, so
+    The sequence must be one seed at gates[0], on a qubit in 1..n (an integer,
+    or an integral float; a boolean is refused), followed by conjugations on
+    the target's qubits, and the target must carry a real phase, so that
+    W^2 = I. The conjugators act as identity on the bath, so
     the sequence realizes V = e^{i theta Q (x) B}, Q = C Y_seed C^dag, and Q
     is read off a tableau (_realized_tableau) as i^e X^x Z^z. The sequence
     passes exactly when Q = W, phase included: one comparison of integers,
@@ -311,14 +309,15 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     tr(W+-) / 2^n = (1 +- w)/2, w the real phase of an identity word and 0 for
     any other; the 2^{n/2} cancels from the ratio, so nothing of size 2^n is
     built. A failing word's deviations can read 0 (theta = 0, a zero bath), or
-    NaN where the exponentials overflow; either way it fails.
+    NaN where the exponentials overflow, which raises no warning; either way
+    it fails.
     """
     n, gates = seq.target.n, seq.gates
     if not gates or not isinstance(gates[0], SeedCoupling):
         raise ValueError("verify_sequence needs the seed coupling at gates[0]")
-    qubit = gates[0].qubit
-    if not isinstance(qubit, numbers.Integral) or not 1 <= qubit <= n:
-        raise ValueError(f"gates[0] seeds qubit {qubit!r}, outside 1..{n}")
+    qubit = _integer(gates[0].qubit, "gates[0] seed qubit")
+    if not 1 <= qubit <= n:
+        raise ValueError(f"gates[0] seeds qubit {qubit}, outside 1..{n}")
     for i, g in enumerate(gates[1:], 1):
         if not isinstance(g, Conjugation):
             raise ValueError(f"gates[{i}] is {g!r}: verify_sequence handles one seed "
@@ -342,11 +341,12 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
     w = PHASES[e_w].real if x_w == z_w == 0 else 0.0  # tr W / 2^n
     devs = []
     for theta in thetas:
-        E = matexp(1j * theta * bath.operator), matexp(-1j * theta * bath.operator)
-        # ||T||_F / 2^{n/2}
-        norm = math.sqrt((1 + w) / 2 * np.linalg.norm(E[0]) ** 2
-                         + (1 - w) / 2 * np.linalg.norm(E[1]) ** 2)
-        devs.append(float(word_dev * np.linalg.norm(E[0] - E[1]) / 2 / norm))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads NaN
+            E = matexp(1j * theta * bath.operator), matexp(-1j * theta * bath.operator)
+            # ||T||_F / 2^{n/2}
+            norm = math.sqrt((1 + w) / 2 * np.linalg.norm(E[0]) ** 2
+                             + (1 - w) / 2 * np.linalg.norm(E[1]) ** 2)
+            devs.append(float(word_dev * np.linalg.norm(E[0] - E[1]) / 2 / norm))
         del E  # so the next theta's pair is not computed beside this one
     return VerificationReport(False, float(np.max(devs)), tuple(devs), thetas, VERIFY_TOL)
 
@@ -385,15 +385,13 @@ def ms_decompose(p: int, q: int, theta: float) -> GateSequence:
     e^{i theta X_p X_q} with unit global phase and returns the ancilla to
     |0>; this convention is pinned numerically in the tests.
     """
-    for name, label in (("p", p), ("q", q)):
-        if not isinstance(label, numbers.Integral) or isinstance(label, bool) or label < 1:
-            raise ValueError(f"{name} must be an integer qubit label >= 1, got {label!r}")
+    p, q = _integer(p, "p", 1), _integer(q, "q", 1)
     if p == q:
         raise ValueError(f"p and q must be distinct system qubits, got {p} twice")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     gates = (MSGate(np.pi / 2.0, 0.0), AncillaRotation(float(theta)), MSGate(-np.pi / 2.0, 0.0))
-    return GateSequence(gates, PauliString("XX"), float(theta), qubits=(0, int(p), int(q)))
+    return GateSequence(gates, PauliString("XX"), float(theta), qubits=(0, p, q))
 
 
 def _ms_sequence_gate_matrix(gate) -> np.ndarray:
@@ -436,8 +434,7 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
     W = phase P, each generator is P (x) M, M = phase B^dag + conj(phase) B,
     so only the bath operator M is exponentiated.
     """
-    if not 0 < dt < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+    dt = _positive(dt, "dt")
     terms = _coupling_terms(terms)
     U = np.eye((1 << terms[0].n) * bath.dimension, dtype=complex)
     for term in terms:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import PauliSum, _frozen, complex_pairs, dag
+from .algebra import PauliSum, _frozen, _operator, _positive, complex_pairs, dag
 from .states import as_vector
 
 SCALE_LIMIT = 1e100  # is_dark and steady_states rescale an operator (or term) beyond this
@@ -65,13 +65,6 @@ class SynthesisSpec:
 def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
     """x 2^k for a complex array, exact while its entries stay normal floats."""
     return np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
-
-
-def _rate(gamma) -> float:
-    gamma = float(gamma)
-    if not 0 < gamma < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"decay rates must be positive and finite, got {gamma}")
-    return gamma
 
 
 def _outer_factors(X: np.ndarray, peak: float | np.ndarray):
@@ -239,18 +232,13 @@ class DissipatorSet:
         norm, peaks = [], []
         dim = None
         for gamma, op in self.items:
-            gamma = _rate(gamma)
-            op = _frozen(op)
-            if op.ndim != 2 or op.shape[0] != op.shape[1] or not op.size:
-                raise ValueError(
-                    f"jump operator must be square and non-empty, got shape {op.shape}")
+            gamma = _positive(gamma, "gamma")
+            op, peak = _operator(op, "jump operator")
             if dim is None:
                 dim = op.shape[0]
             elif op.shape[0] != dim:
                 raise ValueError("jump operators act on different dimensions")
-            peaks.append(float(np.max(np.abs(op))))
-            if not np.isfinite(peaks[-1]):  # an inf or NaN entry
-                raise ValueError(f"jump operator entries must be finite, got {peaks[-1]}")
+            peaks.append(peak)
             norm.append((gamma, op))
         object.__setattr__(self, "items", tuple(norm))
         object.__setattr__(self, "peaks", tuple(peaks))
@@ -322,7 +310,8 @@ class DissipatorSet:
         constructor checks them. The operators, their `peaks` and, once built,
         their factors `_jumps` and the `_rescaled` set (at the new rates) are
         carried over, so no operator is scanned, rescaled or factored again."""
-        items = tuple((_rate(g), op) for g, (_, op) in zip(rates, self.items, strict=True))
+        items = tuple((_positive(g, "gamma"), op)
+                      for g, (_, op) in zip(rates, self.items, strict=True))
         out = object.__new__(DissipatorSet)
         object.__setattr__(out, "items", items)
         object.__setattr__(out, "peaks", self.peaks)
@@ -413,20 +402,29 @@ def splitting_hamiltonian(spec: SynthesisSpec, energies=None) -> np.ndarray:
 
 
 def orthonormal_frame(target) -> np.ndarray:
-    """Unitary whose first column is `target`, completed by orthogonalization.
+    """Unitary whose first column is `target` normalized, completed by orthogonalization.
 
-    The remaining columns come from computational basis seeds, skipping the
-    seed that overlaps `target` most strongly (lowest index on ties), in one
-    QR factorization whose columns are phased so that R has a positive
-    diagonal: the frame Gram-Schmidt would give on the same seeds.
+    The target may be any finite nonzero vector, at any scale: it is divided by
+    a power of two near its largest entry (exact, as in `is_dark`) before it is
+    normalized, so its norm neither overflows nor underflows. A zero or
+    non-finite target raises ValueError ("collapsed"). The remaining columns
+    come from computational basis seeds, skipping the seed that overlaps
+    `target` most strongly (lowest index on ties), in one QR factorization
+    whose columns are phased so that R has a positive diagonal: the frame
+    Gram-Schmidt would give on the same seeds.
     """
     v = as_vector(target)
+    peak = np.max(np.abs(v), initial=0.0)
+    if not 0 < peak < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"basis seed collapsed: the target must be finite and nonzero, "
+                         f"got max |entry| {peak}")
+    v = _times_power_of_two(v, -math.frexp(peak)[1])
     v = v / np.linalg.norm(v)
     drop = int(np.argmax(np.abs(v)))
     seeds = np.delete(np.eye(v.size, dtype=complex), drop, axis=1)
     Q, R = np.linalg.qr(np.column_stack((v, seeds)))
     r = np.diag(R)
-    if not np.all(np.abs(r) >= 1e-12):  # a zero or non-finite target included
+    if not np.all(np.abs(r) >= 1e-12):
         raise ValueError("basis seed collapsed during orthogonalization")
     return Q * (r / np.abs(r))
 

@@ -55,7 +55,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import _frozen, dag, null_space
+from .algebra import _operator, dag, null_space
 from .dissipators import SCALE_LIMIT, DissipatorSet, _times_power_of_two
 from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
 
@@ -96,11 +96,7 @@ class LindbladModel:
     def __post_init__(self):
         H = self.hamiltonian
         if H is not None:
-            H = _frozen(H)
-            if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
-                raise ValueError(f"Hamiltonian must be square and non-empty, got shape {H.shape}")
-            if not np.all(np.isfinite(H)):  # NaN would pass the Hermiticity test below
-                raise ValueError("Hamiltonian entries must be finite")
+            H, _ = _operator(H, "Hamiltonian")  # NaN would pass the Hermiticity test below
             if np.max(np.abs(H - H.conj().T)) > 1e-12:
                 raise ValueError("Hamiltonian is not Hermitian to 1e-12")
             if self.dissipators.dim is not None and H.shape[0] != self.dissipators.dim:

@@ -44,14 +44,13 @@ add up across chunks, since E is shared, and are expanded into (T, d, d)
 arrays once, at the end.
 """
 
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .algebra import complex_pairs
-from .dissipators import DissipatorSet, _rate
+from .algebra import _integer, _positive, complex_pairs
+from .dissipators import DissipatorSet
 from .lindblad import ContractError, LindbladModel, step_count
 from .states import as_vector
 
@@ -86,12 +85,10 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         for name, least in (("n_traj", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         # step_count checks finite dt > 0 and t_max >= dt
         object.__setattr__(self, "n_steps", step_count(self.t_max, self.dt))
-        _rate(self.gamma)
+        _positive(self.gamma, "gamma")
 
     @property
     def times(self) -> np.ndarray:

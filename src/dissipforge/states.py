@@ -1,12 +1,11 @@
 """Pure states, density matrices, and cluster/graph-state constructions."""
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PAULI_X, PAULI_Z, _frozen, kron_all
+from .algebra import PAULI_X, PAULI_Z, _frozen, _integer, _operator, kron_all
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
@@ -24,15 +23,6 @@ CORRECTION_GATES = (
 )
 
 
-def _integer(value, what: str) -> int:
-    """value as an int; booleans, non-numbers and non-integral numbers raise ValueError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class GraphSpec:
     """Simple undirected graph on vertices 1..n (no self-loops, no duplicates)."""
@@ -41,9 +31,7 @@ class GraphSpec:
     edges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer(self.n, "vertex count"))
-        if self.n < 1:
-            raise ValueError("need at least one vertex")
+        object.__setattr__(self, "n", _integer(self.n, "vertex count", 1))
         norm = []
         seen = set()
         for edge in self.edges:
@@ -107,14 +95,10 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on n qubits."""
 
     def __init__(self, matrix):
-        m = _frozen(matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
+        m, _ = _operator(matrix, "density matrix")  # NaN would pass every test below
         n = int(m.shape[0]).bit_length() - 1
         if m.shape[0] < 2 or m.shape[0] != 1 << n:
             raise ValueError(f"dimension {m.shape[0]} is not 2^n for n >= 1")
-        if not np.all(np.isfinite(m)):  # NaN would pass every test below
-            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise ValueError("density matrix is not Hermitian to 1e-12")
         tr = np.trace(m)

@@ -283,6 +283,44 @@ def test_pauli_string_validation():
         PauliString("X", phase=2.0)
     with pytest.raises(ValueError):
         PauliString.single(2, 3, "X")
+    for n, qubit in ((3, True), (True, 1), (3, 1.5), (3, "2"), (3.5, 1)):
+        with pytest.raises(ValueError, match="integer"):
+            PauliString.single(n, qubit, "X")
+    assert PauliString.single(3.0, 2.0, "X") == PauliString("IXI")
+
+
+@pytest.mark.parametrize("value, least, expected", [
+    (4, None, 4), (4.0, None, 4), (np.int64(4), 1, 4), (np.float64(-2.0), None, -2), (0, 0, 0),
+], ids=["int", "integral-float", "numpy-int", "numpy-float", "at-least"])
+def test_integer_returns_an_int(value, least, expected):
+    out = algebra._integer(value, "count", least)
+    assert out == expected and type(out) is int
+
+
+@pytest.mark.parametrize("value, least, message", [
+    (True, None, "count must be an integer, got True"),
+    (np.bool_(False), None, "count must be an integer, got"),
+    (2.5, None, "count must be an integer, got 2.5"),
+    (math.nan, None, "count must be an integer, got nan"),
+    ("3", None, "count must be an integer, got '3'"),
+    (0, 1, "count must be an integer of at least 1, got 0"),
+    (-1.0, 0, "count must be an integer of at least 0, got -1"),
+], ids=["bool", "numpy-bool", "fractional", "nan", "string", "below-least", "float-below-least"])
+def test_integer_refuses_booleans_other_types_and_small_values(value, least, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        algebra._integer(value, "count", least)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
+def test_positive_refuses_a_value_that_is_not_positive_and_finite(value):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        algebra._positive(value, "rate")
+
+
+def test_operator_returns_the_frozen_array_and_its_largest_entry():
+    A, peak = algebra._operator([[1.0, -3j], [2.0, 0.0]], "operator")
+    assert A.dtype == complex and not A.flags.writeable
+    assert peak == 3.0 and type(peak) is float
 
 
 def test_pauli_square_and_unitarity():

@@ -456,6 +456,17 @@ def test_verify_passes_a_correct_word_on_a_bath_whose_exponentials_overflow():
     assert report.deviations == (0.0,) * len(THETAS) and report.max_deviation == 0.0
 
 
+def test_verify_reports_nan_for_a_failing_word_whose_exponentials_overflow():
+    # the same bath; the word loses its last gate, so its report takes the exponentials
+    bath = BathTestSpec(1e3 * BathTestSpec.random(4, seed=0).operator)
+    seq = GateSequence(_XYZ_GATES[:-1], PauliString("XYZ"), 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_sequence(seq, bath, THETAS)
+    assert not report.passed
+    assert math.isnan(report.max_deviation)
+
+
 def test_verify_working_set_does_not_grow_with_the_gate_count():
     # 15 conjugations on D = 2^8 * 4 = 1024 levels: a conjugator kept per gate
     # would add 15 (D, D) arrays to a working set of about 4
@@ -650,6 +661,10 @@ _XYZ_GATES = compile_coupling(PauliString("XYZ"), 0.7).gates
                  id="seed-0"),
     pytest.param((SeedCoupling(4),) + _XYZ_GATES[1:], r"gates\[0\] seeds qubit 4, outside 1\.\.3",
                  id="seed-n+1"),
+    pytest.param((SeedCoupling(True),) + _XYZ_GATES[1:],
+                 r"gates\[0\] seed qubit must be an integer, got True", id="seed-bool"),
+    pytest.param((SeedCoupling(1.5),) + _XYZ_GATES[1:],
+                 r"gates\[0\] seed qubit must be an integer, got 1\.5", id="seed-fractional"),
 ])
 def test_verify_rejects_a_malformed_sequence(gates, message):
     seq = GateSequence(gates, PauliString("XYZ"), 0.7)
@@ -768,6 +783,8 @@ def test_ms_decompose_rejects_bad_input(p, q, theta, name):
 
 def test_ms_decompose_accepts_numpy_integer_labels():
     assert ms_decompose(np.int64(2), np.int32(5), 0.1).qubits == (0, 2, 5)
+    qubits = ms_decompose(1.0, 2.0, 0.3).qubits  # integral floats, stored as ints
+    assert qubits == (0, 1, 2) and all(type(q) is int for q in qubits)
 
 
 def _collective_spin(nu):

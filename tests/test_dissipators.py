@@ -255,8 +255,23 @@ def test_orthonormal_frame_matches_gram_schmidt(n):
 
 
 def test_orthonormal_frame_rejects_a_zero_target():
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="collapsed"):
+    with pytest.raises(ValueError, match="collapsed"):
         orthonormal_frame(np.zeros(4))
+
+
+@pytest.mark.parametrize("target", [
+    [math.nan, 1.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0], [0.0, complex(0.0, -math.inf), 0.0, 0.0],
+], ids=["nan", "inf", "inf-imaginary"])
+def test_orthonormal_frame_rejects_a_non_finite_target(target):
+    with pytest.raises(ValueError, match="collapsed"):
+        orthonormal_frame(target)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 5e-324], ids=repr)
+def test_orthonormal_frame_takes_a_target_at_any_scale(scale):
+    # the target is divided by a power of two before it is normalized, exactly
+    target = np.array([1.0, 1.0j, 0.0, 0.0])
+    assert np.array_equal(orthonormal_frame(scale * target), orthonormal_frame(target))
 
 
 # ---------------------------------------------------------------- stock operators
@@ -637,6 +652,21 @@ def test_constructors_share_only_frozen_arrays(kept, value):
         got = kept(given)
         assert not np.shares_memory(got, given) and not got.flags.writeable
         assert np.array_equal(got, value)
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda A: DissipatorSet(((1.0, A),)), "jump operator", id="DissipatorSet"),
+    pytest.param(lambda A: LindbladModel(DissipatorSet(()), A), "Hamiltonian", id="LindbladModel"),
+    pytest.param(BathTestSpec, "bath operator", id="BathTestSpec"),
+    pytest.param(DensityMatrix, "density matrix", id="DensityMatrix"),
+])
+def test_operator_constructors_share_one_check(build, name):
+    for shape in ((0, 0), (2, 3), (4,)):
+        with pytest.raises(ValueError, match=f"{name} must be square and non-empty, got shape"):
+            build(np.zeros(shape))
+    for entry in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            build(np.diag([entry, 0.0]))
 
 
 def test_pure_state_flattens_any_layout_into_a_read_only_vector():

@@ -111,6 +111,9 @@ def test_trajectory_config_rejects_non_finite_and_non_integer_values(bad):
 
 def test_trajectory_config_takes_a_numpy_integer_count():
     assert TrajectoryConfig(n_traj=np.int64(3), dt=0.1, t_max=1.0).n_traj == 3
+    cfg = TrajectoryConfig(n_traj=4.0, dt=0.1, t_max=1.0, master_seed=np.uint32(7))
+    assert (cfg.n_traj, cfg.master_seed) == (4, 7)  # an integral float, both stored as ints
+    assert type(cfg.n_traj) is int and type(cfg.master_seed) is int
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, True], ids=repr)
