@@ -69,13 +69,30 @@ def _integer(value, what: str, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """value as a float, the one check of every real number: an int or float, numpy
+    scalars included, that is finite and within the float range; a boolean, a string,
+    any other type, a non-finite value or a larger int raises ValueError naming `what`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            out = float(value)
+        except OverflowError:  # an int beyond the float range
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise ValueError(f"{what} must be a finite real number, got {value!r}")
+
+
 def _positive(value, what: str) -> float:
-    """value as a float, the one check of every rate, step and tolerance: it must
-    be positive and finite, or ValueError names `what`."""
-    value = float(value)
-    if not 0 < value < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-    return value
+    """`_real(value)`, the one check of every rate, step and tolerance, which must
+    also be positive; every refusal says "positive and finite" and names `what`."""
+    try:
+        out = _real(value, what)
+    except ValueError:
+        out = math.nan  # refused below with this check's own message
+    if not out > 0:
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return out
 
 
 def complex_pairs(A: np.ndarray) -> list:

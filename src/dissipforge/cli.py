@@ -9,6 +9,9 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
 that needs only the config, the size estimate against MAX_DENSE_BYTES among
 them, before anything is built or written. Exit 3 is a ContractError, raised
 by the run itself or by the numerical routines it calls.
+Every number goes through the library's own checks (algebra._integer, _real,
+_positive, lindblad.step_count), so booleans and strings are refused, and a
+config error repeats the library's message after the key.
 """
 
 import argparse
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import PauliString, complex_pairs
+from .algebra import PauliString, _integer, _positive, _real, complex_pairs
 from .compiler import BathTestSpec, compile_coupling, verify_sequence
 from .dissipators import (
     SynthesisSpec,
@@ -37,6 +40,7 @@ from .lindblad import (
     LindbladModel,
     integrate,
     steady_states,
+    step_count,
 )
 from .qsd import CHUNK_SIZE, TrajectoryConfig, ensemble_average
 from .states import (
@@ -107,33 +111,6 @@ class RunSummary:
     artifacts: list = field(default_factory=list)
 
 
-def _number(value, key, integral=False):
-    """A finite JSON number (an int when integral); booleans and strings are rejected."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and isinstance(value, float):
-        ok = math.isfinite(value) and (value.is_integer() or not integral)
-    elif ok and not integral:
-        ok = abs(value) <= sys.float_info.max
-    if not ok:
-        kind = "an integer" if integral else "a finite number"
-        raise ConfigError(f"key '{key}' must be {kind}, got {value!r}")
-    return int(value) if integral else float(value)
-
-
-def _positive(value, key, integral=False):
-    out = _number(value, key, integral)
-    if out <= 0:
-        raise ConfigError(f"key '{key}' must be positive, got {out}")
-    return out
-
-
-def _seed(value):
-    seed = _number(value, "seed", integral=True)
-    if seed < 0:
-        raise ConfigError(f"key 'seed' must be non-negative, got {seed}")
-    return seed
-
-
 def _parse_target(raw, cfg):
     """The target on cfg.n_qubits qubits: "bell", "plus", "cluster" (the path
     graph state; "cluster-N" is checked against n_qubits and becomes "cluster")
@@ -141,7 +118,7 @@ def _parse_target(raw, cfg):
     if isinstance(raw, list):
         n = len(raw).bit_length() - 1
         if n < 1 or len(raw) != 1 << n:
-            raise ConfigError(f"key 'target': amplitude count {len(raw)} is not 2^n for n >= 1")
+            raise ValueError(f"amplitude count {len(raw)} is not 2^n for n >= 1")
     elif isinstance(raw, str):
         name = raw.strip().lower()
         size = name.removeprefix("cluster-")
@@ -151,11 +128,11 @@ def _parse_target(raw, cfg):
         else:
             n = {"bell": 2, "plus": 1, "cluster": cfg.n_qubits}.get(name)
         if n is None:
-            raise ConfigError(f"key 'target': unknown preset {raw!r}")
+            raise ValueError(f"unknown preset {raw!r}")
     else:
-        raise ConfigError("key 'target' must be a preset name or amplitude list")
+        raise ValueError("target must be a preset name or amplitude list")
     if n != cfg.n_qubits:
-        raise ConfigError(f"target acts on {n:g} qubits but n_qubits = {cfg.n_qubits}")
+        raise ValueError(f"target acts on {n:g} qubits but n_qubits = {cfg.n_qubits}")
     return name if isinstance(raw, str) else _amplitudes(raw)
 
 
@@ -164,13 +141,13 @@ def _amplitudes(raw):
     for i, entry in enumerate(raw):
         pair = entry if isinstance(entry, list) else [entry, 0]
         if len(pair) != 2:
-            raise ConfigError(f"key 'target[{i}]': expected number or [re, im] pair")
-        amps.append(complex(_number(pair[0], f"target[{i}]"), _number(pair[1], f"target[{i}]")))
+            raise ValueError(f"target[{i}] must be a number or an [re, im] pair")
+        amps.append(complex(*(_real(part, f"target[{i}]") for part in pair)))
     amps = np.array(amps, dtype=complex)
     with np.errstate(over="ignore"):  # an inf norm is refused below
         norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
-        raise ConfigError(f"key 'target': amplitudes have norm {norm!r}, too far from 1")
+        raise ValueError(f"amplitudes have norm {norm!r}, too far from 1")
     if abs(norm - 1.0) > 1e-12:
         print(f"[dissipforge] warning: renormalizing target (norm {norm!r})", file=sys.stderr)
     return amps / norm
@@ -185,68 +162,63 @@ def _parse_gamma(raw, cfg):
     if not isinstance(raw, list):
         return _positive(raw, "gamma")
     if cfg.scenario == "qsd":
-        raise ConfigError("qsd scenarios take a single gamma rate, not a list")
+        raise ValueError("qsd scenarios take a single gamma rate, not a list")
     need = _jump_count(cfg.n_qubits)
     if len(raw) != need:
-        raise ConfigError(f"gamma list has {len(raw)} entries, need 2^n_qubits - 1 = {need}")
+        raise ValueError(f"gamma list has {len(raw)} entries, need 2^n_qubits - 1 = {need}")
     return [_positive(g, f"gamma[{i}]") for i, g in enumerate(raw)]
 
 
 def _parse_pauli_word(raw, cfg):
     letters = str(raw)
     if len(letters) > MAX_WORD_LETTERS:
-        raise ConfigError(f"key 'pauli_word' has {len(letters)} letters, above the "
-                          f"{MAX_WORD_LETTERS}-letter limit")
-    try:
-        word = PauliString(letters)
-    except ValueError as exc:
-        raise ConfigError(f"key 'pauli_word': {exc}") from None
+        raise ValueError(f"word has {len(letters)} letters, above the "
+                         f"{MAX_WORD_LETTERS}-letter limit")
+    word = PauliString(letters)
     if word.weight == 0:
-        raise ConfigError("key 'pauli_word' needs at least one non-identity letter")
+        raise ValueError("word needs at least one non-identity letter")
     if "I" in letters.strip("I"):  # compile runs on the path graph
-        raise ConfigError(f"key 'pauli_word': support {word.support} is not contiguous, "
-                          "so it is not connected on the path graph")
+        raise ValueError(f"word support {word.support} is not contiguous, "
+                         "so it is not connected on the path graph")
     return word.letters
 
 
-def _parse_bath_dim(raw, cfg):
-    dim = _positive(raw, "bath_dim", integral=True)
-    if dim < 2:
-        raise ConfigError("key 'bath_dim' must be at least 2")
-    return dim
+def _parse_t_max(raw, cfg):
+    """t_max, which evolve and qsd take, checked as the library's runs check it."""
+    t_max = _positive(raw, "t_max")
+    step_count(t_max, cfg.dt)
+    return t_max
 
 
 def _parse_output_path(raw, cfg):
     if not isinstance(raw, str) or not raw:
-        raise ConfigError(f"key 'output_path' must be a non-empty string, got {raw!r}")
+        raise ValueError(f"output_path must be a non-empty string, got {raw!r}")
     return raw
 
 
 def _parse_graph(raw, cfg):
-    try:
-        graph = GraphSpec.from_obj(raw)
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"key 'graph': {exc}") from None
+    graph = GraphSpec.from_obj(raw)
     if cfg.n_qubits not in (None, graph.n):
-        raise ConfigError(f"graph has {graph.n} vertices but n_qubits = {cfg.n_qubits}")
+        raise ValueError(f"graph has {graph.n} vertices but n_qubits = {cfg.n_qubits}")
     return graph
 
 
-# key -> parser(raw value, config so far). parse_config walks this table, not
-# the file, so n_qubits is set before target and graph are checked against it
-# and the first error reported does not depend on the key order in the file.
+# key -> parser(raw value, config so far), whose ValueError parse_config names
+# the key in. It walks this table, not the file, so n_qubits is set before target
+# and graph are checked against it, dt before t_max, and the first error reported
+# does not depend on the key order in the file.
 _FIELDS = {
-    "seed": lambda raw, cfg: _seed(raw),
+    "seed": lambda raw, cfg: _integer(raw, "seed", 0),
     "output_path": _parse_output_path,
-    "n_qubits": lambda raw, cfg: _positive(raw, "n_qubits", integral=True),
+    "n_qubits": lambda raw, cfg: _integer(raw, "n_qubits", 1),
     "target": _parse_target,
     "gamma": _parse_gamma,
-    "t_max": lambda raw, cfg: _positive(raw, "t_max"),
     "dt": lambda raw, cfg: _positive(raw, "dt"),
-    "n_traj": lambda raw, cfg: _positive(raw, "n_traj", integral=True),
+    "t_max": _parse_t_max,
+    "n_traj": lambda raw, cfg: _integer(raw, "n_traj", 1),
     "pauli_word": _parse_pauli_word,
-    "theta": lambda raw, cfg: _number(raw, "theta"),
-    "bath_dim": _parse_bath_dim,
+    "theta": lambda raw, cfg: _real(raw, "theta"),
+    "bath_dim": lambda raw, cfg: _integer(raw, "bath_dim", 2),
     "graph": _parse_graph,
 }
 
@@ -282,9 +254,10 @@ def parse_config(path, seed=None) -> ScenarioConfig:
     cfg = ScenarioConfig(scenario=scenario, dt=_DEFAULT_DT.get(scenario))
     for key, parse in _FIELDS.items():
         if key in data:
-            setattr(cfg, key, parse(data[key], cfg))
-    if scenario in {"evolve", "qsd"} and cfg.t_max < cfg.dt:
-        raise ConfigError(f"key 't_max' = {cfg.t_max} is below one step dt = {cfg.dt}")
+            try:
+                setattr(cfg, key, parse(data[key], cfg))
+            except ValueError as exc:
+                raise ConfigError(f"key '{key}': {exc}") from None
     log2_bytes = _log2_largest_array(cfg)
     if log2_bytes > math.log2(MAX_DENSE_BYTES):
         gib = 2.0 ** (log2_bytes - 30) if log2_bytes < 1000 else math.inf

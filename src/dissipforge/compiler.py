@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (PHASES, PauliString, _integer, _operator, _positive, anticommutes, dag,
-                      kron, matexp, pauli_mul, tableau_anticommutes, tableau_mul)
+from .algebra import (PHASES, PauliString, _integer, _operator, _positive, _real, anticommutes,
+                      dag, kron, matexp, pauli_mul, tableau_anticommutes, tableau_mul)
 from .states import GraphSpec
 
 VERIFY_TOL = 1e-10  # reported as VerificationReport.tolerance; decides no verdict
@@ -124,17 +124,18 @@ class GateSequence:
         for g in obj["gates"]:
             kind = g["kind"]
             if kind == "seed":
-                gates.append(SeedCoupling(int(g["qubits"][0])))
+                gates.append(SeedCoupling(_integer(g["qubits"][0], "seed qubit")))
             elif kind == "conjugation":
                 gates.append(Conjugation(PauliString(g["pauli_word"])))
             elif kind == "ancilla_rotation":
-                gates.append(AncillaRotation(float(g["angle"])))
+                gates.append(AncillaRotation(_real(g["angle"], "angle")))
             elif kind == "ms":
-                gates.append(MSGate(float(g["angle"]), float(g.get("angle2", 0.0))))
+                angle, angle2 = g["angle"], g.get("angle2", 0.0)
+                gates.append(MSGate(_real(angle, "angle"), _real(angle2, "angle2")))
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         register = obj.get("register")
-        return cls(tuple(gates), PauliString(obj["target"]), float(obj["theta"]),
+        return cls(tuple(gates), PauliString(obj["target"]), _real(obj["theta"], "theta"),
                    tuple(register) if register else None)
 
     def render_text(self) -> str:
@@ -191,8 +192,7 @@ def compile_coupling(W: PauliString, theta: float, allowed: GraphSpec | None = N
     costs O(n^2). The output is certified by verify_sequence, never trusted
     structurally.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    theta = _real(theta, "theta")
     if W.phase != 1:
         raise ValueError("target must carry phase +1; absorb signs into theta upstream")
     if W.weight < 1:
@@ -228,7 +228,7 @@ def compile_coupling(W: PauliString, theta: float, allowed: GraphSpec | None = N
         while letters[q] != W.letter(q):
             axis, letters[q] = _FORWARD[letters[q]]
             gates.append(Conjugation(PauliString.single(W.n, q, axis)))
-    return GateSequence(tuple(gates), W, float(theta))
+    return GateSequence(tuple(gates), W, theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,11 +327,9 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
                              f"the target acts on {n}")
     if seq.target.phase.imag:
         raise ValueError(f"target must carry a real phase, got {seq.target}")
-    thetas = tuple(float(t) for t in theta_samples)
+    thetas = tuple(_real(t, f"theta_samples[{i}]") for i, t in enumerate(theta_samples))
     if not thetas:
         raise ValueError("theta_samples must hold at least one angle")
-    if not all(map(math.isfinite, thetas)):
-        raise ValueError(f"theta_samples must be finite, got {thetas}")
     Q, W = _realized_tableau(seq), seq.target.tableau
     if Q == W:
         return VerificationReport(True, 0.0, (0.0,) * len(thetas), thetas, VERIFY_TOL)
@@ -388,10 +386,9 @@ def ms_decompose(p: int, q: int, theta: float) -> GateSequence:
     p, q = _integer(p, "p", 1), _integer(q, "q", 1)
     if p == q:
         raise ValueError(f"p and q must be distinct system qubits, got {p} twice")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    gates = (MSGate(np.pi / 2.0, 0.0), AncillaRotation(float(theta)), MSGate(-np.pi / 2.0, 0.0))
-    return GateSequence(gates, PauliString("XX"), float(theta), qubits=(0, p, q))
+    theta = _real(theta, "theta")
+    gates = (MSGate(np.pi / 2.0, 0.0), AncillaRotation(theta), MSGate(-np.pi / 2.0, 0.0))
+    return GateSequence(gates, PauliString("XX"), theta, qubits=(0, p, q))
 
 
 def _ms_sequence_gate_matrix(gate) -> np.ndarray:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import PauliSum, _frozen, _operator, _positive, complex_pairs, dag
+from .algebra import PauliSum, _frozen, _integer, _operator, _positive, complex_pairs, dag
 from .states import as_vector
 
 SCALE_LIMIT = 1e100  # is_dark and steady_states rescale an operator (or term) beyond this
@@ -35,6 +35,8 @@ class SynthesisSpec:
     basis: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("dim", "k"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 1 <= self.k < self.dim:
             raise ValueError(f"need 1 <= k < N, got k={self.k}, N={self.dim}")
         if self.basis is None:
@@ -333,7 +335,7 @@ class DissipatorSet:
         for entry in obj:
             flat = np.array([complex(re, im) for re, im in entry["matrix"]])
             d = int(round(np.sqrt(flat.size)))
-            items.append((float(entry["gamma"]), flat.reshape(d, d)))
+            items.append((entry["gamma"], flat.reshape(d, d)))
         return cls(tuple(items))
 
     def __iter__(self):

@@ -55,7 +55,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import _operator, dag, null_space
+from .algebra import _operator, _positive, _real, dag, null_space
 from .dissipators import SCALE_LIMIT, DissipatorSet, _times_power_of_two
 from .states import DensityMatrix, PureState, as_matrix, as_vector, fidelity, purity
 
@@ -415,13 +415,13 @@ def step_count(t_max: float, dt: float) -> int:
     or after t_max. The ratio is first shrunk by a relative 1e-12, which absorbs
     its round-off at any size, so an exact multiple k dt takes k steps. Shared by
     integrate and the trajectory ensembles of `qsd`, so both sample the same times."""
-    if not (math.isfinite(t_max) and math.isfinite(dt)):
-        raise ValueError(f"t_max and dt must be finite, got t_max = {t_max}, dt = {dt}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    t_max, dt = _real(t_max, "t_max"), _positive(dt, "dt")
     if t_max < dt:
         raise ValueError(f"t_max = {t_max} is below one step dt = {dt}")
-    return int(math.ceil(t_max / dt * (1.0 - 1e-12)))
+    ratio = t_max / dt * (1.0 - 1e-12)
+    if ratio == math.inf:  # ceil would raise OverflowError
+        raise ValueError(f"t_max / dt = {t_max} / {dt} is beyond the float range")
+    return int(math.ceil(ratio))
 
 
 def default_step(model: LindbladModel) -> float:

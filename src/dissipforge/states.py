@@ -59,8 +59,12 @@ class GraphSpec:
 
     @classmethod
     def from_obj(cls, obj) -> "GraphSpec":
-        """Build from the JSON form {"n": int, "edges": [[a, b], ...]}."""
-        return cls(obj["n"], tuple(tuple(e) for e in obj.get("edges", ())))
+        """Build from the JSON form {"n": int, "edges": [[a, b], ...]}, or raise ValueError."""
+        edges = obj.get("edges", ()) if isinstance(obj, dict) else ()
+        if not (isinstance(obj, dict) and "n" in obj and isinstance(edges, (list, tuple))
+                and all(isinstance(e, (list, tuple)) for e in edges)):
+            raise ValueError('a graph must be {"n": ..., "edges": [[a, b], ...]}')
+        return cls(obj["n"], tuple(map(tuple, edges)))
 
     def to_obj(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -116,7 +120,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        d = 1 << n
+        d = 1 << _integer(n, "n", 1)
         return cls(np.eye(d, dtype=complex) / d)
 
     def __repr__(self):
@@ -124,7 +128,10 @@ class DensityMatrix:
 
 
 def basis_state(n: int, index: int) -> PureState:
-    """Computational basis state |index> on n qubits."""
+    """Computational basis state |index> on n qubits, 0 <= index < 2^n."""
+    n, index = _integer(n, "n", 1), _integer(index, "index")
+    if not 0 <= index < 1 << n:
+        raise ValueError(f"index {index} outside 0..{(1 << n) - 1}")
     amp = np.zeros(1 << n, dtype=complex)
     amp[index] = 1.0
     return PureState(amp)
@@ -140,7 +147,7 @@ def bell_state() -> PureState:
 
 
 def ghz_state(n: int) -> PureState:
-    amp = np.zeros(1 << n, dtype=complex)
+    amp = np.zeros(1 << _integer(n, "n", 1), dtype=complex)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
     return PureState(amp)
 
@@ -170,8 +177,7 @@ def cluster_formula(n: int) -> PureState:
     alone; the trailing Z on qubit n+1 is the identity. Expanding the
     product gives amplitude 2^(-n/2) * prod_q [(-1)^(b_{q+1}) if b_q = 0].
     """
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    n = _integer(n, "n", 1)
     bits = _bit_table(n)
     signs = np.ones(1 << n)
     for q in range(n - 1):

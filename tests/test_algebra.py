@@ -311,6 +311,38 @@ def test_integer_refuses_booleans_other_types_and_small_values(value, least, mes
         algebra._integer(value, "count", least)
 
 
+@pytest.mark.parametrize("value, expected", [
+    (-2, -2.0), (0.5, 0.5), (np.float64(0.25), 0.25), (np.float32(1.5), 1.5), (np.int64(-3), -3.0),
+    (10**300, 1e300),
+], ids=["int", "float", "numpy-float64", "numpy-float32", "numpy-int", "large-int"])
+def test_real_returns_a_float(value, expected):
+    out = algebra._real(value, "angle")
+    assert out == expected and type(out) is float
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "angle must be a finite real number, got True"),
+    (np.bool_(False), "angle must be a finite real number, got"),
+    ("3", "angle must be a finite real number, got '3'"),
+    (None, "angle must be a finite real number, got None"),
+    (1j, "angle must be a finite real number, got 1j"),
+    (math.nan, "angle must be a finite real number, got nan"),
+    (math.inf, "angle must be a finite real number, got inf"),
+    (-math.inf, "angle must be a finite real number, got -inf"),
+    (10**400, "angle must be a finite real number, got 1000"),
+], ids=["bool", "numpy-bool", "string", "none", "complex", "nan", "inf", "-inf", "10**400"])
+def test_real_refuses_booleans_other_types_and_non_finite_values(value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        algebra._real(value, "angle")
+
+
+@pytest.mark.parametrize("value", [True, "2", None, 10**400],
+                         ids=["bool", "string", "none", "10**400"])
+def test_positive_refuses_what_real_refuses_in_its_own_words(value):
+    with pytest.raises(ValueError, match="rate must be positive and finite"):
+        algebra._positive(value, "rate")
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
 def test_positive_refuses_a_value_that_is_not_positive_and_finite(value):
     with pytest.raises(ValueError, match="rate must be positive and finite"):

@@ -189,6 +189,40 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     assert "np.float64(" not in err
 
 
+@pytest.mark.parametrize("probe, message", [
+    pytest.param({**_STEADY, "gamma": True},
+                 "key 'gamma': gamma must be positive and finite, got True", id="gamma-boolean"),
+    pytest.param({**_STEADY, "gamma": [1.0, "2", 1.0]},
+                 "key 'gamma': gamma[1] must be positive and finite, got '2'", id="gamma-entry"),
+    pytest.param({**_COMPILE, "theta": 10**400},
+                 "key 'theta': theta must be a finite real number, got 1000", id="theta-10^400"),
+    pytest.param({**_COMPILE, "bath_dim": 1},
+                 "key 'bath_dim': bath_dim must be an integer of at least 2, got 1",
+                 id="bath_dim-1"),
+    pytest.param({**_QSD, "seed": True}, "key 'seed': seed must be an integer, got True",
+                 id="seed-boolean"),
+    pytest.param({**_EVOLVE, "t_max": 1.0, "dt": 2.0},
+                 "key 't_max': t_max = 1.0 is below one step dt = 2.0", id="t_max-below-dt"),
+    pytest.param({**_EVOLVE, "t_max": 1e300, "dt": 1e-300},
+                 "key 't_max': t_max / dt = 1e+300 / 1e-300 is beyond the float range",
+                 id="step-count-overflows"),
+    pytest.param({"scenario": "graph-state", "graph": {"edges": []}},
+                 'key \'graph\': a graph must be {"n": ..., "edges": [[a, b], ...]}',
+                 id="graph-without-n"),
+    pytest.param({"scenario": "graph-state", "graph": [1]},
+                 'key \'graph\': a graph must be {"n": ..., "edges": [[a, b], ...]}',
+                 id="graph-list"),
+])
+def test_config_error_repeats_the_library_message_after_the_key(tmp_path, capsys, probe,
+                                                                 message):
+    path = _write(tmp_path, "cfg.json", probe)
+    out = tmp_path / "out"
+    assert main([str(path), "--output", str(out), "--quiet"]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"[dissipforge] config error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("probe", [
     pytest.param({"scenario": "graph-state", "graph": {"n": 30, "edges": [[1, 2]]}},
                  id="graph-state-30-qubits"),
@@ -403,8 +437,8 @@ def test_main_checks_the_seed_override_at_parse_time(tmp_path, capsys):
     assert parse_config(path, seed=5).seed == 5
 
 
-_JUNK = st.sampled_from([None, True, "1", -1, 0, 0.5, 1e300, 10**30, -math.inf, math.nan,
-                         [], [1], {}])
+_JUNK = st.sampled_from([None, True, "1", -1, 0, 0.5, 1e300, 10**30, 10**400, -math.inf,
+                         math.nan, [], [1], {}])
 
 
 @st.composite

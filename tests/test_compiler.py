@@ -175,6 +175,15 @@ def test_compile_rejects_a_non_finite_theta(theta):
         compile_coupling(PauliString("XY"), theta)
 
 
+@pytest.mark.parametrize("theta", [True, np.bool_(False), "0.3", None, 10**400],
+                         ids=["bool", "numpy-bool", "string", "none", "10**400"])
+def test_compile_and_ms_decompose_refuse_a_theta_that_is_not_a_finite_number(theta):
+    with pytest.raises(ValueError, match="theta must be a finite real number"):
+        compile_coupling(PauliString("XY"), theta)
+    with pytest.raises(ValueError, match="theta must be a finite real number"):
+        ms_decompose(1, 2, theta)
+
+
 def _reference_compile(W, allowed):
     """Oracle: the gates of the word-product sweep, which re-sorts every pending x
     grown qubit pair per step and tracks the whole word with conjugation_step."""
@@ -689,6 +698,14 @@ def test_verify_rejects_empty_theta_samples(thetas):
         verify_sequence(seq, BathTestSpec.random(2), thetas)
 
 
+@pytest.mark.parametrize("thetas", [[True], (0.3, "1.1"), [0.3, 10**400]],
+                         ids=["bool", "string", "10**400"])
+def test_verify_refuses_a_theta_sample_that_is_not_a_finite_number(thetas):
+    seq = compile_coupling(PauliString("XY"), 0.3)
+    with pytest.raises(ValueError, match=r"theta_samples\[\d\] must be a finite real number"):
+        verify_sequence(seq, BathTestSpec.random(2), thetas)
+
+
 def test_verify_rejects_ms_sequences():
     with pytest.raises(ValueError):
         verify_sequence(ms_decompose(1, 2, 0.3), BathTestSpec.random(3), (0.3,))
@@ -894,6 +911,20 @@ def test_ms_sequence_json_roundtrip():
     seq = ms_decompose(2, 3, 0.25)
     back = GateSequence.from_json_obj(seq.to_json_obj())
     assert back.gates == seq.gates and back.qubits == seq.qubits
+
+
+@pytest.mark.parametrize("seq, gate, key, value", [
+    (compile_coupling(PauliString("XY"), 0.3), None, "theta", "0.3"),
+    (compile_coupling(PauliString("XY"), 0.3), 0, "qubits", [True]),
+    (compile_coupling(PauliString("XY"), 0.3), 0, "qubits", [1.7]),
+    (ms_decompose(1, 2, 0.3), 1, "angle", True),
+    (ms_decompose(1, 2, 0.3), 2, "angle2", "0"),
+], ids=["theta-string", "seed-bool", "seed-fractional", "angle-bool", "angle2-string"])
+def test_gate_sequence_from_json_refuses_numbers_as_the_constructors_do(seq, gate, key, value):
+    obj = seq.to_json_obj()
+    (obj if gate is None else obj["gates"][gate])[key] = value
+    with pytest.raises(ValueError, match=f"{'seed qubit' if key == 'qubits' else key} must be"):
+        GateSequence.from_json_obj(obj)
 
 
 def test_render_text_one_gate_per_line():

@@ -125,6 +125,18 @@ def test_synthesis_spec_validation():
         SynthesisSpec(dim=2, k=1, coeffs=np.ones((1, 1)), basis=np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("dim, k", [(4, True), (True, 1), (4.0, 1.5), ("4", 1)],
+                         ids=["k-bool", "dim-bool", "k-fractional", "dim-string"])
+def test_synthesis_spec_refuses_counts_that_are_not_integers(dim, k):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SynthesisSpec(dim=dim, k=k, coeffs=np.ones((3, 1)))
+
+
+def test_synthesis_spec_stores_integral_float_counts_as_ints():
+    spec = SynthesisSpec(dim=4.0, k=np.float64(1.0), coeffs=np.ones((3, 1)))
+    assert (spec.dim, spec.k) == (4, 1) and type(spec.dim) is type(spec.k) is int
+
+
 # ---------------------------------------------------------------- single operator
 
 
@@ -610,6 +622,18 @@ def test_dissipator_set_rejects_non_finite_rates_and_entries(gamma, entry):
     op[0, 1] = entry
     with pytest.raises(ValueError, match="finite"):
         DissipatorSet(((gamma, op),))
+
+
+@pytest.mark.parametrize("gamma", [True, np.bool_(True), "2"], ids=repr)
+def test_dissipator_set_refuses_a_rate_that_is_not_a_number(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        DissipatorSet(((gamma, _SIGMA_MINUS),))
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        preset_lfor2()._with_rates([1.0, gamma, 1.0])
+    obj = preset_lfor2().to_json_obj()
+    obj[1]["gamma"] = gamma
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        DissipatorSet.from_json_obj(obj)
 
 
 def test_dissipator_set_shares_only_frozen_operators():

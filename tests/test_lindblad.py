@@ -785,6 +785,21 @@ def test_step_count_rejects_non_finite_values(t_max, dt):
         integrate(_sigma_minus_model(), np.diag([0.0, 1.0]), t_max, dt=dt)
 
 
+@pytest.mark.parametrize("t_max, dt, name", [
+    (True, 0.5, "t_max"), ("1.0", 0.5, "t_max"), (10**400, 0.5, "t_max"),
+    (1.0, True, "dt"), (1.0, "0.5", "dt"), (1.0, np.bool_(True), "dt"),
+], ids=["t_max-bool", "t_max-string", "t_max-10**400", "dt-bool", "dt-string", "dt-numpy-bool"])
+def test_step_count_refuses_booleans_strings_and_ints_beyond_floats(t_max, dt, name):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        step_count(t_max, dt)
+
+
+def test_step_count_refuses_a_ratio_beyond_the_float_range():
+    with pytest.raises(ValueError, match="beyond the float range"):
+        step_count(1e300, 1e-300)
+    assert step_count(np.float64(1.0), np.float32(0.5)) == 2
+
+
 def test_integrate_argument_validation():
     model = _sigma_minus_model()
     rho0 = np.diag([0.0, 1.0]).astype(complex)

@@ -109,6 +109,15 @@ def test_trajectory_config_rejects_non_finite_and_non_integer_values(bad):
         TrajectoryConfig(**{"n_traj": 2, "dt": 0.1, "t_max": 1.0, **bad})
 
 
+@pytest.mark.parametrize("bad", [
+    {"gamma": True}, {"gamma": "2"}, {"dt": True}, {"t_max": "1.0"}, {"t_max": 10**400},
+], ids=["gamma-bool", "gamma-string", "dt-bool", "t_max-string", "t_max-10**400"])
+def test_trajectory_config_refuses_booleans_strings_and_ints_beyond_floats(bad):
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        TrajectoryConfig(**{"n_traj": 2, "dt": 0.1, "t_max": 1.0, **bad})
+
+
 def test_trajectory_config_takes_a_numpy_integer_count():
     assert TrajectoryConfig(n_traj=np.int64(3), dt=0.1, t_max=1.0).n_traj == 3
     cfg = TrajectoryConfig(n_traj=4.0, dt=0.1, t_max=1.0, master_seed=np.uint32(7))

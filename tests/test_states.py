@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,16 @@ def test_graph_spec_json_roundtrip():
     assert g.to_obj() == {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}
 
 
+@pytest.mark.parametrize("obj", [
+    [1], None, "graph", {"edges": []}, {"n": 2, "edges": 5}, {"n": 2, "edges": [5]},
+    {"n": 2, "edges": [{"a": 1, "b": 2}]}, {"n": 2, "edges": ["12"]},
+], ids=["list", "none", "string", "no-n", "edges-number", "edge-number", "edge-object",
+        "edge-string"])
+def test_graph_spec_from_obj_says_what_it_expects(obj):
+    with pytest.raises(ValueError, match=re.escape('{"n": ..., "edges": [[a, b], ...]}')):
+        GraphSpec.from_obj(obj)
+
+
 # ---------------------------------------------------------------- graph states
 
 
@@ -120,6 +132,23 @@ def test_cluster_formula_matches_recursive_oracle(n):
 def test_cluster_formula_rejects_bad_n():
     with pytest.raises(ValueError):
         cluster_formula(0)
+
+
+@pytest.mark.parametrize("make", [
+    ghz_state, cluster_formula, DensityMatrix.maximally_mixed, lambda n: basis_state(n, 0),
+], ids=["ghz_state", "cluster_formula", "maximally_mixed", "basis_state"])
+def test_state_constructors_take_their_qubit_count_as_an_integer(make):
+    for bad in (True, np.bool_(True), 2.5, "2", 0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            make(bad)
+    assert make(2.0).n == 2 and type(make(2.0).n) is int
+
+
+@pytest.mark.parametrize("index", [-1, 4, True, 1.5], ids=repr)
+def test_basis_state_refuses_an_index_outside_the_register(index):
+    with pytest.raises(ValueError, match="index"):
+        basis_state(2, index)
+    assert np.array_equal(basis_state(2, 3.0).amplitudes, [0, 0, 0, 1])
 
 
 # ---------------------------------------------------------------- metrics
