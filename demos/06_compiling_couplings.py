@@ -16,12 +16,13 @@ from dissipforge import (
     PauliString,
     compile_coupling,
     conjugation_step,
+    kron,
     matexp,
     ms_decompose,
     trotter_step,
     verify_sequence,
 )
-from dissipforge.compiler import coupling_generator, ms_system_action
+from dissipforge.compiler import ms_system_action
 from dissipforge.states import GraphSpec
 
 print("conjugation chain growing Y1 into X1X2X3:")
@@ -59,7 +60,8 @@ print(f"  ancilla leakage out of |0>: {np.max(np.abs(bottom)):.2e}")
 print("\nTrotter error halves four times when dt halves:")
 terms = [PauliString("X"), PauliString("Z")]
 small_bath = BathTestSpec.lowering(4)
-H = coupling_generator(terms, small_bath)
+B = small_bath.operator
+H = sum(kron(W.dense(), B.conj().T) + kron(W.dense().conj().T, B) for W in terms)
 errs = {}
 for dt in (0.02, 0.01):
     errs[dt] = np.linalg.norm(trotter_step(terms, dt, small_bath) - matexp(-1j * dt * H))

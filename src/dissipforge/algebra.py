@@ -313,8 +313,7 @@ class PauliSum:
     terms: tuple  # of (complex coefficient, PauliString with phase +1)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one qubit")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
         seen = set()
         norm = []
         for coeff, word in self.terms:
@@ -367,8 +366,7 @@ def pauli_decompose(M: np.ndarray, n: int, tol: float = 1e-14) -> PauliSum:
     time, so the cost is O(n 4^n) rather than O(16^n).
     """
     M = np.asarray(M, dtype=complex)
-    if n < 1:
-        raise ValueError("need at least one qubit")
+    n = _integer(n, "n", 1)
     dim = 1 << n
     if M.shape != (dim, dim):
         raise ValueError(f"matrix shape {M.shape} is not ({dim}, {dim})")

@@ -277,16 +277,19 @@ def _log2_largest_array(cfg: ScenarioConfig):
     dissipators.json is written from, (d - 1) d^2 jump entries at about 128
     bytes each as [re, im] float pairs (synth builds no Liouvillian);
     evolve: the larger of the stack and the (T, d, d) complex record of
-    T = t_max/dt + 1 samples; qsd: the largest of those two and the
-    (chunk, T) complex noise block; compile: 12 complex (bath_dim, bath_dim)
-    arrays, over the 9.1 measured at bath_dim 128 for a failing word's report:
-    the bath, one theta's first exponential and one matexp (its operand and
-    the six buffers of its Pade terms). A passing word allocates only the two
-    baths, since verify_sequence decides on the words' tableaux alone, holds
-    them as integers and builds no 2^n-level array (parse_config caps the word
-    at MAX_WORD_LETTERS for its artifacts, which grow as the square of the
-    word length, not for this array); graph-state: the (2^n, n) int64 bit
-    table.
+    T = t_max/dt + 1 samples; qsd: the largest of the stack, the (chunk, T)
+    complex noise block and the Python lists that ensemble.json is written
+    from, 512 bytes per (sample, i, j) entry, over the 430 measured for
+    cluster-4 and cluster-5 at t_max = 1 (rho_mean's [re, im] pairs and
+    rho_se's floats, each rounded into a second list); compile: 12 complex
+    (bath_dim, bath_dim) arrays, over the 9.1 measured at bath_dim 128 for a
+    failing word's report: the bath, one theta's first exponential and one
+    matexp (its operand and the six buffers of its Pade terms). A passing word
+    allocates only the bath, since verify_sequence decides on the words'
+    tableaux alone, holds them as integers and builds no 2^n-level array
+    (parse_config caps the word at MAX_WORD_LETTERS for its artifacts, which
+    grow as the square of the word length, not for this array); graph-state:
+    the (2^n, n) int64 bit table.
     """
     if cfg.scenario == "compile":
         return 4 + math.log2(12 * cfg.bath_dim ** 2)
@@ -303,7 +306,8 @@ def _log2_largest_array(cfg: ScenarioConfig):
         return 4 + 4 * n
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
-        return 4 + max(stack, max(2 * n, math.log2(min(cfg.n_traj, CHUNK_SIZE))) + samples)
+        noise = 4 + math.log2(min(cfg.n_traj, CHUNK_SIZE)) + samples
+        return max(4 + stack, noise, 9 + 2 * n + samples)
     return 4 + max(stack, 2 * n + samples)
 
 
@@ -391,11 +395,7 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
 
     if cfg.scenario == "graph-state":
         state = graph_state(cfg.graph)
-        emit("state.json", {
-            "n": state.n,
-            "edges": [list(e) for e in cfg.graph.edges],
-            "amplitudes": complex_pairs(state.amplitudes),
-        })
+        emit("state.json", {**cfg.graph.to_obj(), "amplitudes": complex_pairs(state.amplitudes)})
         metrics["n_qubits"] = state.n
         metrics["edge_count"] = len(cfg.graph.edges)
 
@@ -443,25 +443,21 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
     elif cfg.scenario == "compile":
         word = PauliString(cfg.pauli_word)
         seq = compile_coupling(word, cfg.theta, GraphSpec.path(word.n))
-        reports = [
-            verify_sequence(seq, BathTestSpec.random(cfg.bath_dim, seed=cfg.seed + shift),
-                            VERIFY_THETAS)
-            for shift in (0, 1)
-        ]
-        max_dev = max(r.max_deviation for r in reports)
+        report = verify_sequence(seq, BathTestSpec.random(cfg.bath_dim, seed=cfg.seed),
+                                 VERIFY_THETAS)
+        max_dev = report.max_deviation
         emit("gates.json", seq.to_json_obj())
         emit("circuit.txt", seq.render_text())
         emit("verification.json", {
-            "passed": all(r.passed for r in reports),
+            "passed": report.passed,
             "max_deviation": max_dev,
             "measure": "relative Frobenius deviation ||V - T||_F / ||T||_F",
-            "tolerance": reports[0].tolerance,
             "thetas": list(VERIFY_THETAS),
-            "deviations": [list(r.deviations) for r in reports],
+            "deviations": [list(report.deviations)],
         })
         metrics["gate_count"] = len(seq.gates)
         metrics["max_verification_deviation"] = max_dev
-        if not all(r.passed for r in reports):
+        if not report.passed:
             raise ContractError(
                 f"compiled sequence failed verification (max relative deviation {max_dev:.3e})"
             )
@@ -483,13 +479,25 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
     return summary
 
 
+def _json_number(text):
+    """A command-line value as a config file holds it: the JSON value the text
+    spells, or the text itself, so that the key's own check refuses what is not
+    a number (null included, which parse_config would read as no value)."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return text if value is None else value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dissipforge",
         description="Run a dissipator-engineering scenario from a JSON config.",
     )
     parser.add_argument("config", help="path to a scenario config (JSON)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=_json_number, default=None,
+                        help="override the config seed (a JSON number, checked as the config's)")
     parser.add_argument("--output", default=None, help="override the output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)

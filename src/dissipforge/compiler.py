@@ -32,8 +32,6 @@ from .algebra import (PHASES, PauliString, _integer, _operator, _positive, _real
                       dag, kron, matexp, pauli_mul, tableau_anticommutes, tableau_mul)
 from .states import GraphSpec
 
-VERIFY_TOL = 1e-10  # reported as VerificationReport.tolerance; decides no verdict
-
 
 @dataclass(frozen=True)
 class Conjugation:
@@ -86,13 +84,6 @@ class GateSequence:
     @property
     def conjugations(self) -> tuple[Conjugation, ...]:
         return tuple(g for g in self.gates if isinstance(g, Conjugation))
-
-    @property
-    def seed(self) -> SeedCoupling | None:
-        for g in self.gates:
-            if isinstance(g, SeedCoupling):
-                return g
-        return None
 
     def to_json_obj(self) -> dict:
         gates = []
@@ -249,7 +240,8 @@ class BathTestSpec:
 
     @classmethod
     def random(cls, dim: int, seed: int = 0) -> "BathTestSpec":
-        rng = np.random.default_rng(seed)
+        dim = _integer(dim, "dim", 2)
+        rng = np.random.default_rng(_integer(seed, "seed", 0))
         op = np.empty((dim, dim), dtype=complex)
         op.real = rng.standard_normal((dim, dim))
         op.imag = rng.standard_normal((dim, dim))
@@ -259,6 +251,7 @@ class BathTestSpec:
     @classmethod
     def lowering(cls, dim: int) -> "BathTestSpec":
         """Truncated harmonic-oscillator annihilation operator."""
+        dim = _integer(dim, "dim", 2)
         op = np.zeros((dim, dim), dtype=complex)
         for m in range(1, dim):
             op[m - 1, m] = np.sqrt(m)
@@ -273,16 +266,13 @@ class VerificationReport:
     target, phase included. Each deviation is relative, ||V - T||_F / ||T||_F,
     between the realized coupling V and the target T at one theta sample: it
     reads exactly 0 for a passing sequence, and for a failing one it reports
-    how far off the word is on this bath. `tolerance` is VERIFY_TOL, which
-    every passing deviation meets; it decides nothing and is kept so that
-    written reports keep their fields.
+    how far off the word is on this bath.
     """
 
     passed: bool
     max_deviation: float
     deviations: tuple
     thetas: tuple
-    tolerance: float
 
 
 def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> VerificationReport:
@@ -332,7 +322,7 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
         raise ValueError("theta_samples must hold at least one angle")
     Q, W = _realized_tableau(seq), seq.target.tableau
     if Q == W:
-        return VerificationReport(True, 0.0, (0.0,) * len(thetas), thetas, VERIFY_TOL)
+        return VerificationReport(True, 0.0, (0.0,) * len(thetas), thetas)
     (e, x, z), (e_w, x_w, z_w) = Q, W
     # ||Q - W||_F / 2^{n/2}; distinct Pauli words are orthogonal
     word_dev = abs(PHASES[e] - PHASES[e_w]) if (x, z) == (x_w, z_w) else math.sqrt(2)
@@ -346,7 +336,7 @@ def verify_sequence(seq: GateSequence, bath: BathTestSpec, theta_samples) -> Ver
                              + (1 - w) / 2 * np.linalg.norm(E[1]) ** 2)
             devs.append(float(word_dev * np.linalg.norm(E[0] - E[1]) / 2 / norm))
         del E  # so the next theta's pair is not computed beside this one
-    return VerificationReport(False, float(np.max(devs)), tuple(devs), thetas, VERIFY_TOL)
+    return VerificationReport(False, float(np.max(devs)), tuple(devs), thetas)
 
 
 def _realized_tableau(seq: GateSequence) -> tuple[int, int, int]:
@@ -432,7 +422,11 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
     so only the bath operator M is exponentiated.
     """
     dt = _positive(dt, "dt")
-    terms = _coupling_terms(terms)
+    terms = list(terms)
+    if not terms:
+        raise ValueError("need at least one coupling term")
+    if any(t.n != terms[0].n for t in terms):
+        raise ValueError("coupling terms act on different registers")
     U = np.eye((1 << terms[0].n) * bath.dimension, dtype=complex)
     for term in terms:
         M = term.phase * dag(bath.operator) + np.conj(term.phase) * bath.operator
@@ -440,18 +434,3 @@ def trotter_step(terms, dt: float, bath: BathTestSpec) -> np.ndarray:
         U = U @ _word_coupling(P, matexp(-1j * dt * M), matexp(1j * dt * M))
     return U
 
-
-def coupling_generator(terms, bath: BathTestSpec) -> np.ndarray:
-    """Summed generator sum_a (W_a (x) B^dag + W_a^dag (x) B), the dense reference."""
-    Ws, B = [term.dense() for term in _coupling_terms(terms)], bath.operator
-    return sum(kron(W, dag(B)) + kron(dag(W), B) for W in Ws)
-
-
-def _coupling_terms(terms) -> list:
-    """The terms as a list, checked to be non-empty and on one register."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("need at least one coupling term")
-    if any(t.n != terms[0].n for t in terms):
-        raise ValueError("coupling terms act on different registers")
-    return terms

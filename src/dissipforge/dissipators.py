@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import PauliSum, _frozen, _integer, _operator, _positive, complex_pairs, dag
+from .algebra import PauliSum, _frozen, _integer, _operator, _positive, _real, complex_pairs, dag
 from .states import as_vector
 
 SCALE_LIMIT = 1e100  # is_dark and steady_states rescale an operator (or term) beyond this
@@ -88,12 +88,6 @@ def _outer_factors(X: np.ndarray, peak: float | np.ndarray):
     if not np.all(np.abs(X - np.outer(u, v.conj())) <= tol):  # NaN from an overflow fails too
         return None
     return u, v
-
-
-def _rank_one(L: np.ndarray, peak: float):
-    """(u, v) with the jump L = u v^dag, or None: `_outer_factors` of one operator,
-    called once per operator by `DissipatorSet._jumps`."""
-    return _outer_factors(L, peak)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +256,7 @@ class DissipatorSet:
         """The set split into rank-one factors, their shared group when every left
         factor is parallel to one vector, and dense stacks, built on first use and
         shared by every model over the set and by `is_dark`."""
-        uvs = [_rank_one(L, peak) for L, peak in zip(self.operators, self.peaks)]
+        uvs = [_outer_factors(L, peak) for L, peak in zip(self.operators, self.peaks)]
         order = np.argsort([uv is None for uv in uvs], kind="stable")  # rank one first
         rank_one = [uvs[i] for i in order if uvs[i] is not None]
         dense = [self.items[i][1] for i in order if uvs[i] is None]
@@ -392,11 +386,9 @@ def splitting_hamiltonian(spec: SynthesisSpec, energies=None) -> np.ndarray:
     """
     if energies is None:
         energies = np.arange(spec.dim, dtype=float)
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != (spec.dim,):
-        raise ValueError(f"need {spec.dim} energies, got shape {energies.shape}")
-    if not np.all(np.isfinite(energies)):
-        raise ValueError(f"energies must be finite, got {energies}")
+    if np.shape(energies) != (spec.dim,):
+        raise ValueError(f"need {spec.dim} energies, got shape {np.shape(energies)}")
+    energies = np.array([_real(e, f"energies[{i}]") for i, e in enumerate(energies)])
     if np.unique(energies).size != spec.dim:
         raise ValueError("energies must be pairwise distinct to split the frame")
     H = spec.basis @ np.diag(energies).astype(complex) @ dag(spec.basis)

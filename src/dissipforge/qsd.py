@@ -312,7 +312,7 @@ def _average(cfg, chunk_sums, expand=None) -> EnsembleResult:
     TrajectoryOverflow is rerun with the offending rows excluded; more than
     1% exclusions raises EnsembleError.
     """
-    budget = int(0.01 * cfg.n_traj)
+    budget = cfg.n_traj // 100
     excluded: set[int] = set()
     totals = None
     for lo in range(0, cfg.n_traj, CHUNK_SIZE):

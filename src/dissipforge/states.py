@@ -54,10 +54,6 @@ class GraphSpec:
         return cls(n, tuple((q, q + 1) for q in range(1, n)))
 
     @classmethod
-    def complete(cls, n: int) -> "GraphSpec":
-        return cls(n, tuple(itertools.combinations(range(1, n + 1), 2)))
-
-    @classmethod
     def from_obj(cls, obj) -> "GraphSpec":
         """Build from the JSON form {"n": int, "edges": [[a, b], ...]}, or raise ValueError."""
         edges = obj.get("edges", ()) if isinstance(obj, dict) else ()
@@ -138,6 +134,7 @@ def basis_state(n: int, index: int) -> PureState:
 
 
 def plus_state(n: int = 1) -> PureState:
+    n = _integer(n, "n", 1)
     return PureState(np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex))
 
 

@@ -42,3 +42,11 @@ def skew_null_space(monkeypatch):
         return [xs[0] + delta, *xs[1:]]
 
     monkeypatch.setattr("dissipforge.lindblad.null_space", skewed)
+
+
+def coupling_generator(terms, bath):
+    """Dense reference for the compiler's couplings: the summed generator
+    sum_a (W_a (x) B^dag + W_a^dag (x) B) on the register (x) bath."""
+    B = bath.operator
+    return sum(np.kron(W.dense(), B.conj().T) + np.kron(W.dense().conj().T, B) for W in terms)
+

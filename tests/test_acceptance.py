@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import random_complex, random_density
+from conftest import coupling_generator, random_complex, random_density
 from dissipforge.algebra import PauliString, matexp, null_space
 from dissipforge.compiler import (
     BathTestSpec,
@@ -20,7 +20,6 @@ from dissipforge.compiler import (
     GateSequence,
     SeedCoupling,
     compile_coupling,
-    coupling_generator,
     ms_decompose,
     ms_system_action,
     trotter_step,

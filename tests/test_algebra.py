@@ -518,6 +518,16 @@ def test_from_terms_rejects_a_nan_coefficient():
         PauliSum(1, ((np.inf, PauliString("X")),))
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: PauliSum(n, ()), lambda n: pauli_decompose(np.eye(2), n),
+], ids=["PauliSum", "pauli_decompose"])
+def test_pauli_sums_take_their_qubit_count_as_an_integer(make):
+    for bad in (True, np.bool_(True), 1.5, "1", 0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            make(bad)
+    assert make(1.0).n == 1 and type(make(1.0).n) is int
+
+
 def test_decompose_rejects_bad_dimension():
     with pytest.raises(ValueError):
         pauli_decompose(np.eye(3), 1)

@@ -238,6 +238,9 @@ def test_config_error_repeats_the_library_message_after_the_key(tmp_path, capsys
                   "n_traj": 1}, id="qsd-10-qubits-one-step"),
     # verify_sequence is charged 12 bath arrays of 4096 x 4096: 3 GiB
     pytest.param({**_COMPILE, "bath_dim": 4096}, id="compile-bath-4096"),
+    # ensemble.json's lists at 512 B per (sample, i, j) entry: 1001 x 128^2 of them, 7.8 GiB
+    pytest.param({**_QSD, "n_qubits": 7, "target": "cluster", "t_max": 1, "n_traj": 64},
+                 id="qsd-7-qubits-t_max-1"),
 ])
 def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -278,6 +281,10 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
     pytest.param(_COMPILE, "pauli_word", "XYZ" * 341 + "X", "XYZ" * 341 + "XY",
                  "1025 letters, above the 1024-letter limit", id="compile"),
     pytest.param(_COMPILE, "bath_dim", 2364, 2365, " 1 GiB", id="compile-bath"),
+    # qsd's ensemble.json lists, 512 B per (sample, i, j) entry: 1 GiB at 2048 samples
+    # of 32 x 32 (t_max = 2.047 at dt = 1e-3), above the 64 MiB record
+    pytest.param({**_QSD, "n_qubits": 5, "target": "cluster"}, "t_max", 2.047, 2.048, " 1 GiB",
+                 id="qsd-ensemble-lists"),
 ])
 def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
     cfg = parse_config(_write(tmp_path, "fits.json", {**probe, key: fits}))
@@ -385,7 +392,7 @@ def test_synth_exits_3_when_the_target_is_not_dark(tmp_path, capsys, monkeypatch
 def test_compile_exits_3_when_verification_fails(tmp_path, capsys, monkeypatch):
     def failing(seq, bath, thetas):
         deviations = tuple(0.25 * (k + 1) for k in range(len(thetas)))
-        return VerificationReport(False, max(deviations), deviations, tuple(thetas), 1e-10)
+        return VerificationReport(False, max(deviations), deviations, tuple(thetas))
 
     monkeypatch.setattr(dissipforge.cli, "verify_sequence", failing)
     out = tmp_path / "out"
@@ -396,7 +403,7 @@ def test_compile_exits_3_when_verification_fails(tmp_path, capsys, monkeypatch):
                    "verification (max relative deviation 7.500e-01)\n")
     verification = json.loads((out / "verification.json").read_text())
     assert verification["passed"] is False and verification["max_deviation"] == 0.75
-    assert verification["deviations"] == [[0.25, 0.5, 0.75]] * 2
+    assert verification["deviations"] == [[0.25, 0.5, 0.75]]
     assert not (out / "summary.json").exists()
 
 
@@ -783,6 +790,35 @@ def test_main_seed_override_changes_qsd_output(tmp_path):
     a = (tmp_path / "a" / "ensemble.json").read_bytes()
     b = (tmp_path / "b" / "ensemble.json").read_bytes()
     assert a != b
+
+
+def test_main_reads_the_seed_override_as_the_config_reads_seed(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "cfg.json", {**_QSD, "seed": 0})
+    for seed in ("2", "2.0"):
+        assert main([str(cfg), "--output", str(tmp_path / seed), "--quiet", "--seed", seed]) \
+            == EXIT_OK
+    names = sorted(p.name for p in (tmp_path / "2").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "2.0").iterdir())
+    for name in names:
+        assert (tmp_path / "2" / name).read_bytes() == (tmp_path / "2.0" / name).read_bytes()
+    seeds = []
+    monkeypatch.setattr(dissipforge.cli, "run", lambda cfg, **kwargs: seeds.append(cfg.seed))
+    assert main([str(cfg), "--seed", "12345678901234567890"]) == EXIT_OK
+    assert seeds == [12345678901234567890]
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("1.5", "seed must be an integer, got 1.5"),
+    ("x", "seed must be an integer, got 'x'"),
+    ("null", "seed must be an integer, got 'null'"),
+    ("true", "seed must be an integer, got True"),
+], ids=["fractional", "not-json", "null", "boolean"])
+def test_main_refuses_a_seed_override_in_the_configs_words(tmp_path, capsys, seed, message):
+    cfg = _write(tmp_path, "cfg.json", _QSD)
+    out = tmp_path / "out"
+    assert main([str(cfg), "--output", str(out), "--quiet", "--seed", seed]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err == f"[dissipforge] config error: key 'seed': {message}\n"
 
 
 def test_bundled_configs_complete_quickly(tmp_path):

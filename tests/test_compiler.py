@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import coupling_generator
 from dissipforge.algebra import PauliString, kron, matexp
 from dissipforge.compiler import (
     _FORWARD,
-    VERIFY_TOL,
     AncillaRotation,
     BathTestSpec,
     Conjugation,
@@ -20,7 +20,6 @@ from dissipforge.compiler import (
     _word_coupling,
     compile_coupling,
     conjugation_step,
-    coupling_generator,
     ms_decompose,
     ms_system_action,
     realize_ms_sequence,
@@ -106,7 +105,7 @@ def test_conjugation_step_output_phase_is_real():
 def test_compile_single_qubit_seed_only():
     seq = compile_coupling(PauliString("Y"), 0.5)
     assert seq.conjugations == ()
-    assert seq.seed == SeedCoupling(1)
+    assert seq.gates == (SeedCoupling(1),)
 
 
 def test_compile_two_qubit_is_single_gate():
@@ -262,7 +261,7 @@ def test_compile_without_a_graph_equals_the_complete_graph():
         if set(letters) == {"I"}:
             letters = letters[:-1] + "Z"
         W = PauliString(letters)
-        complete = compile_coupling(W, 0.7, GraphSpec.complete(n))
+        complete = compile_coupling(W, 0.7, _random_graph(n, "complete", rng))
         assert compile_coupling(W, 0.7).gates == complete.gates
 
 
@@ -270,7 +269,6 @@ def test_compile_without_a_graph_builds_no_graph(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("compile_coupling built a graph")
 
-    monkeypatch.setattr(GraphSpec, "complete", refuse)
     monkeypatch.setattr(GraphSpec, "__init__", refuse)
     word = PauliString(("XYZI" * 64)[:255])
     seq = compile_coupling(word, 0.7)
@@ -329,7 +327,7 @@ def test_verify_is_bath_neutral():
 def _per_gate_coupling(seq, bath, theta):
     """Oracle: the seed coupling conjugated by one (I + iA)/sqrt2 (x) I at a time."""
     n = seq.target.n
-    seed = PauliString.single(n, seq.seed.qubit, "Y").dense()
+    seed = PauliString.single(n, seq.gates[0].qubit, "Y").dense()
     V = matexp(1j * theta * np.kron(seed, bath.operator))
     for g in seq.conjugations:
         U = np.kron((np.eye(1 << n) + 1j * g.axis.dense()) / math.sqrt(2), np.eye(bath.dimension))
@@ -343,7 +341,7 @@ def _realized_word(seq):
     C = np.eye(dim, dtype=complex)
     for g in seq.conjugations:
         C = ((np.eye(dim) + 1j * g.axis.dense()) * math.sqrt(0.5)) @ C
-    return C @ PauliString.single(seq.target.n, seq.seed.qubit, "Y").dense() @ C.conj().T
+    return C @ PauliString.single(seq.target.n, seq.gates[0].qubit, "Y").dense() @ C.conj().T
 
 
 _ORACLE_WORDS = ["Y", "X", "ZX", "YY", "XYZ", "ZIX", "YXZY", "XZIZ", "ZZZZ"]
@@ -451,7 +449,7 @@ def test_verify_fails_a_wrong_word_whose_coupling_barely_moves(bath, thetas):
     # and on a zero bath, so a bound on the deviations would pass the wrong word
     report = verify_sequence(_zzz_labelled_xyz(), bath, thetas)
     assert not report.passed
-    assert report.max_deviation <= VERIFY_TOL
+    assert report.max_deviation <= 1e-10
 
 
 def test_verify_passes_a_correct_word_on_a_bath_whose_exponentials_overflow():
@@ -498,7 +496,7 @@ def _dense_deviation(seq, bath, theta):
     """||V - T||_F / ||T||_F from the register (x) bath couplings
     P+ (x) e^{i theta B} + P- (x) e^{-i theta B}, Q conjugated one gate at a time."""
     n = seq.target.n
-    Q = PauliString.single(n, seq.seed.qubit, "Y").dense()
+    Q = PauliString.single(n, seq.gates[0].qubit, "Y").dense()
     for g in seq.conjugations:
         U = (np.eye(1 << n) + 1j * g.axis.dense()) / math.sqrt(2)
         Q = U @ Q @ U.conj().T
@@ -578,7 +576,7 @@ def test_tableau_certificate_matches_the_dense_word_on_random_sequences():
         theta = THETAS[k % len(THETAS)]
         report = verify_sequence(seq, bath, (theta,))
         dense = _dense_deviation(seq, bath, theta)
-        assert report.passed == (dense <= VERIFY_TOL) == (k % 2 == 0)
+        assert report.passed == (dense <= 1e-10) == (k % 2 == 0)
         if report.passed:
             assert report.deviations == (0.0,) and dense <= 1e-14
         else:
@@ -727,6 +725,17 @@ def test_bath_test_spec_validation():
     assert np.array_equal(low, np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]]))
 
 
+@pytest.mark.parametrize("make, what", [
+    (BathTestSpec.random, "dim"), (BathTestSpec.lowering, "dim"),
+    (lambda seed: BathTestSpec.random(2, seed=seed), "seed"),
+], ids=["random-dim", "lowering-dim", "random-seed"])
+def test_bath_test_spec_takes_its_counts_as_integers(make, what):
+    for bad in (True, np.bool_(True), 2.5, "2", -1):
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            make(bad)
+    assert make(2.0).dimension == 2
+
+
 def test_random_bath_is_drawn_into_the_array_it_keeps():
     # the real and imaginary draws land in one complex array, with one float draw
     # alive beside it; the warm-up keeps numpy.random's first use out of the peak
@@ -843,14 +852,13 @@ def test_trotter_matches_the_product_of_dense_term_exponentials(bath_dim):
     assert np.max(np.abs(U - reference)) < 1e-13
 
 
-def test_coupling_generator_rejects_an_empty_term_list():
+def test_trotter_step_rejects_an_empty_term_list():
     with pytest.raises(ValueError, match="term"):
-        coupling_generator([], BathTestSpec.random(2))
+        trotter_step([], 0.1, BathTestSpec.random(2))
 
 
-@pytest.mark.parametrize("build", [coupling_generator,
-                                   lambda terms, bath: trotter_step(terms, 0.1, bath)],
-                         ids=["coupling_generator", "trotter_step"])
+@pytest.mark.parametrize("build", [lambda terms, bath: trotter_step(terms, 0.1, bath)],
+                         ids=["trotter_step"])
 @pytest.mark.parametrize("terms", [("X", "XX"), ("XZ", "YI", "Z")], ids=["first", "last"])
 def test_coupling_terms_on_different_registers_are_rejected(build, terms):
     with pytest.raises(ValueError, match="coupling terms act on different registers"):

@@ -153,10 +153,10 @@ def test_single_operator_with_splitting_field_has_unique_null_vector():
     assert abs(abs(np.vdot(vecs[0], expected)) - 1.0) < 1e-10
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "3"], ids=repr)
 def test_splitting_hamiltonian_rejects_non_finite_energies(bad):
     spec = SynthesisSpec(dim=4, k=1, coeffs=np.ones((3, 1)))
-    with pytest.raises(ValueError, match="energies"):
+    with pytest.raises(ValueError, match=r"energies\[3\] must be a finite real number"):
         splitting_hamiltonian(spec, [0.0, 1.0, 2.0, bad])
 
 
@@ -398,14 +398,17 @@ def test_models_over_one_set_share_its_factorization():
 
 
 def _counting_rank_one(monkeypatch):
+    """The operators `_outer_factors` factors; its other call per set, on the
+    (d, m) stack of rank-one left factors with one peak per column, is not counted."""
     calls = []
-    rank_one = dissipforge.dissipators._rank_one
+    outer_factors = dissipforge.dissipators._outer_factors
 
-    def counting(L, peak):
-        calls.append(L)
-        return rank_one(L, peak)
+    def counting(X, peak):
+        if np.ndim(peak) == 0:  # one operator and its largest |entry|
+            calls.append(X)
+        return outer_factors(X, peak)
 
-    monkeypatch.setattr(dissipforge.dissipators, "_rank_one", counting)
+    monkeypatch.setattr(dissipforge.dissipators, "_outer_factors", counting)
     return calls
 
 
@@ -508,7 +511,7 @@ def test_carried_factors_equal_a_fresh_factorization(scale):
 
 
 def test_a_zero_operator_changes_no_result():
-    # the zero operator is the one jump `_rank_one` leaves dense for its zero column
+    # the zero operator is the one jump `_outer_factors` leaves dense for its zero column
     ds, frame = _cluster_set(3)
     with_zero = DissipatorSet(ds.items + ((1.0, np.zeros((8, 8))),))
     assert with_zero._jumps.Ld.shape == (1, 8, 8)

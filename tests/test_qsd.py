@@ -271,6 +271,21 @@ def test_ensemble_chunking_does_not_change_results(monkeypatch):
     assert np.max(np.abs(a.rho_mean - b.rho_mean)) < 1e-12
 
 
+def test_average_takes_the_exclusion_budget_of_a_huge_ensemble_exactly():
+    # int(0.01 * n_traj) raised OverflowError for an n_traj beyond the float range
+    cfg = TrajectoryConfig(n_traj=10**400, dt=0.1, t_max=0.1)
+
+    class FirstChunk(Exception):
+        pass
+
+    def stop(lo, hi, excluded):
+        assert (lo, hi, excluded) == (0, dissipforge.qsd.CHUNK_SIZE, set())
+        raise FirstChunk
+
+    with pytest.raises(FirstChunk):
+        dissipforge.qsd._average(cfg, stop)
+
+
 def test_ensemble_mean_trace_stays_near_one():
     cfg = TrajectoryConfig(n_traj=2000, dt=1e-3, t_max=1.0, master_seed=13)
     res = ensemble_average(SIGMA_MINUS, cfg, KET1)

@@ -136,7 +136,8 @@ def test_cluster_formula_rejects_bad_n():
 
 @pytest.mark.parametrize("make", [
     ghz_state, cluster_formula, DensityMatrix.maximally_mixed, lambda n: basis_state(n, 0),
-], ids=["ghz_state", "cluster_formula", "maximally_mixed", "basis_state"])
+    plus_state,
+], ids=["ghz_state", "cluster_formula", "maximally_mixed", "basis_state", "plus_state"])
 def test_state_constructors_take_their_qubit_count_as_an_integer(make):
     for bad in (True, np.bool_(True), 2.5, "2", 0):
         with pytest.raises(ValueError, match="n must be an integer"):
