@@ -278,13 +278,13 @@ def _log2_largest_array(cfg: ScenarioConfig):
     bytes each as [re, im] float pairs (synth builds no Liouvillian);
     evolve: the larger of the stack and the (T, d, d) complex record of
     T = t_max/dt + 1 samples; qsd: the largest of the stack, the (chunk, T)
-    complex noise block and the Python lists that ensemble.json is written
-    from, 512 bytes per (sample, i, j) entry, over the 430 measured for
-    cluster-4 and cluster-5 at t_max = 1 (rho_mean's [re, im] pairs and
-    rho_se's floats, each rounded into a second list); compile: 12 complex
-    (bath_dim, bath_dim) arrays, over the 9.1 measured at bath_dim 128 for a
-    failing word's report: the bath, one theta's first exponential and one
-    matexp (its operand and the six buffers of its Pade terms). A passing word
+    complex noise block and the ensemble's (T, d, d) arrays, 64 bytes per
+    (sample, i, j) entry, over the 34-37 traced for cluster-4 to cluster-6
+    (the mean, the standard error and their temporaries; ensemble.json keeps
+    only the final sample); compile: 12 complex (bath_dim, bath_dim) arrays,
+    over the 9.1 measured at bath_dim 128 for a failing word's report: the
+    bath, one theta's first exponential and one matexp (its operand and the
+    six buffers of its Pade terms). A passing word
     allocates only the bath, since verify_sequence decides on the words'
     tableaux alone, holds them as integers and builds no 2^n-level array
     (parse_config caps the word at MAX_WORD_LETTERS for its artifacts, which
@@ -307,7 +307,7 @@ def _log2_largest_array(cfg: ScenarioConfig):
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
         noise = 4 + math.log2(min(cfg.n_traj, CHUNK_SIZE)) + samples
-        return max(4 + stack, noise, 9 + 2 * n + samples)
+        return max(4 + stack, noise, 6 + 2 * n + samples)
     return 4 + max(stack, 2 * n + samples)
 
 
@@ -435,10 +435,14 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
         psi0 = np.zeros(target.dim, dtype=complex)
         psi0[0] = 1.0
         result = ensemble_average(L, traj_cfg, psi0)
+        rho = result.rho_mean
+        record = EvolutionRecord(result.times, rho, np.abs(rho.trace(axis1=1, axis2=2).real - 1),
+                                 np.array([fidelity(r, target) for r in rho]))
+        emit("ensemble.csv", record)
         emit("ensemble.json", result.to_json_obj())
         metrics["n_traj"] = result.n_traj
         metrics["excluded"] = result.n_excluded
-        metrics["final_fidelity"] = fidelity(result.rho_mean[-1], target)
+        metrics["final_fidelity"] = float(record.fidelities[-1])
 
     elif cfg.scenario == "compile":
         word = PauliString(cfg.pauli_word)
@@ -500,6 +504,11 @@ def main(argv=None) -> int:
                         help="override the config seed (a JSON number, checked as the config's)")
     parser.add_argument("--output", default=None, help="override the output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes the -1e3 of "--seed -1e3" for an option, and "--seed=-1e3" as a value
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--seed":
+            argv[i:i + 2] = ["--seed=" + argv[i + 1]]
     args = parser.parse_args(argv)
 
     cfg = None

@@ -189,9 +189,9 @@ class EnsembleResult:
         return {
             "n_traj": self.n_traj,
             "excluded": self.n_excluded,
-            "times": self.times.tolist(),
-            "rho_mean": complex_pairs(self.rho_mean),
-            "rho_se": self.rho_se.reshape(-1).tolist(),
+            "t": float(self.times[-1]),
+            "rho_mean": complex_pairs(self.rho_mean[-1]),
+            "rho_se": self.rho_se[-1].reshape(-1).tolist(),
         }
 
 

@@ -238,9 +238,9 @@ def test_config_error_repeats_the_library_message_after_the_key(tmp_path, capsys
                   "n_traj": 1}, id="qsd-10-qubits-one-step"),
     # verify_sequence is charged 12 bath arrays of 4096 x 4096: 3 GiB
     pytest.param({**_COMPILE, "bath_dim": 4096}, id="compile-bath-4096"),
-    # ensemble.json's lists at 512 B per (sample, i, j) entry: 1001 x 128^2 of them, 7.8 GiB
-    pytest.param({**_QSD, "n_qubits": 7, "target": "cluster", "t_max": 1, "n_traj": 64},
-                 id="qsd-7-qubits-t_max-1"),
+    # the ensemble's arrays at 64 B per (sample, i, j) entry: 1001 x 256^2 of them, 3.9 GiB
+    pytest.param({**_QSD, "n_qubits": 8, "target": "cluster", "t_max": 1, "n_traj": 64},
+                 id="qsd-8-qubits-t_max-1"),
 ])
 def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -281,10 +281,10 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
     pytest.param(_COMPILE, "pauli_word", "XYZ" * 341 + "X", "XYZ" * 341 + "XY",
                  "1025 letters, above the 1024-letter limit", id="compile"),
     pytest.param(_COMPILE, "bath_dim", 2364, 2365, " 1 GiB", id="compile-bath"),
-    # qsd's ensemble.json lists, 512 B per (sample, i, j) entry: 1 GiB at 2048 samples
-    # of 32 x 32 (t_max = 2.047 at dt = 1e-3), above the 64 MiB record
-    pytest.param({**_QSD, "n_qubits": 5, "target": "cluster"}, "t_max", 2.047, 2.048, " 1 GiB",
-                 id="qsd-ensemble-lists"),
+    # qsd's ensemble arrays, 64 B per (sample, i, j) entry: 1 GiB at 1024 samples
+    # of 128 x 128 (t_max = 1.023 at dt = 1e-3), above the 256 MiB record
+    pytest.param({**_QSD, "n_qubits": 7, "target": "cluster"}, "t_max", 1.023, 1.024, " 1 GiB",
+                 id="qsd-ensemble-arrays"),
 ])
 def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
     cfg = parse_config(_write(tmp_path, "fits.json", {**probe, key: fits}))
@@ -683,7 +683,7 @@ def test_qsd_scenario_deterministic_outputs(tmp_path):
     path = _write(tmp_path, "cfg.json", cfg_obj)
     run(parse_config(path), output_dir=tmp_path / "a", quiet=True)
     run(parse_config(path), output_dir=tmp_path / "b", quiet=True)
-    for name in ("ensemble.json", "summary.json"):
+    for name in ("ensemble.csv", "ensemble.json", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -696,11 +696,68 @@ def test_qsd_final_fidelity_is_the_target_overlap_of_the_final_mean(tmp_path):
     run(parse_config(path), output_dir=tmp_path, quiet=True)
     summary = json.loads((tmp_path / "summary.json").read_text())
     ensemble = json.loads((tmp_path / "ensemble.json").read_text())
+    assert ensemble["t"] == 0.2
     pairs = np.array(ensemble["rho_mean"])
-    rho = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(len(ensemble["times"]), 4, 4)[-1]
+    rho = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(4, 4)
     t = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     expected = np.vdot(t, rho @ t).real
     assert abs(summary["metrics"]["final_fidelity"] - expected) <= 1e-12
+
+
+def _csv_rows(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines[0], np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+
+def test_qsd_ensemble_csv_has_the_evolution_csv_columns(tmp_path):
+    # qsd writes its history through the record evolve writes
+    qsd = _write(tmp_path, "qsd.json", {**_QSD, "n_qubits": 3, "target": "cluster",
+                                        "t_max": 0.3, "dt": 0.01, "n_traj": 16})
+    evolve = _write(tmp_path, "evolve.json", {**_EVOLVE, "t_max": 0.03})
+    cfg = parse_config(qsd)
+    summary = run(cfg, output_dir=tmp_path / "qsd", quiet=True)
+    run(parse_config(evolve), output_dir=tmp_path / "evolve", quiet=True)
+    header, rows = _csv_rows(tmp_path / "qsd" / "ensemble.csv")
+    assert header == _csv_rows(tmp_path / "evolve" / "evolution.csv")[0]
+    assert rows.shape == (31, 5)
+    assert rows[:, 0].tolist() == [float(f"{k * 0.01:.15g}") for k in range(31)]
+    # both 15 significant digits of the same float
+    metrics = json.loads((tmp_path / "qsd" / "summary.json").read_text())["metrics"]
+    assert rows[-1, 1] == metrics["final_fidelity"]
+    assert [Path(p).name for p in summary.artifacts] == \
+        ["ensemble.csv", "ensemble.json", "summary.json"]
+
+
+def test_qsd_ensemble_csv_columns_are_read_off_the_library_ensemble(tmp_path):
+    cfg = parse_config(_write(tmp_path, "cfg.json", {**_QSD, "t_max": 0.2, "dt": 0.01,
+                                                     "n_traj": 20, "seed": 11}))
+    run(cfg, output_dir=tmp_path, quiet=True)
+    L, gamma, target = dissipforge.cli._combined_operator(cfg)
+    psi0 = np.zeros(4, dtype=complex)
+    psi0[0] = 1.0
+    result = dissipforge.qsd.ensemble_average(
+        L, dissipforge.qsd.TrajectoryConfig(20, 0.01, 0.2, master_seed=11, gamma=gamma), psi0)
+    _, rows = _csv_rows(tmp_path / "ensemble.csv")
+    r15 = np.vectorize(lambda x: float(f"{x:.15g}"))
+    assert np.array_equal(rows[:, 1], r15([fidelity(rho, target) for rho in result.rho_mean]))
+    # qsd's trace error is the sampling error of the mean's trace
+    traces = np.trace(result.rho_mean, axis1=1, axis2=2).real
+    assert np.array_equal(rows[:, 2], r15(np.abs(traces - 1)))
+    assert np.max(rows[:, 2]) > 0
+
+
+def test_qsd_charge_covers_the_traced_working_set(tmp_path):
+    # the ensemble's (T, d, d) mean and standard error and their temporaries, about
+    # 34 B per (sample, i, j) entry, against the 64 B charged; the mean alone is 16 B
+    cfg = parse_config(_write(tmp_path, "cfg.json", {**_QSD, "n_qubits": 5, "target": "cluster",
+                                                     "t_max": 0.5, "n_traj": 64}))
+    tracemalloc.start()
+    try:
+        run(cfg, output_dir=tmp_path / "out", quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * 501 * 32 ** 2 < peak < 2 ** _log2_largest_array(cfg)
 
 
 def test_emit_outputs_dispatch(tmp_path):
@@ -736,6 +793,7 @@ def test_emit_outputs_writes_rounded_sorted_json(tmp_path):
 
 
 def test_emit_outputs_memory_of_a_large_ensemble_record(tmp_path):
+    # ensemble.json holds the final sample alone, whatever the number of samples
     rng = np.random.default_rng(0)
     shape = (1001, 8, 8)  # a qsd record at d = 8: 1.5 MB of arrays
     result = EnsembleResult(np.arange(shape[0]) * 1e-3,
@@ -743,11 +801,13 @@ def test_emit_outputs_memory_of_a_large_ensemble_record(tmp_path):
                             rng.random(shape), 500, ())
     tracemalloc.start()
     try:
-        emit_outputs(result.to_json_obj(), tmp_path / "ensemble.json")
+        path = emit_outputs(result.to_json_obj(), tmp_path / "ensemble.json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30 << 20
+    assert peak < 64 << 10 and path.stat().st_size < 16 << 10
+    data = json.loads(path.read_text())
+    assert data["t"] == 1.0 and len(data["rho_mean"]) == len(data["rho_se"]) == 64
 
 
 def test_summary_json_has_no_wall_time(tmp_path):
@@ -787,9 +847,8 @@ def test_main_seed_override_changes_qsd_output(tmp_path):
     })
     assert main([str(cfg), "--output", str(tmp_path / "a"), "--quiet"]) == EXIT_OK
     assert main([str(cfg), "--output", str(tmp_path / "b"), "--quiet", "--seed", "123"]) == EXIT_OK
-    a = (tmp_path / "a" / "ensemble.json").read_bytes()
-    b = (tmp_path / "b" / "ensemble.json").read_bytes()
-    assert a != b
+    for name in ("ensemble.csv", "ensemble.json"):
+        assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
 
 
 def test_main_reads_the_seed_override_as_the_config_reads_seed(tmp_path, monkeypatch):
@@ -812,7 +871,8 @@ def test_main_reads_the_seed_override_as_the_config_reads_seed(tmp_path, monkeyp
     ("x", "seed must be an integer, got 'x'"),
     ("null", "seed must be an integer, got 'null'"),
     ("true", "seed must be an integer, got True"),
-], ids=["fractional", "not-json", "null", "boolean"])
+    ("-1e3", "seed must be an integer of at least 0, got -1000"),
+], ids=["fractional", "not-json", "null", "boolean", "negative-exponent"])
 def test_main_refuses_a_seed_override_in_the_configs_words(tmp_path, capsys, seed, message):
     cfg = _write(tmp_path, "cfg.json", _QSD)
     out = tmp_path / "out"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dissipforge.qsd
+from dissipforge.algebra import complex_pairs
 from dissipforge.dissipators import (
     DissipatorSet,
     SynthesisSpec,
@@ -331,10 +332,13 @@ def test_ensemble_json_summary():
     cfg = TrajectoryConfig(n_traj=8, dt=0.01, t_max=0.05, master_seed=9)
     res = ensemble_average(SIGMA_MINUS, cfg, KET1)
     obj = res.to_json_obj()
-    assert set(obj) == {"n_traj", "excluded", "times", "rho_mean", "rho_se"}
+    # the final sample alone; the (T, d, d) history stays in the result's arrays
+    assert set(obj) == {"n_traj", "excluded", "t", "rho_mean", "rho_se"}
     assert obj["n_traj"] == 8 and obj["excluded"] == 0
-    assert len(obj["times"]) == cfg.n_steps + 1
-    assert len(obj["rho_mean"]) == (cfg.n_steps + 1) * 4
+    assert obj["t"] == res.times[-1] == cfg.times[-1]
+    assert obj["rho_mean"] == complex_pairs(res.rho_mean[-1]) and len(obj["rho_mean"]) == 4
+    assert obj["rho_se"] == res.rho_se[-1].reshape(-1).tolist()
+    assert res.rho_mean.shape == res.rho_se.shape == (cfg.n_steps + 1, 2, 2)
     assert abs(fidelity(res.rho_mean[0], KET1) - 1.0) < 1e-12
 
 

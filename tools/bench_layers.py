@@ -15,7 +15,8 @@ spread is noise.
 Each pass also runs every configs/*.json through the CLI in a fresh process
 (python -m dissipforge.cli CONFIG --quiet), one at a time, and records the
 CPU seconds and the peak resident set of that process alone, from os.wait4:
-start-up and imports included, since every CLI run pays them.
+start-up and imports included, since every CLI run pays them. Without --tiny
+the GENERATED configs, sizes no shipped config reaches, run the same way.
 BLAS runs on one thread, set through the environment before numpy is
 imported. The package is imported from PYTHONPATH when it holds one, else
 from this checkout's src/; the file records its path relative to this
@@ -75,6 +76,14 @@ REPEATS = 5
 PASSES = 5
 BUDGET_S = 2.0  # CPU seconds a layer may spend per pass beyond its first call
 TINY_PASSES = 2  # the fewest that give a spread; --tiny checks the schema only
+# CLI rows past the shipped configs' sizes, written to a temporary directory
+GENERATED = {
+    "evolve_cluster7_t5": {"scenario": "evolve", "n_qubits": 7, "target": "cluster-7",
+                           "t_max": 5},
+    "steady_cluster8": {"scenario": "steady", "n_qubits": 8, "target": "cluster-8"},
+    "qsd_cluster4_t5_256": {"scenario": "qsd", "n_qubits": 4, "target": "cluster-4",
+                            "t_max": 5, "n_traj": 256},
+}
 
 
 def _spec(n):
@@ -224,12 +233,17 @@ def measure(pr, repeats, tiny):
     configs = sorted((ROOT / "configs").glob("*.json"))
     n_passes = TINY_PASSES if tiny else PASSES
     passes, cli_passes = [], []
-    for _ in range(n_passes):
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as worker:
-            path, timings = worker.submit(one_pass, tiny, repeats).result()
-        assert path == dissipforge.__file__, f"the worker timed {path}, not {dissipforge.__file__}"
-        passes.append(timings)
-        cli_passes.append({c.stem: cli_run(c, package.parent) for c in configs})
+    with tempfile.TemporaryDirectory() as generated:
+        for name, config in ({} if tiny else GENERATED).items():
+            configs.append(Path(generated) / f"{name}.json")
+            configs[-1].write_text(json.dumps(config), encoding="utf-8")
+        for _ in range(n_passes):
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as worker:
+                path, timings = worker.submit(one_pass, tiny, repeats).result()
+            assert path == dissipforge.__file__, \
+                f"the worker timed {path}, not {dissipforge.__file__}"
+            passes.append(timings)
+            cli_passes.append({c.stem: cli_run(c, package.parent) for c in configs})
     result = {}
     for name, (_, _, per) in passes[0].items():
         result[name] = {**_least([p[name][0] / per for p in passes]),
