@@ -63,6 +63,10 @@ VERIFY_THETAS = (0.3, 1.1, 2.7)
 # so the artifacts grow as n^2: about 4 MB at 1024 letters and 66 MB at 4096;
 # compiling and certifying cost O(n) per gate
 MAX_WORD_LETTERS = 1024
+# bytes charged per [re, im] pair that synth and graph-state pass through
+# _round_floats and json.dump: 289-314 traced and 320-373 of RSS growth per
+# pair for synth cluster-4 to cluster-6 and graph-state on 16 to 20 qubits
+_PAIR_BYTES = 512
 
 
 class ConfigError(ValueError):
@@ -76,7 +80,7 @@ _SCENARIOS = {
     "evolve": ({"n_qubits", "target", "t_max"}, {"gamma", "dt"}),
     "steady": ({"n_qubits", "target"}, {"gamma"}),
     "qsd": ({"n_qubits", "target", "t_max", "n_traj"}, {"gamma", "dt"}),
-    "compile": ({"pauli_word", "theta"}, {"bath_dim"}),
+    "compile": ({"pauli_word", "theta"}, set()),
     "graph-state": ({"graph"}, {"n_qubits"}),
 }
 _DEFAULT_DT = {"evolve": 0.01, "qsd": 1e-3}
@@ -96,7 +100,6 @@ class ScenarioConfig:
     n_traj: int | None = None
     pauli_word: str | None = None
     theta: float | None = None
-    bath_dim: int = 4
     seed: int = 0
     output_path: str | None = None
 
@@ -218,7 +221,6 @@ _FIELDS = {
     "n_traj": lambda raw, cfg: _integer(raw, "n_traj", 1),
     "pauli_word": _parse_pauli_word,
     "theta": lambda raw, cfg: _real(raw, "theta"),
-    "bath_dim": lambda raw, cfg: _integer(raw, "bath_dim", 2),
     "graph": _parse_graph,
 }
 
@@ -273,37 +275,30 @@ def _log2_largest_array(cfg: ScenarioConfig):
 
     Every model builds the (d - 1, d, d) complex jump stack, which is all of
     steady's estimate, since the certificate of `steady_states` needs no
-    Liouvillian; synth: 16 d^4 bytes, which bounds the Python lists that
-    dissipators.json is written from, (d - 1) d^2 jump entries at about 128
-    bytes each as [re, im] float pairs (synth builds no Liouvillian);
+    Liouvillian; synth and graph-state: _PAIR_BYTES per [re, im] pair of the
+    lists their JSON is written from, the (d - 1) d^2 jump entries of
+    dissipators.json (32 times the stack) and the 2^n amplitudes of state.json;
     evolve: the larger of the stack and the (T, d, d) complex record of
     T = t_max/dt + 1 samples; qsd: the largest of the stack, the (chunk, T)
     complex noise block and the ensemble's (T, d, d) arrays, 64 bytes per
     (sample, i, j) entry, over the 34-37 traced for cluster-4 to cluster-6
     (the mean, the standard error and their temporaries; ensemble.json keeps
-    only the final sample); compile: 12 complex (bath_dim, bath_dim) arrays,
-    over the 9.1 measured at bath_dim 128 for a failing word's report: the
-    bath, one theta's first exponential and one matexp (its operand and the
-    six buffers of its Pade terms). A passing word
-    allocates only the bath, since verify_sequence decides on the words'
-    tableaux alone, holds them as integers and builds no 2^n-level array
-    (parse_config caps the word at MAX_WORD_LETTERS for its artifacts, which
-    grow as the square of the word length, not for this array); graph-state:
-    the (2^n, n) int64 bit table.
+    only the final sample); compile: none, since nothing it builds grows with
+    the config but the word, which parse_config caps at MAX_WORD_LETTERS.
     """
     if cfg.scenario == "compile":
-        return 4 + math.log2(12 * cfg.bath_dim ** 2)
+        return -math.inf
     # the target's qubit count was checked against n_qubits at parse time
     n = cfg.graph.n if cfg.scenario == "graph-state" else cfg.n_qubits
     if n > 64:  # far above the limit, and a count this large can overflow a float
         return math.inf
     if cfg.scenario == "graph-state":
-        return 3 + n + math.log2(n)
+        return math.log2(_PAIR_BYTES) + n
     stack = 2 * n + math.log2(_jump_count(n))
     if cfg.scenario == "steady":
         return 4 + stack
     if cfg.scenario == "synth":
-        return 4 + 4 * n
+        return math.log2(_PAIR_BYTES) + stack
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
         noise = 4 + math.log2(min(cfg.n_traj, CHUNK_SIZE)) + samples
@@ -447,8 +442,9 @@ def run(cfg: ScenarioConfig, output_dir=None, quiet: bool = False) -> RunSummary
     elif cfg.scenario == "compile":
         word = PauliString(cfg.pauli_word)
         seq = compile_coupling(word, cfg.theta, GraphSpec.path(word.n))
-        report = verify_sequence(seq, BathTestSpec.random(cfg.bath_dim, seed=cfg.seed),
-                                 VERIFY_THETAS)
+        # a passing word is decided on its tableau; the bath is read only by a
+        # failing word's report, so one 4 x 4 bath serves every word
+        report = verify_sequence(seq, BathTestSpec.random(4, seed=cfg.seed), VERIFY_THETAS)
         max_dev = report.max_deviation
         emit("gates.json", seq.to_json_obj())
         emit("circuit.txt", seq.render_text())

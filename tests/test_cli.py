@@ -37,7 +37,7 @@ from dissipforge.compiler import GateSequence, VerificationReport
 from dissipforge.dissipators import DissipatorSet
 from dissipforge.lindblad import steady_states
 from dissipforge.qsd import EnsembleResult
-from dissipforge.states import fidelity
+from dissipforge.states import GraphSpec, fidelity
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -73,11 +73,9 @@ def test_parse_rejects_unknown_key(tmp_path):
 
 
 def test_parse_compile_config(tmp_path):
-    path = _write(tmp_path, "cfg.json", {
-        "scenario": "compile", "pauli_word": "XXX", "theta": 0.7, "bath_dim": 4,
-    })
+    path = _write(tmp_path, "cfg.json", {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7})
     cfg = parse_config(path)
-    assert cfg.pauli_word == "XXX" and cfg.theta == 0.7 and cfg.bath_dim == 4
+    assert cfg.pauli_word == "XXX" and cfg.theta == 0.7
 
 
 def test_parse_rejects_missing_required_key(tmp_path):
@@ -196,8 +194,8 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
                  "key 'gamma': gamma[1] must be positive and finite, got '2'", id="gamma-entry"),
     pytest.param({**_COMPILE, "theta": 10**400},
                  "key 'theta': theta must be a finite real number, got 1000", id="theta-10^400"),
-    pytest.param({**_COMPILE, "bath_dim": 1},
-                 "key 'bath_dim': bath_dim must be an integer of at least 2, got 1",
+    # every word is verified on one 4 x 4 bath, which no key sizes
+    pytest.param({**_COMPILE, "bath_dim": 1}, "unknown key 'bath_dim' for scenario 'compile'",
                  id="bath_dim-1"),
     pytest.param({**_QSD, "seed": True}, "key 'seed': seed must be an integer, got True",
                  id="seed-boolean"),
@@ -236,8 +234,12 @@ def test_config_error_repeats_the_library_message_after_the_key(tmp_path, capsys
                  id="evolve-10-qubits-one-step"),
     pytest.param({**_QSD, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01,
                   "n_traj": 1}, id="qsd-10-qubits-one-step"),
-    # verify_sequence is charged 12 bath arrays of 4096 x 4096: 3 GiB
-    pytest.param({**_COMPILE, "bath_dim": 4096}, id="compile-bath-4096"),
+    # the JSON lists at 512 B per [re, im] pair: 2^22 amplitudes, 2 GiB
+    pytest.param({"scenario": "graph-state", "graph": GraphSpec.path(22).to_obj()},
+                 id="graph-state-22-qubits"),
+    # and 255 jumps of 256 x 256 entries, 7.97 GiB
+    pytest.param({"scenario": "synth", "n_qubits": 8, "target": "cluster-8"},
+                 id="synth-8-qubits"),
     # the ensemble's arrays at 64 B per (sample, i, j) entry: 1001 x 256^2 of them, 3.9 GiB
     pytest.param({**_QSD, "n_qubits": 8, "target": "cluster", "t_max": 1, "n_traj": 64},
                  id="qsd-8-qubits-t_max-1"),
@@ -258,14 +260,12 @@ def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
 
 
 def test_size_guard_boundary_for_steady(tmp_path):
-    # steady builds d - 1 jumps of d x d: 255 MiB at 8 qubits, 2 GiB at 9; synth
-    # keeps the d^4 estimate: 256 MiB at 6 qubits, 4 GiB at 7
-    for scenario, fits, refused, gib in (("steady", 8, 9, "2 GiB"), ("synth", 6, 7, "4 GiB")):
-        probe = {"scenario": scenario, "target": "cluster"}
-        cfg = parse_config(_write(tmp_path, "fits.json", {**probe, "n_qubits": fits}))
-        assert cfg.n_qubits == fits
-        with pytest.raises(ConfigError, match=gib):
-            parse_config(_write(tmp_path, "refused.json", {**probe, "n_qubits": refused}))
+    # steady builds d - 1 jumps of d x d: 255 MiB at 8 qubits, 2 GiB at 9
+    probe = {"scenario": "steady", "target": "cluster"}
+    cfg = parse_config(_write(tmp_path, "fits.json", {**probe, "n_qubits": 8}))
+    assert cfg.n_qubits == 8
+    with pytest.raises(ConfigError, match="2 GiB"):
+        parse_config(_write(tmp_path, "refused.json", {**probe, "n_qubits": 9}))
 
 
 _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
@@ -276,11 +276,16 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
     # 255 MiB at 8 qubits, 2 GiB at 9
     pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 8, 9, "2 GiB", id="evolve"),
     pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 8, 9, "2 GiB", id="qsd"),
-    # compile refuses words above MAX_WORD_LETTERS = 1024, and is charged 12
-    # (bath_dim, bath_dim) bath arrays: 1023.3 MiB at 2364, 1.0001 GiB at 2365
+    # compile refuses words above MAX_WORD_LETTERS = 1024
     pytest.param(_COMPILE, "pauli_word", "XYZ" * 341 + "X", "XYZ" * 341 + "XY",
                  "1025 letters, above the 1024-letter limit", id="compile"),
-    pytest.param(_COMPILE, "bath_dim", 2364, 2365, " 1 GiB", id="compile-bath"),
+    # synth and graph-state write 512 B per [re, im] pair of their JSON lists:
+    # 0.99 GiB for the 127 jumps of 128 x 128 at 7 qubits, 7.97 GiB at 8; 1 GiB
+    # for the 2^21 amplitudes on 21 vertices, 2 GiB on 22
+    pytest.param({"scenario": "synth", "target": "cluster"}, "n_qubits", 7, 8, " 7.97 GiB",
+                 id="synth"),
+    pytest.param({"scenario": "graph-state"}, "graph", GraphSpec.path(21).to_obj(),
+                 GraphSpec.path(22).to_obj(), " 2 GiB", id="graph-state"),
     # qsd's ensemble arrays, 64 B per (sample, i, j) entry: 1 GiB at 1024 samples
     # of 128 x 128 (t_max = 1.023 at dt = 1e-3), above the 256 MiB record
     pytest.param({**_QSD, "n_qubits": 7, "target": "cluster"}, "t_max", 1.023, 1.024, " 1 GiB",
@@ -288,7 +293,7 @@ _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
 ])
 def test_size_guard_boundary_for_the_other_scenarios(tmp_path, probe, key, fits, refused, gib):
     cfg = parse_config(_write(tmp_path, "fits.json", {**probe, key: fits}))
-    assert getattr(cfg, key) == fits
+    assert getattr(cfg, key) == (GraphSpec.from_obj(fits) if key == "graph" else fits)
     with pytest.raises(ConfigError, match=gib):
         parse_config(_write(tmp_path, "refused.json", {**probe, key: refused}))
 
@@ -472,7 +477,7 @@ def _configs(draw):
         cfg["n_traj"] = draw(st.integers(1, 4))
     if scenario == "compile":
         cfg = {"scenario": scenario, "pauli_word": draw(st.text("IXYZ", min_size=1, max_size=3)),
-               "theta": draw(st.floats(-4.0, 4.0)), "bath_dim": draw(st.integers(2, 4))}
+               "theta": draw(st.floats(-4.0, 4.0))}
     if scenario == "graph-state":
         vertex = st.integers(1, n + 1)
         edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=3), max_size=3))
@@ -542,7 +547,7 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
     assert out.stdout.strip() == "False"
-    path = _write(tmp_path, "cfg.json", {**_COMPILE, "bath_dim": 16})
+    path = _write(tmp_path, "cfg.json", _COMPILE)
     code = ("import sys; from dissipforge.cli import main; "
             "code = main([sys.argv[1], '--output', sys.argv[2], '--quiet']); "
             "print(code, 'scipy' in sys.modules)")
@@ -597,9 +602,7 @@ def test_graph_state_scenario(tmp_path):
 
 
 def test_compile_scenario_roundtrip_and_verification(tmp_path):
-    path = _write(tmp_path, "cfg.json", {
-        "scenario": "compile", "pauli_word": "XXX", "theta": 0.7, "bath_dim": 4,
-    })
+    path = _write(tmp_path, "cfg.json", _COMPILE)
     summary = run(parse_config(path), output_dir=tmp_path / "out", quiet=True)
     assert summary.metrics["max_verification_deviation"] <= 1e-10
     gates_obj = json.loads((tmp_path / "out" / "gates.json").read_text())
@@ -622,23 +625,10 @@ def test_compile_accepts_identity_letters_around_a_contiguous_support(tmp_path, 
     assert json.loads((out / "verification.json").read_text())["passed"] is True
 
 
-def test_compile_certificate_is_relative_to_the_target(tmp_path):
-    # the random bath_dim = 16 bath makes ||exp(i theta W B)||_F about 1e7 at
-    # theta = 2.7, so the absolute deviation of this correct sequence is about 8e-9
-    path = _write(tmp_path, "cfg.json", {
-        "scenario": "compile", "pauli_word": "XYZXY", "theta": 0.7, "bath_dim": 16,
-    })
-    assert main([str(path), "--output", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
-    verification = json.loads((tmp_path / "out" / "verification.json").read_text())
-    assert verification["passed"] is True and verification["max_deviation"] <= 1e-10
-
-
-def test_compile_charge_covers_the_measured_working_set(tmp_path):
-    # a passing run, decided on the words' tableaux: a 40-letter word costs nothing
-    # of size 2^40, and its only large arrays are the baths of 128 x 128, one at a
-    # time, well under the 12 arrays charged for a failing word's report
-    path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": ("XYZ" * 14)[:40],
-                                         "bath_dim": 128})
+def test_compile_passes_a_40_letter_word_without_a_word_sized_array(tmp_path):
+    # decided on the words' tableaux: nothing of size 2^40 is built, and the
+    # artifacts of 40 letters and the 4 x 4 bath stay far below a MiB
+    path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": ("XYZ" * 14)[:40]})
     cfg = parse_config(path)
     tracemalloc.start()
     try:
@@ -648,14 +638,13 @@ def test_compile_charge_covers_the_measured_working_set(tmp_path):
         tracemalloc.stop()
     verification = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert verification["passed"] is True and verification["max_deviation"] == 0.0
-    assert peak < 2 ** _log2_largest_array(cfg)
+    assert peak < 1 << 20
 
 
-def test_compile_charge_covers_a_failing_words_report(tmp_path, monkeypatch):
-    # a passing word builds only the baths; the charge is for a failing word,
-    # whose report takes the bath exponentials (about 9 arrays of 128 x 128)
-    path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": "XYZ", "bath_dim": 128})
-    cfg = parse_config(path)
+def test_compile_exits_3_when_the_compiled_word_fails_its_tableau(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a sequence with its last gate dropped realizes another word, and its report
+    # reads the deviations off the 4 x 4 bath drawn from the seed
     compile_coupling = dissipforge.cli.compile_coupling
 
     def drop_last_gate(word, theta, graph):
@@ -663,16 +652,13 @@ def test_compile_charge_covers_a_failing_words_report(tmp_path, monkeypatch):
         return GateSequence(seq.gates[:-1], seq.target, seq.theta)
 
     monkeypatch.setattr(dissipforge.cli, "compile_coupling", drop_last_gate)
-    tracemalloc.start()
-    try:
-        with pytest.raises(dissipforge.cli.ContractError, match="failed verification"):
-            run(cfg, output_dir=tmp_path / "out", quiet=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    verification = json.loads((tmp_path / "out" / "verification.json").read_text())
+    path = _write(tmp_path, "cfg.json", {**_COMPILE, "pauli_word": "XYZ"})
+    out = tmp_path / "out"
+    assert main([str(path), "--output", str(out), "--quiet"]) == EXIT_CONTRACT
+    assert "failed verification" in capsys.readouterr().err
+    verification = json.loads((out / "verification.json").read_text())
     assert verification["passed"] is False and verification["max_deviation"] > 0.5
-    assert 8 * 16 * 128 ** 2 < peak < 2 ** _log2_largest_array(cfg)
+    assert not (out / "summary.json").exists()
 
 
 def test_qsd_scenario_deterministic_outputs(tmp_path):
@@ -758,6 +744,25 @@ def test_qsd_charge_covers_the_traced_working_set(tmp_path):
     finally:
         tracemalloc.stop()
     assert 16 * 501 * 32 ** 2 < peak < 2 ** _log2_largest_array(cfg)
+
+
+@pytest.mark.parametrize("probe, pairs", [
+    pytest.param({"scenario": "graph-state", "graph": GraphSpec.path(16).to_obj()}, 2 ** 16,
+                 id="graph-state-16"),
+    pytest.param({"scenario": "synth", "n_qubits": 5, "target": "cluster-5"}, 31 * 32 ** 2,
+                 id="synth-cluster-5"),
+])
+def test_pair_charge_covers_the_traced_working_set(tmp_path, probe, pairs):
+    # the [re, im] lists passed through _round_floats and json.dump, about 290 B
+    # per pair, against the 512 B charged; the complex array alone is 16 B
+    cfg = parse_config(_write(tmp_path, "cfg.json", probe))
+    tracemalloc.start()
+    try:
+        run(cfg, output_dir=tmp_path / "out", quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 256 * pairs < peak < 2 ** _log2_largest_array(cfg)
 
 
 def test_emit_outputs_dispatch(tmp_path):

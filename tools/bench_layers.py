@@ -81,6 +81,7 @@ GENERATED = {
     "evolve_cluster7_t5": {"scenario": "evolve", "n_qubits": 7, "target": "cluster-7",
                            "t_max": 5},
     "steady_cluster8": {"scenario": "steady", "n_qubits": 8, "target": "cluster-8"},
+    "synth_cluster6": {"scenario": "synth", "n_qubits": 6, "target": "cluster-6"},
     "qsd_cluster4_t5_256": {"scenario": "qsd", "n_qubits": 4, "target": "cluster-4",
                             "t_max": 5, "n_traj": 256},
 }
