@@ -3,6 +3,8 @@
 Scenarios: synth, evolve, steady, qsd, compile, graph-state. Configs are
 flat JSON objects; unknown keys are rejected to catch typos. Runs are
 deterministic given the seed, and output files never embed wall-clock data.
+Every float an artifact holds is the float the run computed, written as its
+shortest round-trip repr, so each array reads back bit for bit.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract failure,
 4 I/O error. Exit 2 comes only from parse_config, which makes every check
@@ -63,9 +65,11 @@ VERIFY_THETAS = (0.3, 1.1, 2.7)
 # so the artifacts grow as n^2: about 4 MB at 1024 letters and 66 MB at 4096;
 # compiling and certifying cost O(n) per gate
 MAX_WORD_LETTERS = 1024
-# bytes charged per [re, im] pair that synth and graph-state pass through
-# _round_floats and json.dump: 289-314 traced and 320-373 of RSS growth per
-# pair for synth cluster-4 to cluster-6 and graph-state on 16 to 20 qubits
+# bytes charged per [re, im] pair of the lists synth and graph-state pass to
+# json.dumps, the lists and the text together: 185-263 traced for graph-state on
+# 16 to 20 qubits and synth cluster-5 and 6 (359 at cluster-4, where the fixed
+# cost shows), and 215-252 of RSS growth for graph-state on 18 to 21 qubits and
+# synth cluster-6 and 7, so half this would not cover the largest of them
 _PAIR_BYTES = 512
 
 
@@ -276,8 +280,9 @@ def _log2_largest_array(cfg: ScenarioConfig):
     Every model builds the (d - 1, d, d) complex jump stack, which is all of
     steady's estimate, since the certificate of `steady_states` needs no
     Liouvillian; synth and graph-state: _PAIR_BYTES per [re, im] pair of the
-    lists their JSON is written from, the (d - 1) d^2 jump entries of
-    dissipators.json (32 times the stack) and the 2^n amplitudes of state.json;
+    lists their JSON is written from and of the text json.dumps makes of them,
+    the (d - 1) d^2 jump entries of dissipators.json (32 times the stack) and
+    the 2^n amplitudes of state.json;
     evolve: the larger of the stack and the (T, d, d) complex record of
     T = t_max/dt + 1 samples; qsd: the largest of the stack, the (chunk, T)
     complex noise block and the ensemble's (T, d, d) arrays, 64 bytes per
@@ -337,34 +342,12 @@ def _combined_operator(cfg: ScenarioConfig):
     return L / np.linalg.norm(L, 2), float(cfg.gamma), target
 
 
-def _r15(x):
-    return float(f"{float(x):.15g}")
-
-
-def _round_floats(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return _r15(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def _write_json(path: Path, obj) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(_round_floats(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def emit_outputs(obj, path) -> Path:
     """Write one artifact deterministically, returning its path.
 
     Evolution records become CSV (t, fidelity, trace_error, purity, min_eig);
-    strings are written verbatim; everything else becomes sorted-key JSON.
-    Numbers carry 15 significant digits.
+    strings are written verbatim; everything else becomes sorted-key JSON on
+    one line. Floats are written exactly, as their shortest round-trip repr.
     """
     path = Path(path)
     if isinstance(obj, EvolutionRecord):
@@ -372,7 +355,7 @@ def emit_outputs(obj, path) -> Path:
     elif isinstance(obj, str):
         path.write_text(obj, encoding="utf-8")
     else:
-        _write_json(path, obj)
+        path.write_text(json.dumps(obj, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 

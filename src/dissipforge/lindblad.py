@@ -401,13 +401,13 @@ class EvolutionRecord:
         return idx
 
     def to_csv(self, path) -> None:
-        """Write t, fidelity, trace_error, purity, min_eig rows (15 significant digits)."""
+        """Write t, fidelity, trace_error, purity, min_eig rows of exact floats (repr)."""
+        fids = self.fidelities if self.fidelities is not None else [math.nan] * len(self.times)
+        columns = (self.times, fids, self.trace_errors, purity(self.states), self.min_eigs)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,fidelity,trace_error,purity,min_eig\n")
-            for i, t in enumerate(self.times):
-                fid = self.fidelities[i] if self.fidelities is not None else math.nan
-                row = (t, fid, self.trace_errors[i], purity(self.states[i]), self.min_eigs[i])
-                fh.write(",".join(f"{x:.15g}" for x in row) + "\n")
+            for row in zip(*columns):
+                fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def step_count(t_max: float, dt: float) -> int:

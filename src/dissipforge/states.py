@@ -205,10 +205,11 @@ def fidelity(rho, phi) -> float:
     return float(min(max(val.real, 0.0), 1.0))
 
 
-def purity(rho) -> float:
-    """Tr(rho^2)."""
+def purity(rho):
+    """Tr(rho^2): a float for one matrix, a (T,) array for a (T, d, d) stack."""
     m = as_matrix(rho)
-    return float(np.trace(m @ m).real)
+    p = np.einsum("...ij,...ji->...", m, m).real
+    return float(p) if p.ndim == 0 else p
 
 
 def max_local_overlap(psi, phi, gates=CORRECTION_GATES) -> float:

@@ -27,7 +27,6 @@ from dissipforge.cli import (
     ConfigError,
     _build_model,
     _log2_largest_array,
-    _round_floats,
     emit_outputs,
     main,
     parse_config,
@@ -35,9 +34,9 @@ from dissipforge.cli import (
 )
 from dissipforge.compiler import GateSequence, VerificationReport
 from dissipforge.dissipators import DissipatorSet
-from dissipforge.lindblad import steady_states
+from dissipforge.lindblad import integrate, steady_states
 from dissipforge.qsd import EnsembleResult
-from dissipforge.states import GraphSpec, fidelity
+from dissipforge.states import DensityMatrix, GraphSpec, fidelity, graph_state, purity
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -607,10 +606,8 @@ def test_compile_scenario_roundtrip_and_verification(tmp_path):
     assert summary.metrics["max_verification_deviation"] <= 1e-10
     gates_obj = json.loads((tmp_path / "out" / "gates.json").read_text())
     seq = GateSequence.from_json_obj(gates_obj)
-    # emit . parse is the identity at the emitted 15-digit precision
-    from dissipforge.cli import _round_floats
-
-    assert _round_floats(seq.to_json_obj()) == gates_obj
+    # emit . parse is the identity: the floats are written exactly
+    assert seq.to_json_obj() == gates_obj
     verification = json.loads((tmp_path / "out" / "verification.json").read_text())
     assert verification["passed"] is True
     assert (tmp_path / "out" / "circuit.txt").read_text().count("\n") >= len(seq.gates)
@@ -706,15 +703,16 @@ def test_qsd_ensemble_csv_has_the_evolution_csv_columns(tmp_path):
     header, rows = _csv_rows(tmp_path / "qsd" / "ensemble.csv")
     assert header == _csv_rows(tmp_path / "evolve" / "evolution.csv")[0]
     assert rows.shape == (31, 5)
-    assert rows[:, 0].tolist() == [float(f"{k * 0.01:.15g}") for k in range(31)]
-    # both 15 significant digits of the same float
+    assert rows[:, 0].tolist() == [k * 0.01 for k in range(31)]
+    # both the same float, written exactly
     metrics = json.loads((tmp_path / "qsd" / "summary.json").read_text())["metrics"]
     assert rows[-1, 1] == metrics["final_fidelity"]
     assert [Path(p).name for p in summary.artifacts] == \
         ["ensemble.csv", "ensemble.json", "summary.json"]
 
 
-def test_qsd_ensemble_csv_columns_are_read_off_the_library_ensemble(tmp_path):
+def _qsd_run_and_library_ensemble(tmp_path):
+    """Run a Bell qsd config into tmp_path; return the library's ensemble of it and the target."""
     cfg = parse_config(_write(tmp_path, "cfg.json", {**_QSD, "t_max": 0.2, "dt": 0.01,
                                                      "n_traj": 20, "seed": 11}))
     run(cfg, output_dir=tmp_path, quiet=True)
@@ -723,13 +721,68 @@ def test_qsd_ensemble_csv_columns_are_read_off_the_library_ensemble(tmp_path):
     psi0[0] = 1.0
     result = dissipforge.qsd.ensemble_average(
         L, dissipforge.qsd.TrajectoryConfig(20, 0.01, 0.2, master_seed=11, gamma=gamma), psi0)
+    return result, target
+
+
+def test_qsd_ensemble_csv_columns_are_read_off_the_library_ensemble(tmp_path):
+    result, target = _qsd_run_and_library_ensemble(tmp_path)
     _, rows = _csv_rows(tmp_path / "ensemble.csv")
-    r15 = np.vectorize(lambda x: float(f"{x:.15g}"))
-    assert np.array_equal(rows[:, 1], r15([fidelity(rho, target) for rho in result.rho_mean]))
+    assert np.array_equal(rows[:, 1], [fidelity(rho, target) for rho in result.rho_mean])
     # qsd's trace error is the sampling error of the mean's trace
     traces = np.trace(result.rho_mean, axis1=1, axis2=2).real
-    assert np.array_equal(rows[:, 2], r15(np.abs(traces - 1)))
+    assert np.array_equal(rows[:, 2], np.abs(traces - 1))
     assert np.max(rows[:, 2]) > 0
+
+
+def _synth_arrays(tmp_path):
+    cfg = parse_config(_write(tmp_path, "cfg.json",
+                              {"scenario": "synth", "n_qubits": 3, "target": "cluster-3"}))
+    run(cfg, output_dir=tmp_path, quiet=True)
+    written = DissipatorSet.from_json_obj(json.loads((tmp_path / "dissipators.json").read_text()))
+    expected = _build_model(cfg)[0].dissipators
+    assert len(written) == len(expected) == 7
+    return [pair for (ga, a), (gb, b) in zip(written, expected) for pair in ((ga, gb), (a, b))]
+
+
+def _graph_state_arrays(tmp_path):
+    # three vertices, so every amplitude is +-2^(-3/2), which 15 digits do not hold
+    graph = GraphSpec.path(3)
+    run(parse_config(_write(tmp_path, "cfg.json", {"scenario": "graph-state",
+                                                   "graph": graph.to_obj()})),
+        output_dir=tmp_path, quiet=True)
+    pairs = np.array(json.loads((tmp_path / "state.json").read_text())["amplitudes"])
+    return [(pairs[:, 0] + 1j * pairs[:, 1], graph_state(graph).amplitudes)]
+
+
+def _qsd_arrays(tmp_path):
+    result, _ = _qsd_run_and_library_ensemble(tmp_path)
+    data = json.loads((tmp_path / "ensemble.json").read_text())
+    pairs = np.array(data["rho_mean"])
+    return [((pairs[:, 0] + 1j * pairs[:, 1]).reshape(4, 4), result.rho_mean[-1]),
+            (np.reshape(data["rho_se"], (4, 4)), result.rho_se[-1])]
+
+
+def _evolve_arrays(tmp_path):
+    cfg = parse_config(_write(tmp_path, "cfg.json", {**_EVOLVE, "n_qubits": 3,
+                                                     "target": "cluster", "t_max": 0.5}))
+    run(cfg, output_dir=tmp_path, quiet=True)
+    model, target = _build_model(cfg)
+    record = integrate(model, DensityMatrix.maximally_mixed(3), cfg.t_max, dt=cfg.dt,
+                       target=target)
+    _, rows = _csv_rows(tmp_path / "evolution.csv")
+    expected = (record.times, record.fidelities, record.trace_errors, purity(record.states),
+                record.min_eigs)
+    return list(zip(rows.T, expected))
+
+
+@pytest.mark.parametrize("arrays", [_synth_arrays, _graph_state_arrays, _qsd_arrays,
+                                    _evolve_arrays],
+                         ids=["synth", "graph-state", "qsd", "evolve"])
+def test_array_artifacts_read_back_bit_for_bit(tmp_path, arrays):
+    # every float is written as the float the run computed, not rounded
+    for written, expected in arrays(tmp_path):
+        assert np.shape(written) == np.shape(expected)
+        assert np.array_equal(written, expected)
 
 
 def test_qsd_charge_covers_the_traced_working_set(tmp_path):
@@ -753,8 +806,8 @@ def test_qsd_charge_covers_the_traced_working_set(tmp_path):
                  id="synth-cluster-5"),
 ])
 def test_pair_charge_covers_the_traced_working_set(tmp_path, probe, pairs):
-    # the [re, im] lists passed through _round_floats and json.dump, about 290 B
-    # per pair, against the 512 B charged; the complex array alone is 16 B
+    # the [re, im] lists and the text json.dumps makes of them, 185-263 B per pair,
+    # against the 512 B charged; the lists' own objects are above 128 B per pair
     cfg = parse_config(_write(tmp_path, "cfg.json", probe))
     tracemalloc.start()
     try:
@@ -762,7 +815,7 @@ def test_pair_charge_covers_the_traced_working_set(tmp_path, probe, pairs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 256 * pairs < peak < 2 ** _log2_largest_array(cfg)
+    assert 128 * pairs < peak < 2 ** _log2_largest_array(cfg)
 
 
 def test_emit_outputs_dispatch(tmp_path):
@@ -788,13 +841,14 @@ def test_emit_outputs_dispatch(tmp_path):
     assert txt_path.read_text() == "one line\n"
 
 
-def test_emit_outputs_writes_rounded_sorted_json(tmp_path):
+def test_emit_outputs_writes_exact_sorted_json_on_one_line(tmp_path):
     pairs = complex_pairs(np.array([[1 / 3 + 2j / 7, -0.0], [0.1 + 0.2, 1e-17 - 1j]]))
     obj = {"pairs": pairs, "n": 3, "ok": True, "none": None, "x": 0.1 + 0.2,
            "nested": {"b": [1.0000000000000002, 2], "a": (False, 7.5)}}
     text = emit_outputs(obj, tmp_path / "out.json").read_text(encoding="utf-8")
-    assert text == json.dumps(_round_floats(obj), indent=2, sort_keys=True) + "\n"
-    assert "0.30000000000000004" not in text and json.loads(text)["x"] == 0.3
+    assert text == json.dumps(obj, sort_keys=True) + "\n"
+    assert text.count("\n") == 1 and json.loads(text)["x"] == 0.30000000000000004
+    assert json.loads(text)["nested"]["b"][0] == 1.0000000000000002
 
 
 def test_emit_outputs_memory_of_a_large_ensemble_record(tmp_path):

@@ -181,6 +181,17 @@ def test_purity_cases():
     assert abs(purity(np.diag([0.75, 0.25])) - 0.625) < 1e-14
 
 
+def test_purity_of_a_stack_is_each_matrix_purity():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 8, 8)) + 1j * rng.standard_normal((6, 8, 8))
+    rhos = a @ a.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    stacked = purity(rhos)
+    assert isinstance(purity(rhos[0]), float) and stacked.shape == (6,)
+    for p, rho in zip(stacked, rhos):
+        assert abs(p - np.trace(rho @ rho).real) <= 1e-14 * abs(p)
+
+
 # ---------------------------------------------------------------- type invariants
 
 

@@ -84,6 +84,7 @@ GENERATED = {
     "synth_cluster6": {"scenario": "synth", "n_qubits": 6, "target": "cluster-6"},
     "qsd_cluster4_t5_256": {"scenario": "qsd", "n_qubits": 4, "target": "cluster-4",
                             "t_max": 5, "n_traj": 256},
+    "graph_state_path20": {"scenario": "graph-state", "graph": GraphSpec.path(20).to_obj()},
 }
 
 
