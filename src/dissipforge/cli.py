@@ -85,7 +85,7 @@ _SCENARIOS = {
     "steady": ({"n_qubits", "target"}, {"gamma"}),
     "qsd": ({"n_qubits", "target", "t_max", "n_traj"}, {"gamma", "dt"}),
     "compile": ({"pauli_word", "theta"}, set()),
-    "graph-state": ({"graph"}, {"n_qubits"}),
+    "graph-state": ({"graph"}, set()),
 }
 _DEFAULT_DT = {"evolve": 0.01, "qsd": 1e-3}
 
@@ -203,17 +203,10 @@ def _parse_output_path(raw, cfg):
     return raw
 
 
-def _parse_graph(raw, cfg):
-    graph = GraphSpec.from_obj(raw)
-    if cfg.n_qubits not in (None, graph.n):
-        raise ValueError(f"graph has {graph.n} vertices but n_qubits = {cfg.n_qubits}")
-    return graph
-
-
 # key -> parser(raw value, config so far), whose ValueError parse_config names
 # the key in. It walks this table, not the file, so n_qubits is set before target
-# and graph are checked against it, dt before t_max, and the first error reported
-# does not depend on the key order in the file.
+# is checked against it, dt before t_max, and the first error reported does not
+# depend on the key order in the file.
 _FIELDS = {
     "seed": lambda raw, cfg: _integer(raw, "seed", 0),
     "output_path": _parse_output_path,
@@ -225,7 +218,7 @@ _FIELDS = {
     "n_traj": lambda raw, cfg: _integer(raw, "n_traj", 1),
     "pauli_word": _parse_pauli_word,
     "theta": lambda raw, cfg: _real(raw, "theta"),
-    "graph": _parse_graph,
+    "graph": lambda raw, cfg: GraphSpec.from_obj(raw),
 }
 
 

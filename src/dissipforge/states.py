@@ -1,17 +1,16 @@
 """Pure states, density matrices, and cluster/graph-state constructions."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PAULI_X, PAULI_Z, _frozen, _integer, _operator, kron_all
+from .algebra import PAULI_X, PAULI_Z, _frozen, _integer, _operator
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 
-# per-qubit corrections used when relating locally equivalent states
-CORRECTION_GATES = (
+# the (8, 2, 2) per-qubit corrections used when relating locally equivalent states
+CORRECTION_GATES = np.stack((
     np.eye(2, dtype=complex),
     PAULI_X,
     PAULI_Z,
@@ -20,7 +19,7 @@ CORRECTION_GATES = (
     HADAMARD @ PAULI_Z,
     PAULI_Z @ HADAMARD,
     HADAMARD @ PHASE_S,
-)
+))
 
 
 @dataclass(frozen=True)
@@ -149,22 +148,18 @@ def ghz_state(n: int) -> PureState:
     return PureState(amp)
 
 
-def _bit_table(n: int) -> np.ndarray:
-    """(2^n, n) array of bits; column q-1 is the bit of qubit q (MSB first)."""
-    idx = np.arange(1 << n)
-    return (idx[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 def graph_state(g: GraphSpec) -> PureState:
     """Controlled-phase gates along every edge applied to |+>^n.
 
-    The CZ gates commute, so the result does not depend on edge order.
+    Amplitude <b|G> = 2^(-n/2) (-1)^(sum over edges (a, b) of b_a b_b), with
+    qubit q the bit n - q of the index b. The CZ gates commute, so the result
+    does not depend on edge order.
     """
-    bits = _bit_table(g.n)
-    signs = np.ones(1 << g.n)
+    idx = np.arange(1 << g.n)
+    parity = np.zeros_like(idx)
     for a, b in g.edges:
-        signs *= 1.0 - 2.0 * (bits[:, a - 1] * bits[:, b - 1])
-    return PureState(signs * 2.0 ** (-g.n / 2.0))
+        parity ^= (idx >> (g.n - a)) & (idx >> (g.n - b))
+    return PureState((1.0 - 2.0 * (parity & 1)) * 2.0 ** (-g.n / 2.0))
 
 
 def cluster_formula(n: int) -> PureState:
@@ -172,14 +167,14 @@ def cluster_formula(n: int) -> PureState:
 
     Factor q contributes |0>_q together with a Z on qubit q+1, or |1>_q
     alone; the trailing Z on qubit n+1 is the identity. Expanding the
-    product gives amplitude 2^(-n/2) * prod_q [(-1)^(b_{q+1}) if b_q = 0].
+    product gives amplitude 2^(-n/2) (-1)^(sum over q < n of (1 - b_q) b_{q+1}).
     """
     n = _integer(n, "n", 1)
-    bits = _bit_table(n)
-    signs = np.ones(1 << n)
-    for q in range(n - 1):
-        signs *= np.where(bits[:, q] == 0, 1.0 - 2.0 * bits[:, q + 1], 1.0)
-    return PureState(signs * 2.0 ** (-n / 2.0))
+    idx = np.arange(1 << n)
+    parity = np.zeros_like(idx)
+    for q in range(1, n):
+        parity ^= ~(idx >> (n - q)) & (idx >> (n - q - 1))
+    return PureState((1.0 - 2.0 * (parity & 1)) * 2.0 ** (-n / 2.0))
 
 
 def as_matrix(rho) -> np.ndarray:
@@ -212,19 +207,24 @@ def purity(rho):
     return float(p) if p.ndim == 0 else p
 
 
-def max_local_overlap(psi, phi, gates=CORRECTION_GATES) -> float:
-    """Largest |<phi| (U_1 (x) ... (x) U_n) |psi>| over per-qubit gate choices.
+def max_local_overlap(psi, phi) -> float:
+    """Largest |<phi| (U_1 (x) ... (x) U_n) |psi>| over U_q in CORRECTION_GATES.
 
-    The default 8-gate set (products over I, X, Z, S, H) is enough to relate
-    the small cluster/graph states handled here.
+    The 8 gates (products over I, X, Z, S, H) are enough to relate the small
+    cluster/graph states handled here. phi^* psi^T, reshaped to one (row,
+    column) axis pair per qubit, is contracted pair by pair with the (8, 2, 2)
+    gate stack, which gives the overlap of all 8^n choices at once.
     """
     psi_v = as_vector(psi)
     phi_v = as_vector(phi)
     if psi_v.size != phi_v.size:
         raise ValueError("states live on different registers")
     n = int(psi_v.size).bit_length() - 1
-    best = 0.0
-    for combo in itertools.product(gates, repeat=n):
-        u = kron_all(combo)
-        best = max(best, abs(np.vdot(phi_v, u @ psi_v)))
-    return best
+    if psi_v.size < 2 or psi_v.size != 1 << n:
+        raise ValueError(f"amplitude count {psi_v.size} is not 2^n for n >= 1")
+    if not (np.isfinite(psi_v).all() and np.isfinite(phi_v).all()):
+        raise ValueError("state entries must be finite")
+    t = np.multiply.outer(phi_v.conj(), psi_v).reshape((2,) * (2 * n))
+    for rows in range(n, 0, -1):  # the next qubit's row is axis 0, its column axis `rows`
+        t = np.tensordot(t, CORRECTION_GATES, axes=([0, rows], [1, 2]))
+    return float(np.abs(t).max())

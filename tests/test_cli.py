@@ -165,8 +165,6 @@ _COMPILE = {"scenario": "compile", "pauli_word": "XXX", "theta": 0.7}
     pytest.param({**_STEADY, "n_qubits": 3}, id="bell-on-3-qubits"),
     pytest.param({**_STEADY, "gamma": [1.0, 2.0]}, id="bell-gamma-list-of-2"),
     pytest.param({**_QSD, "gamma": [1.0, 1.0, 1.0]}, id="qsd-gamma-list"),
-    pytest.param({"scenario": "graph-state", "n_qubits": 2, "graph": {"n": 3, "edges": []}},
-                 id="graph-n-differs-from-n_qubits"),
     pytest.param({"scenario": "graph-state", "graph": {"n": 3.7, "edges": [[1, 3]]}},
                  id="graph-n-fraction"),
     pytest.param({"scenario": "graph-state", "graph": {"n": 3, "edges": [[1.9, 3]]}},
@@ -209,6 +207,9 @@ def test_main_rejects_bad_values_before_running(tmp_path, capsys, probe):
     pytest.param({"scenario": "graph-state", "graph": [1]},
                  'key \'graph\': a graph must be {"n": ..., "edges": [[a, b], ...]}',
                  id="graph-list"),
+    # the graph's own vertex count is the qubit count, so no key repeats it
+    pytest.param({"scenario": "graph-state", "n_qubits": 3, "graph": {"n": 3, "edges": []}},
+                 "unknown key 'n_qubits' for scenario 'graph-state'", id="graph-state-n_qubits"),
 ])
 def test_config_error_repeats_the_library_message_after_the_key(tmp_path, capsys, probe,
                                                                  message):
@@ -480,7 +481,7 @@ def _configs(draw):
     if scenario == "graph-state":
         vertex = st.integers(1, n + 1)
         edges = draw(st.lists(st.lists(vertex, min_size=1, max_size=3), max_size=3))
-        cfg = {"scenario": scenario, "n_qubits": n + 1, "graph": {"n": n + 1, "edges": edges}}
+        cfg = {"scenario": scenario, "graph": {"n": n + 1, "edges": edges}}
     fault = draw(st.sampled_from(["none", "none", "junk", "drop", "typo", "qubits"]))
     key = draw(st.sampled_from(sorted(cfg)))
     if fault == "junk":

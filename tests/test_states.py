@@ -1,10 +1,13 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dissipforge.algebra import PauliString, kron
+from dissipforge.algebra import PauliString, kron, kron_all
 from dissipforge.states import (
+    CORRECTION_GATES,
     DensityMatrix,
     GraphSpec,
     HADAMARD,
@@ -107,6 +110,37 @@ def test_graph_state_edge_order_invariant():
     a = graph_state(GraphSpec(3, ((1, 2), (2, 3))))
     b = graph_state(GraphSpec(3, ((2, 3), (1, 2))))
     assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+def _cz(n, a, b):
+    """Dense diagonal CZ on qubits a and b of n, qubit 1 the most significant."""
+    bits = np.array(list(itertools.product((0, 1), repeat=n)))
+    return np.diag(1.0 - 2.0 * (bits[:, a - 1] & bits[:, b - 1]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_graph_state_matches_cz_gates_on_plus_for_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    edges = tuple((a, b) for a, b in itertools.combinations(range(1, n + 1), 2)
+                  if rng.random() < 0.5)
+    want = plus_state(n).amplitudes
+    for a, b in edges:
+        want = _cz(n, a, b) @ want
+    assert np.max(np.abs(graph_state(GraphSpec(n, edges)).amplitudes - want)) < 1e-15
+
+
+@pytest.mark.parametrize("build", [lambda n: graph_state(GraphSpec.path(n)), cluster_formula],
+                         ids=["graph_state", "cluster_formula"])
+def test_path_and_cluster_states_peak_at_four_times_the_state(build):
+    # the amplitude index, the parity and two shifted copies, no (2^n, n) bit table
+    tracemalloc.start()
+    try:
+        build(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * 2**16
 
 
 # ---------------------------------------------------------------- cluster formula
@@ -235,6 +269,37 @@ def test_cluster_formula_locally_equivalent_to_graph_state_n3():
 def test_ghz_locally_equivalent_to_path3():
     overlap = max_local_overlap(graph_state(GraphSpec.path(3)), ghz_state(3))
     assert abs(overlap - 1.0) < 1e-10
+
+
+def _kron_overlap(psi, phi):
+    """max_local_overlap by the 8^n dense Kronecker products, the oracle."""
+    n = psi.size.bit_length() - 1
+    return max(abs(np.vdot(phi, kron_all(combo) @ psi))
+               for combo in itertools.product(CORRECTION_GATES, repeat=n))
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_max_local_overlap_matches_the_kronecker_products(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    psi, phi = rng.normal(size=(2, 2**n)) + 1j * rng.normal(size=(2, 2**n))
+    psi, phi = psi / np.linalg.norm(psi), phi / np.linalg.norm(phi)
+    assert abs(max_local_overlap(psi, phi) - _kron_overlap(psi, phi)) < 1e-14
+
+
+@pytest.mark.parametrize("psi, message", [
+    pytest.param([np.nan, 1.0, 0.0, 0.0], "finite", id="nan-entry"),
+    pytest.param([np.inf, 0.0, 0.0, 0.0], "finite", id="inf-entry"),
+    pytest.param([0.6, 0.8, 0.0], "not 2\\^n", id="three-entries"),
+    pytest.param([1.0], "not 2\\^n", id="one-entry"),
+])
+def test_max_local_overlap_refuses_bad_input(psi, message):
+    phi = np.zeros(len(psi))
+    phi[0] = 1.0
+    with pytest.raises(ValueError, match=message):
+        max_local_overlap(psi, phi)
+    with pytest.raises(ValueError, match=message):
+        max_local_overlap(phi, psi)
 
 
 def test_four_qubit_target_locally_equivalent_to_path4():

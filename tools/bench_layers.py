@@ -53,6 +53,7 @@ from dissipforge import (  # noqa: E402
     PauliString,
     SynthesisSpec,
     TrajectoryConfig,
+    cluster_formula,
     compile_coupling,
     ensemble_average,
     graph_state,
@@ -70,6 +71,7 @@ from dissipforge.cli import (  # noqa: E402
     _combined_operator,
 )
 from dissipforge.lindblad import _hermitian_rhs  # noqa: E402
+from dissipforge.states import max_local_overlap  # noqa: E402
 
 SCHEMA = 3
 REPEATS = 5
@@ -163,6 +165,15 @@ def _trajectory_layer(n, n_traj):
             (lambda: ensemble_average(L, cfg, psi0), n_traj * cfg.n_steps)}
 
 
+def _state_layers():
+    """The graph state on the 20-vertex path, and the local-equivalence search of the
+    5-qubit cluster state against the 5-vertex path over all 8^5 gate choices."""
+    path20 = GraphSpec.path(20)
+    psi, phi = cluster_formula(5), graph_state(GraphSpec.path(5))
+    return {"graph_state[path-20]": (lambda: graph_state(path20), 1),
+            "max_local_overlap[5]": (lambda: max_local_overlap(psi, phi), 1)}
+
+
 def layers(tiny):
     out = {}
     for n in (2, 3) if tiny else (5, 6, 7, 8):
@@ -171,6 +182,7 @@ def layers(tiny):
     out.update(_compile_layers(3, 2, (16, 32)) if tiny else _compile_layers(9, 4, (256, 1024)))
     out.update(_matexp_layers((2, 4) if tiny else (4, 16, 128)))
     out.update(_trajectory_layer(2, 8) if tiny else _trajectory_layer(4, 256))
+    out.update({} if tiny else _state_layers())
     return out
 
 
