@@ -133,7 +133,7 @@ def test_graph_state_matches_cz_gates_on_plus_for_random_graphs(seed):
 @pytest.mark.parametrize("build", [lambda n: graph_state(GraphSpec.path(n)), cluster_formula],
                          ids=["graph_state", "cluster_formula"])
 def test_path_and_cluster_states_peak_at_four_times_the_state(build):
-    # the amplitude index, the parity and two shifted copies, no (2^n, n) bit table
+    # the int64 index, the parity and two shifted copies: 2.5 times the state's 16 B per entry
     tracemalloc.start()
     try:
         build(16)
