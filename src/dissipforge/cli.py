@@ -71,6 +71,12 @@ MAX_WORD_LETTERS = 1024
 # cost shows), and 215-252 of RSS growth for graph-state on 18 to 21 qubits and
 # synth cluster-6 and 7, so half this would not cover the largest of them
 _PAIR_BYTES = 512
+# bytes charged per sample for qsd's rank-one moments beside the noise block: a
+# chunk's (T, 9) and (T, 9, 9) floats and the running totals, 720 B each, and
+# the path being drawn, 16 B; traced at 10^4 samples, one trajectory of plus and
+# of bell peaks at 1196 and 1569 B per sample, and 300 or 600 trajectories at
+# 1713 B above the noise block, 250 B of it the fixed 2.5 MB of block buffers
+_MOMENT_BYTES = 2048
 
 
 class ConfigError(ValueError):
@@ -278,11 +284,12 @@ def _log2_largest_array(cfg: ScenarioConfig):
     the 2^n amplitudes of state.json;
     evolve: the larger of the stack and the (T, d, d) complex record of
     T = t_max/dt + 1 samples; qsd: the largest of the stack, the (chunk, T)
-    complex noise block and the ensemble's (T, d, d) arrays, 64 bytes per
-    (sample, i, j) entry, over the 34-37 traced for cluster-4 to cluster-6
-    (the mean, the standard error and their temporaries; ensemble.json keeps
-    only the final sample); compile: none, since nothing it builds grows with
-    the config but the word, which parse_config caps at MAX_WORD_LETTERS.
+    complex noise block with _MOMENT_BYTES per sample for the moments beside
+    it, and the ensemble's (T, d, d) arrays, 64 bytes per (sample, i, j)
+    entry, over the 34-37 traced for cluster-4 to cluster-6 (the mean, the
+    standard error and their temporaries; ensemble.json keeps only the final
+    sample); compile: none, since nothing it builds grows with the config but
+    the word, which parse_config caps at MAX_WORD_LETTERS.
     """
     if cfg.scenario == "compile":
         return -math.inf
@@ -299,7 +306,7 @@ def _log2_largest_array(cfg: ScenarioConfig):
         return math.log2(_PAIR_BYTES) + stack
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
-        noise = 4 + math.log2(min(cfg.n_traj, CHUNK_SIZE)) + samples
+        noise = math.log2(16 * min(cfg.n_traj, CHUNK_SIZE) + _MOMENT_BYTES) + samples
         return max(4 + stack, noise, 6 + 2 * n + samples)
     return 4 + max(stack, 2 * n + samples)
 

@@ -32,16 +32,23 @@ b' = (gamma/2) ||u||^2 and b = b' ||v||^2, L psi = c u and
 
 Each trajectory is three coefficients C = (1, alpha, beta) in the spanning
 set E = (psi_0, u, v), which need not be orthonormal (an excluded trajectory
-is C = 0). A block of steps takes one cumprod for c and two cumsums for alpha
-and beta, each seeded with the previous block's last value, so the order of
-operations is the recursion's. No (trajectories, d) state is formed. Let G
-be the nine real numbers |C_a|^2, Re C_a C_a'^* and Im C_a C_a'^* (a < a').
-Then sum_b psi_b psi_b^dag is linear in the 3x3 moments sum_b C_b C_b^dag,
-whose entries are the sums of G; |psi_i|^2 = (R G)_i for a fixed real (d, 9)
-matrix R, so sum_b |psi_bi|^2 |psi_bj|^2 is linear in the 9x9 moments
-sum_b G_b G_b^T, and the norm check reads |psi|^2 = (1^T R) G. The moments
-add up across chunks, since E is shared, and are expanded into (T, d, d)
-arrays once, at the end.
+is C = 0). Let G be the nine real numbers |C_a|^2, Re C_a C_a'^* and
+Im C_a C_a'^* (a < a'). Then sum_b psi_b psi_b^dag is linear in the 3x3
+moments sum_b C_b C_b^dag, whose entries are the sums of G; |psi_i|^2 =
+(R G)_i for a fixed real (d, 9) matrix R, so sum_b |psi_bi|^2 |psi_bj|^2 is
+linear in the 9x9 moments sum_b G_b G_b^T, and the norm check reads
+|psi|^2 = (1^T R) G. The moments add up across chunks, since E is shared,
+and are expanded into (T, d, d) arrays once, at the end.
+
+Time runs in blocks of BLOCK_STEPS steps through (steps, trajectories)
+buffers for dt z, c, alpha, beta, alpha^* beta and G that a chunk allocates
+once.
+Row 0 of the c, alpha and beta buffers holds the last value of the block
+before; one in-place multiply.accumulate for c and two in-place cumsums for
+alpha and beta continue the recursion in its own order, so the block length
+changes no bit of the result. G's rows are written in place, and its sums
+and G G^T products go straight into their rows of the (T, 9) and (T, 9, 9)
+moments. No (trajectories, d) state is formed.
 """
 
 from dataclasses import dataclass, field
@@ -98,15 +105,12 @@ class TrajectoryConfig:
 def sample_noise(cfg: TrajectoryConfig, traj_index: int) -> np.ndarray:
     """The read-only (n_steps,) complex increments z*_k of one trajectory.
 
-    Reproducible from (master_seed, trajectory index): the stream is
-    SeedSequence(master_seed, spawn_key=(traj_index,)), whose generator draws
-    standard_normal((2, n_steps)) = (re, im), and z = sqrt(gamma / (2 dt))
-    (re + i im). So E[|z|^2] = gamma / dt, E[z z] = 0, and paths are
-    independent and order-insensitive.
+    The one-row `_noise_block`: reproducible from (master_seed, trajectory
+    index), with E[|z|^2] = gamma / dt, E[z z] = 0, and paths independent
+    and order-insensitive.
     """
-    seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(int(traj_index),))
-    raw = np.random.default_rng(seq).standard_normal((2, cfg.n_steps))
-    z = np.sqrt(cfg.gamma / (2.0 * cfg.dt)) * (raw[0] + 1j * raw[1])
+    i = int(traj_index)
+    z = _noise_block(cfg, i, i + 1)[0]
     z.setflags(write=False)
     return z
 
@@ -204,7 +208,7 @@ def _chunk_sums(model, cfg, psi0, lo, hi, excluded):
     chunk-relative row indices.
     """
     d = psi0.size
-    noise = _noise_block(cfg, lo, hi).T
+    noise = _noise_block(cfg, lo, hi)
     Psi = _live(lo, hi, excluded)[:, None] * psi0
     T = cfg.n_steps + 1
     s_outer = np.empty((T, d, d), dtype=complex)
@@ -216,10 +220,21 @@ def _chunk_sums(model, cfg, psi0, lo, hi, excluded):
 
 
 def _noise_block(cfg, lo, hi):
-    """(n_steps, hi - lo) block whose column b is the noise path of trajectory lo + b."""
-    noise = np.empty((cfg.n_steps, hi - lo), dtype=complex)
-    for i in range(lo, hi):
-        noise[:, i - lo] = sample_noise(cfg, i)
+    """(hi - lo, n_steps) block whose row b is the noise path of trajectory lo + b.
+
+    The stream of trajectory i is SeedSequence(master_seed, spawn_key=(i,)),
+    whose generator draws standard_normal((2, n_steps)) = (re, im) into one
+    reused buffer, and row i - lo is z = sqrt(gamma / (2 dt)) (re + i im),
+    its real and imaginary parts scaled in place.
+    """
+    scale = np.sqrt(cfg.gamma / (2.0 * cfg.dt))
+    raw = np.empty((2, cfg.n_steps))
+    noise = np.empty((hi - lo, cfg.n_steps), dtype=complex)
+    for i, row in enumerate(noise, lo):
+        seq = np.random.SeedSequence(cfg.master_seed, spawn_key=(i,))
+        np.random.default_rng(seq).standard_normal(out=raw)
+        np.multiply(raw[0], scale, out=row.real)
+        np.multiply(raw[1], scale, out=row.imag)
     return noise
 
 
@@ -261,43 +276,56 @@ def _rank_one_moments(cfg, psi0, u, v, norm_weights, lo, hi, excluded):
     bp = 0.5 * cfg.gamma * np.vdot(u, u).real
     b = bp * np.vdot(v, v).real
     live = _live(lo, hi, excluded)
-    dz = _noise_block(cfg, lo, hi)
-    c = live * np.vdot(v, psi0)
-    alpha = np.zeros(hi - lo, dtype=complex)
-    beta = np.zeros(hi - lo, dtype=complex)
+    noise = _noise_block(cfg, lo, hi)
     g_sum = np.zeros((n + 1, 9))
     g_mom = np.zeros((n + 1, 9, 9))
     g_sum[0, 0] = g_mom[0, 0, 0] = live.sum()
+    # one block's buffers, (steps, rows), so that every product reads contiguous
+    # rows; row 0 of cs, alpha and beta holds the value the block starts from
+    steps = min(BLOCK_STEPS, n)
+    cs, alpha, beta = np.empty((3, steps + 1, hi - lo), dtype=complex)
+    dz, ab = np.empty((2, steps, hi - lo), dtype=complex)
+    G = np.empty((steps, 9, hi - lo))
+    cs[0] = live * np.vdot(v, psi0)
+    alpha[0] = beta[0] = 0.0
+    G[:, 0] = live
     # a row may overflow after its first bad step, which the check reports, and so
     # may dz itself when the noise scale sqrt(gamma / 2 dt) is beyond the float range
     with np.errstate(over="ignore", invalid="ignore"):
-        dz *= dt
         for k0 in range(0, n, BLOCK_STEPS):
-            z = dz[k0 : k0 + BLOCK_STEPS]
-            # c_k0 .. c_k1, then alpha and beta at k0 + 1 .. k1
-            cs = np.cumprod(np.concatenate((c[None], 1.0 + (a * z - dt * b))), axis=0)
-            alpha_s = np.cumsum(np.concatenate((alpha[None], z * cs[:-1])), axis=0)[1:]
-            beta_s = np.cumsum(np.concatenate((beta[None], (-dt * bp) * cs[:-1])), axis=0)[1:]
-            ab = alpha_s.conj() * beta_s  # the conjugate of C_1 C_2^*
-            G = np.stack((
-                np.broadcast_to(live, alpha_s.shape),
-                alpha_s.real**2 + alpha_s.imag**2,
-                beta_s.real**2 + beta_s.imag**2,
-                live * alpha_s.real,
-                live * beta_s.real,
-                ab.real,
-                -live * alpha_s.imag,
-                -live * beta_s.imag,
-                -ab.imag,
-            ), axis=1)  # (steps, 9, rows)
-            bad = _too_large(norm_weights @ G)
+            block = noise[:, k0 : k0 + BLOCK_STEPS].T
+            m = len(block)
+            z = np.multiply(block, dt, out=dz[:m])
+            # c_k0 .. c_k1, then alpha and beta at k0 .. k1, in the recursion's order
+            c_s, alpha_s, beta_s = cs[: m + 1], alpha[: m + 1], beta[: m + 1]
+            np.multiply(a, z, out=c_s[1:])
+            c_s[1:] -= dt * b
+            c_s[1:] += 1.0
+            np.multiply.accumulate(c_s, axis=0, out=c_s)
+            np.multiply(z, c_s[:-1], out=alpha_s[1:])
+            np.cumsum(alpha_s, axis=0, out=alpha_s)
+            np.multiply(-dt * bp, c_s[:-1], out=beta_s[1:])
+            np.cumsum(beta_s, axis=0, out=beta_s)
+            Ca, Cb, Gm = alpha_s[1:], beta_s[1:], G[:m]
+            np.conjugate(Ca, out=ab[:m])
+            ab[:m] *= Cb  # the conjugate of C_1 C_2^*
+            # G's rows 1..8, as in _rank_one_weights
+            np.add(Ca.real**2, Ca.imag**2, out=Gm[:, 1])
+            np.add(Cb.real**2, Cb.imag**2, out=Gm[:, 2])
+            np.multiply(live, Ca.real, out=Gm[:, 3])
+            np.multiply(live, Cb.real, out=Gm[:, 4])
+            Gm[:, 5] = ab[:m].real
+            np.multiply(-live, Ca.imag, out=Gm[:, 6])
+            np.multiply(-live, Cb.imag, out=Gm[:, 7])
+            np.negative(ab[:m].imag, out=Gm[:, 8])
+            bad = _too_large(norm_weights @ Gm)
             if np.any(bad):
                 k = int(np.argmax(bad.any(axis=1)))
                 raise _overflow(bad[k], k0 + k + 1)
-            k1 = k0 + len(z)
-            g_sum[k0 + 1 : k1 + 1] = G.sum(axis=2)
-            g_mom[k0 + 1 : k1 + 1] = G @ G.transpose(0, 2, 1)
-            c, alpha, beta = cs[-1], alpha_s[-1], beta_s[-1]
+            k1 = k0 + m
+            np.sum(Gm, axis=2, out=g_sum[k0 + 1 : k1 + 1])
+            np.matmul(Gm, Gm.transpose(0, 2, 1), out=g_mom[k0 + 1 : k1 + 1])
+            cs[0], alpha[0], beta[0] = c_s[-1], alpha_s[-1], beta_s[-1]
     return g_sum, g_mom
 
 
@@ -375,13 +403,15 @@ def ensemble_average(L: np.ndarray, cfg: TrajectoryConfig, psi0) -> EnsembleResu
         # sum_b psi_b psi_b^dag = E^T M E^* with M = sum_b C_b C_b^dag, whose
         # entries are the sums of G; the |psi_i|^2 |psi_j|^2 sums are R S R^T
         # for the 9x9 moments S, whose terms the diagonal of |R| |S| |R|^T sizes
+        # (|S| taken in place, S's last use)
         M = np.empty((len(g_sum), 3, 3), dtype=complex)
         M[:, [0, 1, 2], [0, 1, 2]] = g_sum[:, :3]
         M[:, _FIRST, _SECOND] = g_sum[:, 3:6] + 1j * g_sum[:, 6:]
         M[:, _SECOND, _FIRST] = g_sum[:, 3:6] - 1j * g_sum[:, 6:]
+        outer, abs2 = E.T @ (M @ E.conj()), R @ (g_mom @ R.T)
         Ra = np.abs(R)
-        size = np.einsum("tiq,iq->ti", Ra @ np.abs(g_mom), Ra)
-        return E.T @ (M @ E.conj()), R @ (g_mom @ R.T), size
+        size = np.einsum("tiq,iq->ti", Ra @ np.abs(g_mom, out=g_mom), Ra)
+        return outer, abs2, size
 
     chunk = partial(_rank_one_moments, cfg, psi0, u, v, R.sum(axis=0))
     return _average(cfg, chunk, expand)

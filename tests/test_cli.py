@@ -243,6 +243,10 @@ def test_config_error_repeats_the_library_message_after_the_key(tmp_path, capsys
     # the ensemble's arrays at 64 B per (sample, i, j) entry: 1001 x 256^2 of them, 3.9 GiB
     pytest.param({**_QSD, "n_qubits": 8, "target": "cluster", "t_max": 1, "n_traj": 64},
                  id="qsd-8-qubits-t_max-1"),
+    # the rank-one moments beside one noise path, 2064 B per sample: 4000001 of them,
+    # 7.69 GiB, where the 2 x 2 arrays and the path alone were charged 0.95 GiB
+    pytest.param({**_QSD, "n_qubits": 1, "target": "plus", "t_max": 4000, "n_traj": 1},
+                 id="qsd-1-qubit-t_max-4000"),
 ])
 def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
     path = _write(tmp_path, "cfg.json", probe)
@@ -798,6 +802,23 @@ def test_qsd_charge_covers_the_traced_working_set(tmp_path):
     finally:
         tracemalloc.stop()
     assert 16 * 501 * 32 ** 2 < peak < 2 ** _log2_largest_array(cfg)
+
+
+@pytest.mark.parametrize("n_qubits, target", [(1, "plus"), (2, "bell")])
+def test_qsd_charge_covers_the_traced_moments(tmp_path, n_qubits, target):
+    # on one trajectory of one or two qubits the rank-one moments, 720 B per sample
+    # for the (T, 9) and (T, 9, 9) totals alone, outweigh the noise path and the
+    # (T, d, d) arrays; 1196 and 1569 B per sample traced, against 2064 charged
+    cfg = parse_config(_write(tmp_path, "cfg.json", {**_QSD, "n_qubits": n_qubits,
+                                                     "target": target, "t_max": 10,
+                                                     "n_traj": 1}))
+    tracemalloc.start()
+    try:
+        run(cfg, output_dir=tmp_path / "out", quiet=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 720 * 10001 < peak < 2 ** _log2_largest_array(cfg)
 
 
 @pytest.mark.parametrize("probe, pairs", [

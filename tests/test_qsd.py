@@ -66,12 +66,12 @@ def test_sample_noise_is_the_documented_read_only_recipe():
     assert np.array_equal(z, np.sqrt(1.7 / (2 * 0.05)) * (re + 1j * im))
 
 
-def test_noise_block_columns_are_the_sampled_paths():
+def test_noise_block_rows_are_the_sampled_paths():
     cfg = TrajectoryConfig(n_traj=12, dt=0.1, t_max=1.0, master_seed=4)
     block = dissipforge.qsd._noise_block(cfg, 5, 9)
-    assert block.shape == (cfg.n_steps, 4)
+    assert block.shape == (4, cfg.n_steps) and block.flags.c_contiguous
     for b in range(4):
-        assert np.array_equal(block[:, b], sample_noise(cfg, 5 + b))
+        assert np.array_equal(block[b], sample_noise(cfg, 5 + b))
 
 
 def test_step_count_runs_once_per_config_and_not_per_noise_path(monkeypatch):
@@ -401,14 +401,69 @@ def test_rank_one_closed_form_matches_stepper(name, L, starts):
 
 def test_rank_one_blocks_do_not_change_results(monkeypatch):
     # each block is seeded with the last values of the one before, so the
-    # arithmetic is the same whatever the block length
+    # arithmetic is the same whatever the block length; the second case reruns
+    # its chunk with trajectory 97 excluded, and the short last block of its
+    # 250 steps (35 * 7 + 5 or 3 * 64 + 58) reads no row left by the one before
+    ket_plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     L, _ = _lfor2_operator()
-    psi0 = np.array([1.0, 0, 0, 0], dtype=complex)
-    cfg = TrajectoryConfig(n_traj=40, dt=0.01, t_max=1.0, master_seed=4)
-    a = ensemble_average(L, cfg, psi0)
-    monkeypatch.setattr(dissipforge.qsd, "BLOCK_STEPS", 7)
-    b = ensemble_average(L, cfg, psi0)
-    assert np.array_equal(a.rho_mean, b.rho_mean) and np.array_equal(a.rho_se, b.rho_se)
+    cases = [
+        (L, np.array([1.0, 0, 0, 0], dtype=complex),
+         TrajectoryConfig(n_traj=40, dt=0.01, t_max=1.0, master_seed=4), ()),
+        (8.0 * np.outer(ket_plus, ket_plus.conj()), ket_plus,
+         TrajectoryConfig(n_traj=300, dt=0.02, t_max=5.0, master_seed=3), (97,)),
+    ]
+    for L, psi0, cfg, excluded in cases:
+        monkeypatch.setattr(dissipforge.qsd, "BLOCK_STEPS", 64)
+        a = ensemble_average(L, cfg, psi0)
+        monkeypatch.setattr(dissipforge.qsd, "BLOCK_STEPS", 7)
+        b = ensemble_average(L, cfg, psi0)
+        assert a.excluded == b.excluded == excluded
+        assert np.array_equal(a.rho_mean, b.rho_mean) and np.array_equal(a.rho_se, b.rho_se)
+
+
+def _concatenating_moments(cfg, psi0, u, v, lo, hi, excluded):
+    """The rank-one block recursion on fresh arrays: cumprod and cumsums over
+    concatenations and a stacked G per block, from a (n_steps, rows) noise block."""
+    dt, n = cfg.dt, cfg.n_steps
+    a = np.vdot(v, u)
+    bp = 0.5 * cfg.gamma * np.vdot(u, u).real
+    b = bp * np.vdot(v, v).real
+    live = np.array([0.0 if i in excluded else 1.0 for i in range(lo, hi)])
+    dz = np.stack([sample_noise(cfg, i) for i in range(lo, hi)], axis=1) * dt
+    c = live * np.vdot(v, psi0)
+    alpha = beta = np.zeros(hi - lo, dtype=complex)
+    g_sum, g_mom = np.zeros((n + 1, 9)), np.zeros((n + 1, 9, 9))
+    g_sum[0, 0] = g_mom[0, 0, 0] = live.sum()
+    for k0 in range(0, n, 64):
+        z = dz[k0 : k0 + 64]
+        cs = np.cumprod(np.concatenate((c[None], 1.0 + (a * z - dt * b))), axis=0)
+        alpha_s = np.cumsum(np.concatenate((alpha[None], z * cs[:-1])), axis=0)[1:]
+        beta_s = np.cumsum(np.concatenate((beta[None], (-dt * bp) * cs[:-1])), axis=0)[1:]
+        ab = alpha_s.conj() * beta_s
+        G = np.stack((np.broadcast_to(live, alpha_s.shape),
+                      alpha_s.real**2 + alpha_s.imag**2, beta_s.real**2 + beta_s.imag**2,
+                      live * alpha_s.real, live * beta_s.real, ab.real,
+                      -live * alpha_s.imag, -live * beta_s.imag, -ab.imag), axis=1)
+        g_sum[k0 + 1 : k0 + 1 + len(z)] = G.sum(axis=2)
+        g_mom[k0 + 1 : k0 + 1 + len(z)] = G @ G.transpose(0, 2, 1)
+        c, alpha, beta = cs[-1], alpha_s[-1], beta_s[-1]
+    return g_sum, g_mom
+
+
+@pytest.mark.parametrize("name, L, starts", list(_rank_one_cases()),
+                         ids=[case[0] for case in _rank_one_cases()])
+def test_rank_one_moments_match_the_concatenating_recursion(name, L, starts):
+    # the block buffers do the recursion's arithmetic in its order, so the moments
+    # are those of fresh arrays per block to the bit; 130 steps end in a short block
+    cfg = TrajectoryConfig(n_traj=40, dt=0.01, t_max=1.3, master_seed=6, gamma=1.3)
+    for psi0 in starts:
+        model, psi0 = dissipforge.qsd._prepare(L, cfg, psi0)
+        factors = model.dissipators._jumps.factors
+        u, v = factors[0][:, 0], factors[1][:, 0]
+        weights = dissipforge.qsd._rank_one_weights(np.stack((psi0, u, v))).sum(axis=0)
+        got = dissipforge.qsd._rank_one_moments(cfg, psi0, u, v, weights, 3, 40, {7})
+        want = _concatenating_moments(cfg, psi0, u, v, 3, 40, {7})
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_path_rule_follows_the_operator(monkeypatch):
