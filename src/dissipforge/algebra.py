@@ -57,6 +57,22 @@ def _operator(A, what: str) -> tuple[np.ndarray, float]:
     return A, peak
 
 
+def _rank_one(u, v, what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(`_frozen(u)`, `_frozen(v)`, max|u| max|v|), the one intake of every constructor
+    that keeps a rank-one operator L = u v^dag as its factors, beside `_operator`: u
+    and v must be non-empty vectors of one length whose product L is finite, or
+    ValueError names `what`. max|u| max|v| is L's largest |entry|, as ||u|| ||v|| is
+    its Frobenius norm, to rounding; L itself is never built here."""
+    u, v = _frozen(u), _frozen(v)
+    if u.ndim != 1 or u.shape != v.shape or not u.size:
+        raise ValueError(f"{what} factors must be non-empty vectors of one length, "
+                         f"got shapes {u.shape} and {v.shape}")
+    peak = float(np.max(np.abs(u))) * float(np.max(np.abs(v)))
+    if not math.isfinite(peak):  # an inf or NaN entry, or a product beyond the float range
+        raise ValueError(f"{what} entries must be finite, got {peak}")
+    return u, v, peak
+
+
 def _integer(value, what: str, least: int | None = None) -> int:
     """value as an int, the one check of every count: an integral float becomes an
     int; a boolean, any other type or a value below least raises ValueError."""

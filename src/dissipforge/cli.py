@@ -77,6 +77,14 @@ _PAIR_BYTES = 512
 # of bell peaks at 1196 and 1569 B per sample, and 300 or 600 trajectories at
 # 1713 B above the noise block, 250 B of it the fixed 2.5 MB of block buffers
 _MOMENT_BYTES = 2048
+# d x d complex arrays charged to a model over the synthesized set, whose jumps are
+# factor pairs: the pairs, U, V, U^dag, the shared group's V w and u u^dag, and drift,
+# then steady's eig vectors and workspace, screen products and W, evolve's RK4
+# stages, or qsd's combined operator, its norm and its one-jump model. In units of
+# 16 d^2, CLI steady's traced peak is 14.2, 14.1 and 14.0 on cluster-8, 9 and 10;
+# on cluster-10, one-step evolve and qsd trace 20.5 and 20.9, and the max RSS above
+# a two-qubit run grows by 17.2 (steady, with eig's workspace), 22.2 and 25.0
+_MODEL_ARRAYS = 28
 
 
 class ConfigError(ValueError):
@@ -276,19 +284,18 @@ def parse_config(path, seed=None) -> ScenarioConfig:
 def _log2_largest_array(cfg: ScenarioConfig):
     """log2 of the bytes of the run's largest dense array, from the config alone.
 
-    Every model builds the (d - 1, d, d) complex jump stack, which is all of
-    steady's estimate, since the certificate of `steady_states` needs no
-    Liouvillian; synth and graph-state: _PAIR_BYTES per [re, im] pair of the
-    lists their JSON is written from and of the text json.dumps makes of them,
-    the (d - 1) d^2 jump entries of dissipators.json (32 times the stack) and
-    the 2^n amplitudes of state.json;
-    evolve: the larger of the stack and the (T, d, d) complex record of
-    T = t_max/dt + 1 samples; qsd: the largest of the stack, the (chunk, T)
-    complex noise block with _MOMENT_BYTES per sample for the moments beside
-    it, and the ensemble's (T, d, d) arrays, 64 bytes per (sample, i, j)
-    entry, over the 34-37 traced for cluster-4 to cluster-6 (the mean, the
-    standard error and their temporaries; ensemble.json keeps only the final
-    sample); compile: none, since nothing it builds grows with the config but
+    steady: the model's working set, _MODEL_ARRAYS complex d x d arrays, since the
+    synthesized jumps are held as factor pairs and the certificate of
+    `steady_states` needs no Liouvillian; synth and graph-state: _PAIR_BYTES per
+    [re, im] pair of the lists their JSON is written from and of the text json.dumps
+    makes of them, the (d - 1) d^2 jump entries of dissipators.json and the 2^n
+    amplitudes of state.json; evolve: the larger of the model's working set and the
+    (T, d, d) complex record of T = t_max/dt + 1 samples; qsd: the largest of the
+    model's working set, the (chunk, T) complex noise block with _MOMENT_BYTES per
+    sample for the moments beside it, and the ensemble's (T, d, d) arrays, 64 bytes
+    per (sample, i, j) entry, over the 34-37 traced for cluster-4 to cluster-6 (the
+    mean, the standard error and their temporaries; ensemble.json keeps only the
+    final sample); compile: none, since nothing it builds grows with the config but
     the word, which parse_config caps at MAX_WORD_LETTERS.
     """
     if cfg.scenario == "compile":
@@ -299,16 +306,16 @@ def _log2_largest_array(cfg: ScenarioConfig):
         return math.inf
     if cfg.scenario == "graph-state":
         return math.log2(_PAIR_BYTES) + n
-    stack = 2 * n + math.log2(_jump_count(n))
-    if cfg.scenario == "steady":
-        return 4 + stack
     if cfg.scenario == "synth":
-        return math.log2(_PAIR_BYTES) + stack
+        return math.log2(_PAIR_BYTES) + 2 * n + math.log2(_jump_count(n))
+    model = 4 + 2 * n + math.log2(_MODEL_ARRAYS)
+    if cfg.scenario == "steady":
+        return model
     samples = math.log2(cfg.t_max / cfg.dt + 1)
     if cfg.scenario == "qsd":
         noise = math.log2(16 * min(cfg.n_traj, CHUNK_SIZE) + _MOMENT_BYTES) + samples
-        return max(4 + stack, noise, 6 + 2 * n + samples)
-    return 4 + max(stack, 2 * n + samples)
+        return max(model, noise, 6 + 2 * n + samples)
+    return max(model, 4 + 2 * n + samples)
 
 
 def _build_model(cfg: ScenarioConfig):
@@ -338,7 +345,7 @@ def _combined_operator(cfg: ScenarioConfig):
     """Single jump operator for trajectory runs, scaled to unit spectral norm
     (the scale belongs to gamma, and a tame norm keeps the O(dt) bias small)."""
     model, target = _build_model(cfg)
-    L = sum(model.dissipators.operators)
+    L = sum(op for _, op in model.dissipators)  # one operator built at a time, in set order
     return L / np.linalg.norm(L, 2), float(cfg.gamma), target
 
 

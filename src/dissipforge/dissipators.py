@@ -13,7 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import PauliSum, _frozen, _integer, _operator, _positive, _real, complex_pairs, dag
+from .algebra import (
+    PauliSum, _frozen, _integer, _operator, _positive, _rank_one, _real, complex_pairs, dag,
+)
 from .states import as_vector
 
 SCALE_LIMIT = 1e100  # is_dark and steady_states rescale an operator (or term) beyond this
@@ -95,13 +97,14 @@ class _JumpFactors:
     """A jump set grouped by structure; this class alone reads the layout.
 
     Rank-one jumps L_j = u_j v_j^dag are columns of U and V (d, m1), with
-    U^dag precomputed. Every other jump is kept in the stack Ld = L_j^dag of
-    shape (m2, d, d). When every u_j is parallel to one u, u_j = a_j u to
-    round-off of max|u_j| (every synthesized set, the Bell preset), the
-    rank-one jumps also form the shared group: uu = u u^dag and the columns
-    Vs of v'_j = conj(a_j) v_j, so L_j = u v'_j^dag and the sandwich
-    sum_j gamma_j L_j rho L_j^dag is tr(rho K) uu with K = sum_j gamma_j
-    v'_j v'_j^dag. An empty group is None. `order` holds each jump's index
+    U^dag precomputed; (u_j, v_j) is a factor item's own pair, or the pair
+    `_outer_factors` finds in a dense operator. Every other jump is kept in
+    the stack Ld = L_j^dag of shape (m2, d, d). When every u_j is parallel to
+    one u, u_j = a_j u to round-off of max|u_j| (every synthesized set, the
+    Bell preset), the rank-one jumps also form the shared group: uu = u u^dag
+    and the columns Vs of v'_j = conj(a_j) v_j, so L_j = u v'_j^dag and the
+    sandwich sum_j gamma_j L_j rho L_j^dag is tr(rho K) uu with K = sum_j
+    gamma_j v'_j v'_j^dag. An empty group is None. `order` holds each jump's index
     in the set. Only `rates` and the products gVc = gamma_j conj(V), K and
     gL = gamma_j L_j (built on first use) depend on the rates, so
     `with_rates` shares everything else.
@@ -217,26 +220,50 @@ class _JumpFactors:
         return ~np.any(vt * off_u > bounds[: self.U.shape[1], None], axis=0)
 
 
+def _dense(item) -> np.ndarray:
+    """The read-only operator of a `DissipatorSet` item: a dense item's own array, or
+    u v^dag of a factor item (gamma, u, v), built on each call and not kept."""
+    if len(item) == 2:
+        return item[1]
+    L = np.outer(item[1], item[2].conj())
+    L.setflags(write=False)
+    return L
+
+
 @dataclass(frozen=True, eq=False)
 class DissipatorSet:
-    """Ordered collection of (decay rate, jump operator) pairs."""
+    """Ordered collection of jumps with their decay rates.
 
-    items: tuple  # of (gamma, operator)
+    An item is (gamma, L), a dense operator, or (gamma, u, v), the factors of the
+    rank-one L = u v^dag (`algebra._rank_one` checks them), which holds O(d) instead
+    of O(d^2): synthesis hands over factors, so a synthesized set holds no dense
+    operator. `operators`, iteration and `to_json_obj` give (gamma, L) with L dense,
+    a factor item's built on request and not kept (`_dense`); `peaks` holds each
+    operator's largest |entry|, max|u| max|v| for a factor item. The generator, the
+    certificate and `is_dark` read the factors alone (`_jumps`).
+    """
+
+    items: tuple  # of (gamma, operator) or (gamma, u, v)
     peaks: tuple = field(init=False)  # largest |entry| of each operator
 
     def __post_init__(self):
-        norm, peaks = [], []
+        items, peaks = [], []
         dim = None
-        for gamma, op in self.items:
+        for gamma, *op in self.items:
             gamma = _positive(gamma, "gamma")
-            op, peak = _operator(op, "jump operator")
+            if len(op) == 2:
+                *op, peak = _rank_one(*op, "jump operator")
+            elif len(op) == 1:
+                *op, peak = _operator(*op, "jump operator")
+            else:
+                raise ValueError("a jump is (gamma, operator) or (gamma, u, v)")
             if dim is None:
-                dim = op.shape[0]
-            elif op.shape[0] != dim:
+                dim = op[0].shape[0]
+            elif op[0].shape[0] != dim:
                 raise ValueError("jump operators act on different dimensions")
             peaks.append(peak)
-            norm.append((gamma, op))
-        object.__setattr__(self, "items", tuple(norm))
+            items.append((gamma, *op))
+        object.__setattr__(self, "items", tuple(items))
         object.__setattr__(self, "peaks", tuple(peaks))
 
     @property
@@ -245,18 +272,21 @@ class DissipatorSet:
 
     @property
     def rates(self) -> tuple[float, ...]:
-        return tuple(g for g, _ in self.items)
+        return tuple(item[0] for item in self.items)
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
-        return tuple(op for _, op in self.items)
+        """Every operator dense at once; iterate the set to hold one at a time."""
+        return tuple(_dense(item) for item in self.items)
 
     @cached_property
     def _jumps(self) -> _JumpFactors:
         """The set split into rank-one factors, their shared group when every left
         factor is parallel to one vector, and dense stacks, built on first use and
-        shared by every model over the set and by `is_dark`."""
-        uvs = [_outer_factors(L, peak) for L, peak in zip(self.operators, self.peaks)]
+        shared by every model over the set and by `is_dark`. A factor item's pair is
+        taken as it is; only dense operators go through `_outer_factors`."""
+        uvs = [item[1:] if len(item) == 3 else _outer_factors(item[1], peak)
+               for item, peak in zip(self.items, self.peaks)]
         order = np.argsort([uv is None for uv in uvs], kind="stable")  # rank one first
         rank_one = [uvs[i] for i in order if uvs[i] is not None]
         dense = [self.items[i][1] for i in order if uvs[i] is None]
@@ -284,30 +314,32 @@ class DissipatorSet:
         """(set, ks) built on first use, or None when every ks[j] is 0: ks[j] is the
         binary exponent of operator j's largest entry (`peaks`) beyond SCALE_LIMIT
         of 1, else 0, and set holds operator j over 2^ks[j] at its rate, sharing the
-        rest. `is_dark` and `lindblad._unit_scaled` share it and its `_jumps`."""
+        rest; a factor item's u is divided. `is_dark` and `lindblad._unit_scaled`
+        share it and its `_jumps`."""
         limit = math.frexp(SCALE_LIMIT)[1]
         ks = tuple(e if abs(e) > limit else 0 for e in (math.frexp(p)[1] for p in self.peaks))
         if not any(ks):
             return None  # not self: a cached self-reference would keep the set alive in a cycle
-        ops = []
-        for (_, L), k in zip(self.items, ks):
+        items = []
+        for (gamma, x, *v), k in zip(self.items, ks):
             if k:
-                L = _times_power_of_two(L, -k)
-                L.setflags(write=False)  # kept, not copied, by DissipatorSet
-            ops.append(L)
-        return DissipatorSet(tuple(zip(self.rates, ops))), ks
+                x = _times_power_of_two(x, -k)
+                x.setflags(write=False)  # kept, not copied, by DissipatorSet
+            items.append((gamma, x, *v))
+        return DissipatorSet(tuple(items)), ks
 
     def scaled(self, factor: float) -> "DissipatorSet":
         """Same operators with every rate multiplied by factor."""
-        return self._with_rates(g * factor for g, _ in self.items)
+        return self._with_rates(g * factor for g in self.rates)
 
     def _with_rates(self, rates) -> "DissipatorSet":
         """Same operators at new rates, one per operator and checked as the
-        constructor checks them. The operators, their `peaks` and, once built,
-        their factors `_jumps` and the `_rescaled` set (at the new rates) are
-        carried over, so no operator is scanned, rescaled or factored again."""
-        items = tuple((_positive(g, "gamma"), op)
-                      for g, (_, op) in zip(rates, self.items, strict=True))
+        constructor checks them. The operators or factor pairs, their `peaks` and,
+        once built, their factors `_jumps` and the `_rescaled` set (at the new
+        rates) are carried over, so no operator is scanned, rescaled or factored
+        again."""
+        items = tuple((_positive(g, "gamma"), *op)
+                      for g, (_, *op) in zip(rates, self.items, strict=True))
         out = object.__new__(DissipatorSet)
         object.__setattr__(out, "items", items)
         object.__setattr__(out, "peaks", self.peaks)
@@ -321,7 +353,7 @@ class DissipatorSet:
         return out
 
     def to_json_obj(self) -> list:
-        return [{"gamma": gamma, "matrix": complex_pairs(op)} for gamma, op in self.items]
+        return [{"gamma": gamma, "matrix": complex_pairs(op)} for gamma, op in self]
 
     @classmethod
     def from_json_obj(cls, obj) -> "DissipatorSet":
@@ -333,28 +365,28 @@ class DissipatorSet:
         return cls(tuple(items))
 
     def __iter__(self):
-        return iter(self.items)
+        """(gamma, dense operator) pairs, a factor item's operator built as it is reached."""
+        return ((item[0], _dense(item)) for item in self.items)
 
     def __len__(self):
         return len(self.items)
 
 
 def synth_subspace(spec: SynthesisSpec) -> DissipatorSet:
-    """One jump operator |phi_j><j| per level outside the protected block.
+    """One jump operator |phi_j><j| per level outside the protected block, held as
+    its factors (|phi_j>, |j>).
 
     Every operator annihilates the block, so any state supported there is
     stationary; populations and coherences involving the outside levels
     decay. All rates default to 1.
     """
     block = spec.basis[:, : spec.k]
-    ops = []
+    items = []
     for row in range(spec.dim - spec.k):
         phi = block @ spec.coeffs[row]
-        bra = spec.basis[:, spec.k + row].conj()
-        L = np.outer(phi, bra)
-        L.setflags(write=False)  # kept, not copied, by DissipatorSet
-        ops.append((1.0, L))
-    return DissipatorSet(tuple(ops))
+        phi.setflags(write=False)  # kept, not copied, by DissipatorSet
+        items.append((1.0, phi, spec.basis[:, spec.k + row]))
+    return DissipatorSet(tuple(items))
 
 
 def synth_single(spec: SynthesisSpec) -> DissipatorSet:
@@ -373,7 +405,7 @@ def synth_single(spec: SynthesisSpec) -> DissipatorSet:
         raise ValueError("all coefficients must be nonzero or the steady state is not unique")
     phi0 = spec.basis[:, 0]
     bra = spec.basis[:, 1:].conj() @ spec.coeffs[:, 0]
-    return DissipatorSet(((1.0, np.outer(phi0, bra)),))
+    return DissipatorSet(((1.0, phi0, bra.conj()),))
 
 
 def splitting_hamiltonian(spec: SynthesisSpec, energies=None) -> np.ndarray:

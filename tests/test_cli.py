@@ -226,14 +226,18 @@ def test_config_error_repeats_the_library_message_after_the_key(tmp_path, capsys
                  id="graph-state-30-qubits"),
     pytest.param({**_EVOLVE, "n_qubits": 4, "target": "cluster-4", "t_max": 30, "dt": 1e-7},
                  id="evolve-dt-1e-7"),
-    pytest.param({**_STEADY, "n_qubits": 9, "target": "cluster"}, id="steady-9-qubits"),
+    # the model's 28 arrays of 2048 x 2048, 1.75 GiB
+    pytest.param({**_STEADY, "n_qubits": 11, "target": "cluster"}, id="steady-11-qubits"),
     pytest.param({**_EVOLVE, "n_qubits": 10**400, "target": "cluster"},
                  id="evolve-10^400-qubits"),
-    # the 16 GiB stack of 1023 jumps of 1024 x 1024, not the 32 MiB record
-    pytest.param({**_EVOLVE, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01},
-                 id="evolve-10-qubits-one-step"),
-    pytest.param({**_QSD, "n_qubits": 10, "target": "cluster", "t_max": 0.01, "dt": 0.01,
-                  "n_traj": 1}, id="qsd-10-qubits-one-step"),
+    # the model's 1.75 GiB, not the 128 MiB record or qsd's 512 MiB ensemble arrays
+    pytest.param({**_EVOLVE, "n_qubits": 11, "target": "cluster", "t_max": 0.01, "dt": 0.01},
+                 id="evolve-11-qubits-one-step"),
+    pytest.param({**_QSD, "n_qubits": 11, "target": "cluster", "t_max": 0.01, "dt": 0.01,
+                  "n_traj": 1}, id="qsd-11-qubits-one-step"),
+    # the 65 samples of 1024 x 1024 that evolve records, 1.02 GiB, above the model's 448 MiB
+    pytest.param({**_EVOLVE, "n_qubits": 10, "target": "cluster", "t_max": 0.64},
+                 id="evolve-10-qubits-65-samples"),
     # the JSON lists at 512 B per [re, im] pair: 2^22 amplitudes, 2 GiB
     pytest.param({"scenario": "graph-state", "graph": GraphSpec.path(22).to_obj()},
                  id="graph-state-22-qubits"),
@@ -264,22 +268,24 @@ def test_main_rejects_oversized_runs_before_allocating(tmp_path, capsys, probe):
 
 
 def test_size_guard_boundary_for_steady(tmp_path):
-    # steady builds d - 1 jumps of d x d: 255 MiB at 8 qubits, 2 GiB at 9
+    # steady holds its jumps as factor pairs and is charged the model's 28 arrays of
+    # d x d: 448 MiB at 10 qubits, 1.75 GiB at 11
     probe = {"scenario": "steady", "target": "cluster"}
-    cfg = parse_config(_write(tmp_path, "fits.json", {**probe, "n_qubits": 8}))
-    assert cfg.n_qubits == 8
-    with pytest.raises(ConfigError, match="2 GiB"):
-        parse_config(_write(tmp_path, "refused.json", {**probe, "n_qubits": 9}))
+    cfg = parse_config(_write(tmp_path, "fits.json", {**probe, "n_qubits": 10}))
+    assert cfg.n_qubits == 10
+    with pytest.raises(ConfigError, match=" 1.75 GiB"):
+        parse_config(_write(tmp_path, "refused.json", {**probe, "n_qubits": 11}))
 
 
 _ONE_STEP = {"target": "cluster", "t_max": 0.01, "dt": 0.01}
 
 
 @pytest.mark.parametrize("probe, key, fits, refused, gib", [
-    # evolve and qsd hold the (d - 1, d, d) jump stack whatever their record:
-    # 255 MiB at 8 qubits, 2 GiB at 9
-    pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 8, 9, "2 GiB", id="evolve"),
-    pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 8, 9, "2 GiB", id="qsd"),
+    # evolve and qsd are charged at least the model's 28 arrays of d x d whatever
+    # their record: 448 MiB at 10 qubits, 1.75 GiB at 11
+    pytest.param({**_EVOLVE, **_ONE_STEP}, "n_qubits", 10, 11, " 1.75 GiB", id="evolve"),
+    pytest.param({**_QSD, **_ONE_STEP, "n_traj": 1}, "n_qubits", 10, 11, " 1.75 GiB",
+                 id="qsd"),
     # compile refuses words above MAX_WORD_LETTERS = 1024
     pytest.param(_COMPILE, "pauli_word", "XYZ" * 341 + "X", "XYZ" * 341 + "XY",
                  "1025 letters, above the 1024-letter limit", id="compile"),
@@ -312,12 +318,12 @@ def test_a_gamma_list_is_checked_against_the_jump_count_at_parse_time(tmp_path):
             parse_config(_write(tmp_path, "bad.json", {**probe, "gamma": [1.0] * (count + 1)}))
 
 
-def test_build_model_holds_one_jump_stack(tmp_path):
-    # the rated set shares the synthesized operators instead of copying them
+def test_build_model_holds_no_jump_stack(tmp_path):
+    # the synthesized jumps are factor pairs, 2 (d - 1) d entries, shared by the rated
+    # set; their (d - 1, d, d) stack would be 4.1 MB
     cfg = parse_config(_write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": 6,
                                                      "target": "cluster", "gamma": 2.0}))
     d = 64
-    stack = 16 * (d - 1) * d * d
     tracemalloc.start()
     try:
         model, _ = _build_model(cfg)
@@ -325,7 +331,8 @@ def test_build_model_holds_one_jump_stack(tmp_path):
     finally:
         tracemalloc.stop()
     assert model.dissipators.rates == (2.0,) * (d - 1)
-    assert peak < 1.3 * stack
+    assert all(len(item) == 3 for item in model.dissipators.items)
+    assert peak < 1 << 20
 
 
 def test_build_model_scans_the_operators_once(tmp_path, monkeypatch):
@@ -342,7 +349,7 @@ def test_build_model_scans_the_operators_once(tmp_path, monkeypatch):
 def test_steady_fallback_above_the_size_limit_exits_3(tmp_path, capsys):
     # one rate at 1e-12 defeats the certificate, and the 4 GiB Liouvillian of
     # the dense fallback at 7 qubits is refused before it is allocated; the
-    # peak is the model's 127 jumps of 256 KiB
+    # peak is the model's working set, a few arrays of 256 KiB
     gamma = [1e-12] + [1.0] * 126
     path = _write(tmp_path, "cfg.json", {**_STEADY, "n_qubits": 7, "target": "cluster",
                                          "gamma": gamma})

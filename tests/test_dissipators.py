@@ -1,5 +1,7 @@
 import gc
+import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -390,6 +392,61 @@ def _cluster_set(n):
     return synth_subspace(spec), spec.basis
 
 
+def _factor_cases():
+    """Synthesized sets with a Hamiltonian or None, and the states is_dark is asked about."""
+    for n in (2, 3, 4, 5):
+        ds, frame = _cluster_set(n)
+        yield pytest.param(ds, None, frame, id=f"cluster-{n}")
+    rng = np.random.default_rng(15)
+    spec = SynthesisSpec(dim=8, k=2, coeffs=random_complex((6, 2), rng),
+                         basis=random_unitary(8, rng))
+    yield pytest.param(synth_subspace(spec), None, spec.basis, id="subspace-k2")
+    spec = SynthesisSpec(dim=8, k=1, coeffs=random_complex((7, 1), rng),
+                         basis=random_unitary(8, rng))
+    yield pytest.param(synth_single(spec), splitting_hamiltonian(spec), spec.basis, id="single")
+
+
+@pytest.mark.parametrize("ds, H, frame", list(_factor_cases()))
+def test_factor_items_match_the_same_operators_made_dense(ds, H, frame):
+    # synthesis hands over (u, v) with L = u v^dag; the dense set holds the same L
+    dense = DissipatorSet(tuple(ds))
+    assert all(len(item) == 3 for item in ds.items)
+    assert all(len(item) == 2 for item in dense.items) and dense.peaks == tuple(
+        float(np.max(np.abs(L))) for L in dense.operators)
+    assert np.allclose(ds.peaks, dense.peaks, rtol=1e-15, atol=0)
+    assert json.dumps(ds.to_json_obj()) == json.dumps(dense.to_json_obj())
+    factored, full = LindbladModel(ds, H), LindbladModel(dense, H)
+    assert np.max(np.abs(factored.drift - full.drift)) <= 1e-12
+    rng = np.random.default_rng(16)
+    for rho in (random_density(ds.dim, rng), random_complex((ds.dim, ds.dim), rng)):
+        assert np.max(np.abs(rhs(factored, rho) - rhs(full, rho))) <= 1e-12
+    for phi in (*frame.T, random_complex(ds.dim, rng)):
+        assert is_dark(ds, phi) == is_dark(dense, phi)
+    got, want = steady_states(factored), steady_states(full)
+    assert (got.route, got.dimension) == (want.route, want.dimension)
+    assert np.max(np.abs(got.state.matrix - want.state.matrix)) <= 1e-12
+    t = frame[:, 0]
+    assert abs(fidelity(got.state, t) - fidelity(want.state, t)) <= 1e-12
+
+
+def test_a_synthesized_model_builds_no_jump_stack():
+    # the (d - 1, d, d) stack of cluster-6 is 4.1 MB; the certificate's working set
+    # is a few d x d arrays of 64 KiB
+    target = graph_state(GraphSpec.path(6))
+    spec = SynthesisSpec(dim=64, k=1, coeffs=np.ones((63, 1)), basis=orthonormal_frame(target))
+    stack = 16 * 63 * 64 * 64
+    tracemalloc.start()
+    try:
+        ds = synth_subspace(spec)
+        result = steady_states(LindbladModel(ds))
+        dark = is_dark(ds, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dark and (result.route, result.dimension) == ("certificate", 1)
+    assert peak < stack / 2
+
+
 def test_models_over_one_set_share_its_factorization():
     ds = _mixed_set(np.random.default_rng(40))
     first, second = LindbladModel(ds), LindbladModel(ds, hamiltonian=np.eye(8))
@@ -413,10 +470,13 @@ def _counting_rank_one(monkeypatch):
 
 
 def test_is_dark_and_steady_states_factor_each_operator_once(monkeypatch):
+    # a synthesized set hands its factor pairs over and is factored not at all
     calls = _counting_rank_one(monkeypatch)
-    ds, frame = _cluster_set(3)
-    assert is_dark(ds, frame[:, 0])
-    assert steady_states(LindbladModel(ds)).route == "certificate"
+    synthesized, frame = _cluster_set(3)
+    ds = DissipatorSet(tuple(synthesized))
+    for jumps in (synthesized, ds):
+        assert is_dark(jumps, frame[:, 0])
+        assert steady_states(LindbladModel(jumps)).route == "certificate"
     assert len(calls) == len(ds) and all(a is L for a, (_, L) in zip(calls, ds))
 
 
@@ -481,13 +541,19 @@ def test_the_rescaled_set_keeps_each_divided_operator_without_a_copy(monkeypatch
 def test_the_rescaled_set_divides_only_operators_out_of_the_window():
     ds, _ = _cluster_set(3)
     assert ds._rescaled is None
-    mixed = DissipatorSet(((0.5, 1e-120 * ds.items[0][1]),) + ds.items[1:])
-    unit, ks = mixed._rescaled
-    assert ks[0] < 0 and not any(ks[1:])
-    assert unit.rates == mixed.rates
-    assert all(a is b for a, b in zip(unit.operators[1:], ds.operators[1:]))
-    assert np.array_equal(unit.operators[0], np.ldexp(mixed.operators[0].real, -ks[0])
-                          + 1j * np.ldexp(mixed.operators[0].imag, -ks[0]))
+    dense = DissipatorSet(tuple(ds))
+    (_, u, v), (_, L) = ds.items[0], dense.items[0]
+    # a factor item has its u divided, a dense one its operator
+    for source, small in ((ds, (0.5, 1e-120 * u, v)), (dense, (0.5, 1e-120 * L))):
+        mixed = DissipatorSet((small,) + source.items[1:])
+        unit, ks = mixed._rescaled
+        assert ks[0] < 0 and not any(ks[1:])
+        assert unit.rates == mixed.rates and unit.peaks[0] == math.ldexp(mixed.peaks[0], -ks[0])
+        assert all(a is b for x, y in zip(unit.items[1:], source.items[1:])
+                   for a, b in zip(x[1:], y[1:]))
+        assert all(a is b for a, b in zip(unit.items[0][2:], small[2:]))  # v is shared
+        assert np.array_equal(unit.operators[0], np.ldexp(mixed.operators[0].real, -ks[0])
+                              + 1j * np.ldexp(mixed.operators[0].imag, -ks[0]))
     # the cached set does not refer back to its source, so the source is freed
     # by reference counting alone, without waiting for the cyclic collector
     source = weakref.ref(mixed)
@@ -625,6 +691,38 @@ def test_dissipator_set_rejects_non_finite_rates_and_entries(gamma, entry):
     op[0, 1] = entry
     with pytest.raises(ValueError, match="finite"):
         DissipatorSet(((gamma, op),))
+
+
+@pytest.mark.parametrize("item, match", [
+    pytest.param((1.0, np.ones(2), np.ones(3)), "factors must be non-empty vectors of one length",
+                 id="lengths-differ"),
+    pytest.param((1.0, np.ones((2, 2)), np.ones((2, 2))), "factors must be non-empty vectors",
+                 id="matrices"),
+    pytest.param((1.0, np.ones(0), np.ones(0)), "factors must be non-empty vectors", id="empty"),
+    pytest.param((1.0, np.array([np.nan, 1.0]), np.ones(2)), "entries must be finite", id="nan"),
+    pytest.param((1.0, np.ones(2), np.array([1.0, np.inf])), "entries must be finite", id="inf"),
+    # each factor is finite, but L = u v^dag holds 1e400
+    pytest.param((1.0, np.array([1e200, 0.0]), np.array([0.0, 1e200])), "entries must be finite",
+                 id="product-overflows"),
+    pytest.param((1.0, np.ones(2), np.ones(2), np.ones(2)), r"\(gamma, u, v\)", id="four-parts"),
+])
+def test_dissipator_set_checks_factor_pairs_at_its_intake(item, match):
+    with pytest.raises(ValueError, match=match):
+        DissipatorSet((item,))
+
+
+def test_factor_items_are_kept_and_carried_without_copies():
+    ds, _ = _cluster_set(2)
+    same, doubled = DissipatorSet(ds.items), ds.scaled(2.0)
+    for out in (same, doubled):
+        assert all(a is b for x, y in zip(out.items, ds.items) for a, b in zip(x[1:], y[1:]))
+    assert doubled.peaks is ds.peaks and doubled.rates == (2.0,) * 3
+    # a factor item and a dense one on another dimension do not mix
+    with pytest.raises(ValueError, match="different dimensions"):
+        DissipatorSet(ds.items + ((1.0, np.eye(2)),))
+    # each dense operator is built on request, read-only and not kept
+    first, again = ds.operators[0], ds.operators[0]
+    assert first is not again and np.array_equal(first, again) and not first.flags.writeable
 
 
 @pytest.mark.parametrize("gamma", [True, np.bool_(True), "2"], ids=repr)

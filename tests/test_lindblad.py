@@ -246,7 +246,7 @@ def _kernel_models():
     yield pytest.param(LindbladModel(preset_lfor2(), hamiltonian=H), H, preset_lfor2().items,
                        id="bell-preset-hamiltonian-shared")
     ds = synth_subspace(SynthesisSpec(dim=8, k=2, coeffs=random_complex((6, 2), rng)))
-    yield pytest.param(LindbladModel(ds), None, ds.items, id="subspace-k2-rank-one")
+    yield pytest.param(LindbladModel(ds), None, tuple(ds), id="subspace-k2-rank-one")
     model, jumps = _mixed_model(rng)
     yield pytest.param(model, model.hamiltonian, jumps, id="mixed-all-groups")
     ds = _mixed_scale_set()

@@ -16,7 +16,9 @@ Each pass also runs every configs/*.json through the CLI in a fresh process
 (python -m dissipforge.cli CONFIG --quiet), one at a time, and records the
 CPU seconds and the peak resident set of that process alone, from os.wait4:
 start-up and imports included, since every CLI run pays them. Without --tiny
-the GENERATED configs, sizes no shipped config reaches, run the same way.
+the GENERATED configs, sizes no shipped config reaches, run the same way; a
+config the CLI refuses (exit 2, as an older checkout's size guard may) is
+recorded as {"refused": true}.
 BLAS runs on one thread, set through the environment before numpy is
 imported. The package is imported from PYTHONPATH when it holds one, else
 from this checkout's src/; the file records its path relative to this
@@ -83,6 +85,8 @@ GENERATED = {
     "evolve_cluster7_t5": {"scenario": "evolve", "n_qubits": 7, "target": "cluster-7",
                            "t_max": 5},
     "steady_cluster8": {"scenario": "steady", "n_qubits": 8, "target": "cluster-8"},
+    "steady_cluster9": {"scenario": "steady", "n_qubits": 9, "target": "cluster-9"},
+    "steady_cluster10": {"scenario": "steady", "n_qubits": 10, "target": "cluster-10"},
     "synth_cluster6": {"scenario": "synth", "n_qubits": 6, "target": "cluster-6"},
     "qsd_cluster4_t5_256": {"scenario": "qsd", "n_qubits": 4, "target": "cluster-4",
                             "t_max": 5, "n_traj": 256},
@@ -187,13 +191,16 @@ def layers(tiny):
 
 
 def cli_run(config, package_parent):
-    """(CPU seconds, peak RSS in MB) of one fresh CLI process on config."""
+    """(CPU seconds, peak RSS in MB) of one fresh CLI process on config, or None when
+    the CLI refuses the config (exit 2), as an older checkout's size guard may."""
     env = {**os.environ, "PYTHONPATH": str(package_parent)}
     with tempfile.TemporaryDirectory() as out:
         pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "dissipforge.cli",
                                               str(config), "--quiet", "--output", out], env)
         _, status, usage = os.wait4(pid, 0)
     code = os.waitstatus_to_exitcode(status)
+    if code == 2:
+        return None
     if code:
         raise RuntimeError(f"the CLI exited {code} on {config}")
     return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
@@ -264,6 +271,9 @@ def measure(pr, repeats, tiny):
                         "runs": [p[name][1] for p in passes], "per_call": per}
     cli = {}
     for name in cli_passes[0]:
+        if any(p[name] is None for p in cli_passes):
+            cli[name] = {"refused": True}
+            continue
         rss = [p[name][1] for p in cli_passes]
         cli[name] = {**_least([p[name][0] for p in cli_passes]),
                      "max_rss_mb": max(rss), "passes_max_rss_mb": rss}
