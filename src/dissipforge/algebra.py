@@ -57,19 +57,37 @@ def _operator(A, what: str) -> tuple[np.ndarray, float]:
     return A, peak
 
 
+def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
+    """x 2^k for a complex array, exact while its entries stay normal floats."""
+    return np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+
+
 def _rank_one(u, v, what: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(`_frozen(u)`, `_frozen(v)`, max|u| max|v|), the one intake of every constructor
-    that keeps a rank-one operator L = u v^dag as its factors, beside `_operator`: u
-    and v must be non-empty vectors of one length whose product L is finite, or
-    ValueError names `what`. max|u| max|v| is L's largest |entry|, as ||u|| ||v|| is
-    its Frobenius norm, to rounding; L itself is never built here."""
+    """(u 2^e, v 2^-e, max|u| max|v|), the one intake of every constructor that keeps
+    a rank-one operator L = u v^dag as its factors, beside `_operator`: u and v must be
+    non-empty vectors of one length whose product L is finite, or ValueError names
+    `what`. max|u| max|v| is L's largest |entry|, as ||u|| ||v|| is its Frobenius
+    norm, to rounding; L itself is never built here.
+
+    The pair is balanced so that v's largest |entry| lies in [1, 2) and u carries L's
+    scale, at most the peak: e is set by v's binary exponent, the scaling is exact
+    while the entries stay normal floats, so u v^dag keeps its bits, and a factor of
+    1e200 beside one of 1e-200 leaves neither norm to overflow or underflow where L's
+    does not (`DissipatorSet._rescaled` then divides u alone). Both factors come
+    through `_frozen`; a pair already balanced is kept as it is."""
     u, v = _frozen(u), _frozen(v)
     if u.ndim != 1 or u.shape != v.shape or not u.size:
         raise ValueError(f"{what} factors must be non-empty vectors of one length, "
                          f"got shapes {u.shape} and {v.shape}")
-    peak = float(np.max(np.abs(u))) * float(np.max(np.abs(v)))
+    v_peak = float(np.max(np.abs(v)))
+    peak = float(np.max(np.abs(u))) * v_peak
     if not math.isfinite(peak):  # an inf or NaN entry, or a product beyond the float range
         raise ValueError(f"{what} entries must be finite, got {peak}")
+    e = math.frexp(v_peak)[1] - 1  # v_peak = m 2^(e + 1) with 1/2 <= m < 1
+    if v_peak and e:  # a zero v is kept as it is
+        u, v = _times_power_of_two(u, e), _times_power_of_two(v, -e)
+        u.setflags(write=False)
+        v.setflags(write=False)
     return u, v, peak
 
 

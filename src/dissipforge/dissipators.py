@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    PauliSum, _frozen, _integer, _operator, _positive, _rank_one, _real, complex_pairs, dag,
+    PauliSum, _frozen, _integer, _operator, _positive, _rank_one, _real, _times_power_of_two,
+    complex_pairs, dag,
 )
 from .states import as_vector
 
@@ -58,17 +59,12 @@ class SynthesisSpec:
             )
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        rows = np.linalg.norm(coeffs, axis=1)
-        if np.any(rows == 0):
-            dead = int(np.nonzero(rows == 0)[0][0]) + self.k + 1
+        dead_rows = ~np.any(coeffs, axis=1)  # not a norm, which underflows at 1e-200
+        if np.any(dead_rows):
+            dead = int(np.nonzero(dead_rows)[0][0]) + self.k + 1
             raise ValueError(f"coefficient row for level {dead} is all zero; it would never decay")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", coeffs)
-
-
-def _times_power_of_two(x: np.ndarray, k: int) -> np.ndarray:
-    """x 2^k for a complex array, exact while its entries stay normal floats."""
-    return np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
 
 
 def _outer_factors(X: np.ndarray, peak: float | np.ndarray):
@@ -235,9 +231,9 @@ class DissipatorSet:
     """Ordered collection of jumps with their decay rates.
 
     An item is (gamma, L), a dense operator, or (gamma, u, v), the factors of the
-    rank-one L = u v^dag (`algebra._rank_one` checks them), which holds O(d) instead
-    of O(d^2): synthesis hands over factors, so a synthesized set holds no dense
-    operator. `operators`, iteration and `to_json_obj` give (gamma, L) with L dense,
+    rank-one L = u v^dag (`algebra._rank_one` checks and balances them), which holds
+    O(d) instead of O(d^2): synthesis hands over factors, so a synthesized set holds
+    no dense operator. `operators`, iteration and `to_json_obj` give (gamma, L) with L dense,
     a factor item's built on request and not kept (`_dense`); `peaks` holds each
     operator's largest |entry|, max|u| max|v| for a factor item. The generator, the
     certificate and `is_dark` read the factors alone (`_jumps`).

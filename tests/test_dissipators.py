@@ -23,6 +23,7 @@ from dissipforge.cli import ScenarioConfig, _build_model
 from dissipforge.compiler import BathTestSpec
 from dissipforge.lindblad import (
     LindbladModel,
+    SteadyStateError,
     _unit_scaled,
     liouvillian_matrix,
     rhs,
@@ -427,6 +428,59 @@ def test_factor_items_match_the_same_operators_made_dense(ds, H, frame):
     assert np.max(np.abs(got.state.matrix - want.state.matrix)) <= 1e-12
     t = frame[:, 0]
     assert abs(fidelity(got.state, t) - fidelity(want.state, t)) <= 1e-12
+
+
+def _steady_or_error(model):
+    try:
+        got = steady_states(model)
+    except SteadyStateError as err:
+        return str(err), None
+    return (got.route, got.dimension), got.state.matrix
+
+
+def _extreme_factor_cases():
+    """Factor items whose u and v lie at opposite ends of the float range, with a
+    Hamiltonian or None: the product fits, but a norm of either factor as given
+    would overflow or underflow."""
+    for scale in (1e200, 1e-200):
+        spec = SynthesisSpec(dim=4, k=1, coeffs=scale * np.ones((3, 1)))
+        for H, tag in ((None, ""), (splitting_hamiltonian(spec), "-split")):
+            yield pytest.param(synth_single(spec), H, id=f"single-{scale:g}{tag}")
+    e0, e1 = np.eye(2)
+    for u, v in ((1e200, 1e-200), (1e-200, 1e200), (1e160, 1e140), (1e-160, 1e-160)):
+        ds = DissipatorSet(((1.0, u * e0, v * e1),))
+        yield pytest.param(ds, None, id=f"pair-{u:g}-{v:g}")
+
+
+@pytest.mark.parametrize("ds, H", list(_extreme_factor_cases()))
+def test_factor_items_at_extreme_scales_match_the_same_operators_made_dense(ds, H):
+    # the intake moves v's scale onto u, which `_rescaled` then divides: no norm of
+    # either factor overflows or underflows where the dense operator's does not
+    dense = DissipatorSet(tuple(ds))
+    for _, u, v in ds.items:
+        assert 1 <= np.max(np.abs(v)) < 2
+    for phi in np.eye(ds.dim):
+        assert is_dark(ds, phi) == is_dark(dense, phi)
+    assert is_dark(ds, np.eye(ds.dim)[0])
+    (got, got_state), (want, want_state) = (_steady_or_error(LindbladModel(x, H))
+                                            for x in (ds, dense))
+    assert got == want
+    if got_state is not None:
+        assert np.max(np.abs(got_state - want_state)) <= 1e-12
+
+
+def test_the_intake_balances_a_factor_pair_without_changing_its_operator():
+    rng = np.random.default_rng(17)
+    for u_scale, v_scale in ((1e200, 1e-200), (1e-200, 1e200), (1.0, 1e-3), (3.0, 1.0)):
+        u, v = u_scale * random_complex(6, rng), v_scale * random_complex(6, rng)
+        ds = DissipatorSet(((1.0, u, v),))
+        _, bu, bv = ds.items[0]
+        assert 1 <= np.max(np.abs(bv)) < 2 and ds.peaks[0] == np.max(np.abs(u)) * np.max(np.abs(v))
+        # a power-of-two scaling: u v^dag keeps its bits
+        assert np.array_equal(ds.operators[0], np.outer(u, v.conj()))
+        # a balanced pair comes through as it is
+        again = DissipatorSet(ds.items)
+        assert again.items[0][1] is bu and again.items[0][2] is bv
 
 
 def test_a_synthesized_model_builds_no_jump_stack():
